@@ -38,8 +38,8 @@ from .errors import ConfigError, FieldFormatError, NumericalError, \
 from .fieldio import write_field
 from .fluid import ComplexField2D, FluidParams, evolve, gp_energy, \
     ground_state, uniform_background
-from .geometry import EUCLIDEAN, LORENTZIAN, HydroFields, build_metric, \
-    find_horizon
+from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
+    build_metric, find_horizon
 from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_evolve
 from .lattice import LatticeParams, LatticeState, continuum_error, \
     continuum_params, lattice_dispersion, step_lattice
@@ -375,8 +375,7 @@ def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
     census = {
         "lorentzian": int(np.sum(metric.signature == LORENTZIAN)),
         "euclidean": int(np.sum(metric.signature == EUCLIDEAN)),
-        "degenerate": int(np.sum(metric.signature
-                                 == (3 - LORENTZIAN - EUCLIDEAN))),
+        "degenerate": int(np.sum(metric.signature == DEGENERATE)),
     }
     horizons = []
     if census["euclidean"] == 0 and census["degenerate"] == 0:

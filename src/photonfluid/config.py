@@ -22,7 +22,7 @@ dimensionless runs must give `n_th` directly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -359,12 +359,36 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
                 "T (kelvin) requires units = SI; give n_th directly in "
                 "natural units", lines_of.get(("rdr", "T"), line)
             )
+    # FFT grids need power-of-two sides; a lattice also needs at least four
+    # sites per side for its nearest-neighbour stencil
+    if cfg.stage in ("nlse", "metric", "kg", "pipeline"):
+        _check_sides(cfg, lines_of, "grid", ("nx", "ny"), ("dx", "dy"))
+    if cfg.stage == "lattice":
+        _check_sides(cfg, lines_of, "lattice", ("nx", "ny"), ("h",), min_side=4)
     if cfg.stage == "kernel":
         k = cfg.sections["kernel"]
         line = lines_of.get(("kernel", None), 1)
         if k["omega_m"] is None or k["gamma"] is None:
             raise ConfigError(
                 "standalone kernel stage needs omega_m and gamma", line
+            )
+
+
+def _check_sides(cfg: RunConfig, lines_of, section, sides, spacings,
+                 min_side=2) -> None:
+    sec = cfg.sections[section]
+    for key in sides:
+        n = sec[key]
+        if n < min_side or n & (n - 1):
+            raise ConfigError(
+                f"{section}.{key} = {n} must be a power of two >= {min_side}",
+                lines_of.get((section, key), lines_of.get((section, None), 1)),
+            )
+    for key in spacings:
+        if not sec[key] > 0:
+            raise ConfigError(
+                f"{section}.{key} must be positive",
+                lines_of.get((section, key), lines_of.get((section, None), 1)),
             )
 
 

@@ -237,7 +237,8 @@ def final_phonon_number(gamma_opt_val, gamma_i, n_min, n_th) -> float:
         raise PhysicsGateError(
             f"total damping {total:.3e} <= 0: mechanical mode unstable"
         )
-    return (gamma_opt_val * n_min + gamma_i * n_th) / total
+    # weights first: the products γ·n̄ can round a subnormal rate out of range
+    return (gamma_opt_val / total) * n_min + (gamma_i / total) * n_th
 
 
 def drift_matrix(p: OptomechParams, G: complex, Delta_bar: float) -> np.ndarray:

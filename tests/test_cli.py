@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photonfluid
 from photonfluid.cli import main
 from photonfluid.fieldio import read_field
 
@@ -276,6 +280,30 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ok = write_cfg(tmp_path, RDR_CFG)
     assert main(["nlse", "--config", str(ok)]) == 2   # stage mismatch
     assert main(["rdr", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+    # grid sides the FFT layer cannot take are config errors, not tracebacks
+    grid = write_cfg(tmp_path, NLSE_CFG.replace("nx = 32", "nx = 100"))
+    assert main(["nlse", "--config", str(grid)]) == 2
+    assert "grid.nx = 100" in capsys.readouterr().err
+    grid = write_cfg(tmp_path, NLSE_CFG.replace("dx = 0.5", "dx = 0.0"))
+    assert main(["nlse", "--config", str(grid)]) == 2
+    assert "grid.dx must be positive" in capsys.readouterr().err
+    lat = tmp_path / "lattice.cfg"
+    lat.write_text("[run]\nstage = lattice\n[lattice]\nnx = 6\n")
+    assert main(["lattice", "--config", str(lat)]) == 2
+    assert "lattice.nx = 6" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    cfg = write_cfg(tmp_path, RDR_CFG)
+    src = os.path.dirname(os.path.dirname(photonfluid.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "photonfluid", "rdr", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert manifest(tmp_path)["status"] == "ok"
 
 
 def test_numerical_refusal_exits_three(tmp_path):

@@ -285,3 +285,50 @@ def test_galilean_boost_shifts_frequencies():
     res = measure_dispersion(psi0, p, [k], periods=16)
     expected = bogoliubov_dispersion(k, 1.0, p).real + k * v
     assert res[0].omega.real == pytest.approx(expected, rel=2e-2)
+
+
+def _rk4_oracle(phi, psi0, p, dt, steps):
+    """Step-by-step RK4 of the uniform-background linearized equation."""
+    n = float(np.mean(np.abs(psi0.data) ** 2))
+    k0x, k0y = psi0.meta.get("flow_k", (0.0, 0.0))
+    kx, ky = psi0.kx()[:, None], psi0.ky()[None, :]
+    # i[∇²/2m + (ik₀)·∇/m] in k-space
+    kmul = 1j * (-psi0.k_squared() / (2 * p.m) - (k0x * kx + k0y * ky) / p.m)
+
+    def rhs(f):
+        return np.fft.ifft2(kmul * np.fft.fft2(f)) \
+            - 1j * n * p.G_kerr * (f + np.conj(f))
+
+    f = phi.copy()
+    for _ in range(steps):
+        k1 = rhs(f)
+        k2 = rhs(f + 0.5 * dt * k1)
+        k3 = rhs(f + 0.5 * dt * k2)
+        k4 = rhs(f + dt * k3)
+        f = f + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return f
+
+
+@pytest.mark.parametrize("flow, G, m", [
+    ((2, 1), 1.0, 1.0),
+    ((1, 0), -0.3, 0.7),
+    ((2, 0), 0.0, 1.0),
+    ((0, 0), 1.0, -2.0),
+    ((1, 1), -1.0, -2.0),
+])
+@pytest.mark.parametrize("steps", [0, 1, 300])
+def test_uniform_background_propagator_matches_rk4_steps(flow, G, m, steps):
+    # full-spectrum complex seed: every ±k pair and the Nyquist rows carry
+    # independent amplitudes
+    nx, ny, dx, dy, density = 32, 8, 0.7, 0.9, 1.3
+    psi0 = uniform_background(nx, ny, dx, dy, density=density, flow_mode=flow)
+    p = FluidParams(m=m, G_kerr=G)
+    rng = np.random.default_rng(steps + 7)
+    seed = 1e-3 * (rng.standard_normal((nx, ny))
+                   + 1j * rng.standard_normal((nx, ny)))
+    phi = ComplexField2D(nx, ny, dx, dy, seed)
+    dt = 0.2 / (float(np.max(psi0.k_squared())) / (2 * abs(m))
+                + 2 * density * abs(G))
+    out = linearized_step(phi, psi0, p, dt, steps=steps)
+    ref = _rk4_oracle(seed, psi0, p, dt, steps)
+    assert np.linalg.norm(out.data - ref) <= 1e-11 * np.linalg.norm(ref)

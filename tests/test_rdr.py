@@ -3,7 +3,7 @@ occupancies and stability, checked against independent integrations."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import solve_ivp
 
 from photonfluid.rdr import (
@@ -265,6 +265,7 @@ def test_final_phonon_number_rejects_antidamped():
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
        st.floats(0.0, 1e3), st.floats(0.0, 1e6))
+@example(0.0, 5e-324, 0.0, 1.5)   # subnormal rate: γ_i·n̄_th rounds up
 def test_final_phonon_number_is_convex_combination(go, gi, n_min, n_th):
     if go + gi <= 0:
         return
