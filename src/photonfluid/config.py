@@ -365,6 +365,13 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
         _check_sides(cfg, lines_of, "grid", ("nx", "ny"), ("dx", "dy"))
     if cfg.stage == "lattice":
         _check_sides(cfg, lines_of, "lattice", ("nx", "ny"), ("h",), min_side=4)
+    # the photon mass divides the kinetic term and the conformal factor
+    # n/(m c); the array's continuum map m = ħ/(2Jh²) divides by J
+    model = cfg["pipeline"]["model"] if cfg.stage == "pipeline" else None
+    if cfg.stage in ("nlse", "metric", "kg") or model == "microcavity":
+        _check_nonzero(cfg, lines_of, "nlse", "m")
+    if cfg.stage == "lattice" or model == "array":
+        _check_nonzero(cfg, lines_of, "lattice", "J")
     if cfg.stage == "kernel":
         k = cfg.sections["kernel"]
         line = lines_of.get(("kernel", None), 1)
@@ -372,6 +379,10 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
             raise ConfigError(
                 "standalone kernel stage needs omega_m and gamma", line
             )
+
+
+def _line(lines_of, section, key) -> int:
+    return lines_of.get((section, key), lines_of.get((section, None), 1))
 
 
 def _check_sides(cfg: RunConfig, lines_of, section, sides, spacings,
@@ -382,14 +393,20 @@ def _check_sides(cfg: RunConfig, lines_of, section, sides, spacings,
         if n < min_side or n & (n - 1):
             raise ConfigError(
                 f"{section}.{key} = {n} must be a power of two >= {min_side}",
-                lines_of.get((section, key), lines_of.get((section, None), 1)),
+                _line(lines_of, section, key),
             )
     for key in spacings:
         if not sec[key] > 0:
             raise ConfigError(
                 f"{section}.{key} must be positive",
-                lines_of.get((section, key), lines_of.get((section, None), 1)),
+                _line(lines_of, section, key),
             )
+
+
+def _check_nonzero(cfg: RunConfig, lines_of, section, key) -> None:
+    if cfg.sections[section][key] == 0:
+        raise ConfigError(f"{section}.{key} must be nonzero",
+                          _line(lines_of, section, key))
 
 
 def _rdr_to_natural(cfg: RunConfig) -> None:

@@ -83,14 +83,17 @@ def read_field(path) -> ComplexField2D:
                 f"endianness marker wrong (0x{endian:08x}); file written on an "
                 "incompatible producer"
             )
+        # size the data block from the file, never from the header alone:
+        # a forged nx·ny must not drive the read
         expect = nx * ny * 16
-        data = fh.read(expect + 1)
-        if len(data) < expect:
+        have = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if have < expect:
             raise FieldFormatError(
-                f"truncated file: expected {expect} data bytes, got {len(data)}"
+                f"truncated file: expected {expect} data bytes, got {have}"
             )
-        if len(data) > expect:
+        if have > expect:
             raise FieldFormatError("trailing bytes after data block")
+        data = fh.read(expect)
         if zlib.crc32(data) != crc:
             raise FieldFormatError("checksum mismatch: data block corrupted")
 
@@ -100,4 +103,7 @@ def read_field(path) -> ComplexField2D:
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
             meta["sidecar"] = json.load(fh)
-    return ComplexField2D(int(nx), int(ny), float(dx), float(dy), arr, meta)
+    try:
+        return ComplexField2D(int(nx), int(ny), float(dx), float(dy), arr, meta)
+    except ValueError as exc:
+        raise FieldFormatError(f"invalid field: {exc}") from exc

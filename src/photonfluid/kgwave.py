@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicsGateError, StepSizeError
+from .errors import NumericalError, PhysicsGateError, StepSizeError
 from .fluid import ComplexField2D, FluidParams, linearized_step
 from .geometry import LORENTZIAN, HydroFields, MetricField, build_metric
 
@@ -166,7 +166,8 @@ def kg_evolve(
     """Integrate □δθ = 0 on a static, everywhere-Lorentzian metric.
 
     RK4 on (δθ, u); refuses CFL violations (dt > ½ min(dx,dy)/max(c+|v|))
-    unless forced.  With `sample_every` > 0, snapshots of δθ and the wave
+    unless forced, and aborts with the step index if the field leaves the
+    finite range.  With `sample_every` > 0, snapshots of δθ and the wave
     energy are recorded along the way.
     """
     if np.any(metric.signature != LORENTZIAN):
@@ -206,6 +207,8 @@ def kg_evolve(
         k4 = rhs(th + dt * k3[0], u + dt * k3[1])
         th = th + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         u = u + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(u))):
+            raise NumericalError(f"Klein-Gordon field non-finite at step {step}")
         if sample_every and (step % sample_every == 0 or step == steps):
             times.append(step * dt)
             snaps.append((th.copy(), u.copy()))

@@ -293,6 +293,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["lattice", "--config", str(lat)]) == 2
     assert "lattice.nx = 6" in capsys.readouterr().err
 
+    # a zero mass or hopping rate leaves no fluid and no continuum map
+    mass = write_cfg(tmp_path, NLSE_CFG.replace("m = 1.0", "m = 0.0"))
+    assert main(["nlse", "--config", str(mass)]) == 2
+    assert "line 13: nlse.m must be nonzero" in capsys.readouterr().err
+    lat.write_text("[run]\nstage = lattice\n[lattice]\nnx = 8\nJ = 0.0\n")
+    assert main(["lattice", "--config", str(lat)]) == 2
+    assert "line 5: lattice.J must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lattice_final.pfld").exists()
+
 
 def test_python_dash_m_runs_the_cli(tmp_path):
     cfg = write_cfg(tmp_path, RDR_CFG)

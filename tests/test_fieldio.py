@@ -1,5 +1,8 @@
 """PFLD binary format: lossless round trips and corruption detection."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,4 +100,33 @@ def test_trailing_bytes_rejected(tmp_path):
     write_field(path, random_field(rng))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FieldFormatError, match="trailing"):
+        read_field(path)
+
+
+def _forge_sides(path, nx, ny):
+    raw = bytearray(path.read_bytes())
+    raw[16:32] = struct.pack("<QQ", nx, ny)
+    path.write_bytes(raw)
+
+
+def test_forged_sides_checked_against_file_size(tmp_path):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "f.pfld"
+    write_field(path, random_field(rng))          # 16 x 8 = 128 elements
+    _forge_sides(path, 2**62, 4)                  # 16·nx·ny overflows any read
+    with pytest.raises(FieldFormatError, match="truncated"):
+        read_field(path)
+    _forge_sides(path, 129, 1)                    # one element past the data
+    with pytest.raises(FieldFormatError, match="truncated"):
+        read_field(path)
+
+
+def test_forged_sides_the_field_cannot_take(tmp_path):
+    # size and checksum agree, but 3 is not an FFT-friendly side
+    data = np.zeros(12, "<c16").tobytes()
+    header = struct.pack("<4sII4xQQdd8sI4x", b"PFLD", 1, 0x01020304, 3, 4,
+                         0.5, 0.5, b"natural\x00", zlib.crc32(data))
+    path = tmp_path / "f.pfld"
+    path.write_bytes(header + data)
+    with pytest.raises(FieldFormatError, match="powers of two"):
         read_field(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from photonfluid.errors import PhysicsGateError, StepSizeError
+from photonfluid.errors import NumericalError, PhysicsGateError, StepSizeError
 from photonfluid.fluid import ComplexField2D, FluidParams, uniform_background
 from photonfluid.geometry import HydroFields, build_metric
 from photonfluid.kgwave import (
@@ -102,6 +102,18 @@ def test_kg_cfl_refusal():
     z = np.zeros((met.nx, met.ny))
     with pytest.raises(StepSizeError):
         kg_evolve(z, z, met, 1.0, 1)
+
+
+def test_kg_forced_cfl_violation_aborts_at_blow_up():
+    # dt = 5 is ten times the CFL limit: the shortest waves grow every step
+    # until the field overflows, long before the requested step count
+    met = uniform_metric(nx=64)
+    _, th0 = mode_seed(met, 1)
+    rng = np.random.default_rng(8)
+    th0 = th0 + 1e-6 * rng.standard_normal(th0.shape)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite at step"):
+        kg_evolve(th0, np.zeros_like(th0), met, 5.0, 100_000, force=True)
 
 
 def test_kg_rejects_euclidean_metric():
