@@ -102,7 +102,10 @@ def read_field(path) -> ComplexField2D:
     sidecar = f"{path}.json"
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
-            meta["sidecar"] = json.load(fh)
+            try:
+                meta["sidecar"] = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise FieldFormatError(f"corrupt sidecar {sidecar}: {exc}") from exc
     try:
         return ComplexField2D(int(nx), int(ny), float(dx), float(dy), arr, meta)
     except ValueError as exc:

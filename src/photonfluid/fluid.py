@@ -159,36 +159,69 @@ def evolve(
 ) -> ComplexField2D:
     """Strang split-step spectral evolution over `steps` of size `dt`.
 
-    Half potential+interaction kick, full kinetic step in k-space, half
-    kick; periodic boundaries.  The spatial mean of V is removed and the
-    accumulated global phase is tracked in meta['phase_offset'].  Refuses
-    step sizes violating the resolution precondition unless `force`.
-    `record(step, field)` is invoked every `record_every` steps.
+    Each step is a half potential+interaction kick, a full kinetic step in
+    k-space and a half kick; periodic boundaries.  A kick only rotates the
+    phase, so |Ψ|² and with it the kick itself carry over: a step's closing
+    half kick and the next step's opening one are applied as one full kick.
+    The kick is split back into two halves at each `record` step and at the
+    last step.  The spatial mean of V is removed and the accumulated global
+    phase is tracked in meta['phase_offset'].  Refuses step sizes violating
+    the resolution precondition unless `force`.  Every kick checks the
+    field for finiteness and raises `NumericalError` naming the step, so a
+    blow-up stops the run where it happens.
+
+    `record(step, field)` is invoked every `record_every` steps with the
+    state after that step, meta['phase_offset'] included.  The field shares
+    the live buffer of the evolution: copy whatever is kept beyond the call.
     """
     cfl = split_step_cfl(psi, p, dt)
     if cfl > 0.1 and not force:
         raise StepSizeError(
             f"dt too large: dt*rate = {cfl:.3g} > 0.1 (pass force=True to override)"
         )
-    out = psi.copy()
-    V = p.potential_grid(psi)
-    v_mean = float(np.mean(V))
-    Vc = V - v_mean
+    v_mean = float(np.mean(p.V))
+    # a scalar V is a global phase only: no grid for it
+    Vc = p.potential_grid(psi) - v_mean if np.ndim(p.V) else None
     kin = np.exp(-1j * dt * psi.k_squared() / (2.0 * p.m))
     G = p.G_kerr
-    f = out.data
+    offset = psi.meta.get("phase_offset", 0.0)
+
+    # the kick's phase and its exponential, reused by every kick: arrays
+    # allocated per kick page-fault anew on most steps
+    phase_buf = np.empty(psi.data.shape)
+    e = np.empty_like(psi.data)
+
+    def kick(f, tau, step):
+        # f *= exp(−iτ(Ṽ + 𝒢|f|²)); the buffer holds |f|, |f|², then the phase
+        ph = np.abs(f, out=phase_buf)
+        ph *= ph
+        if not np.isfinite(ph.sum()):
+            raise NumericalError(f"non-finite field in step {step} of {steps}")
+        ph *= -tau * G
+        if Vc is not None:
+            ph -= tau * Vc
+        np.cos(ph, out=e.real)
+        np.sin(ph, out=e.imag)
+        f *= e
+
+    def field(f, step):
+        meta = dict(psi.meta, phase_offset=offset + v_mean * dt * step)
+        return ComplexField2D(psi.nx, psi.ny, psi.dx, psi.dy, f, meta)
+
+    f = psi.data.copy()
+    half = True  # the step opens with a half kick
     for step in range(1, steps + 1):
-        f *= np.exp(-0.5j * dt * (Vc + G * (f.real**2 + f.imag**2)))
-        f = np.fft.ifft2(np.fft.fft2(f) * kin)
-        f *= np.exp(-0.5j * dt * (Vc + G * (f.real**2 + f.imag**2)))
-        if record is not None and record_every and step % record_every == 0:
-            out.data = f
-            record(step, out)
-    if not np.all(np.isfinite(f)):
-        raise NumericalError("non-finite field during evolution")
-    out.data = np.ascontiguousarray(f)
-    out.meta["phase_offset"] = out.meta.get("phase_offset", 0.0) + v_mean * dt * steps
-    return out
+        if half:
+            kick(f, 0.5 * dt, step)
+        f = np.fft.fft2(f)
+        f *= kin
+        f = np.fft.ifft2(f)
+        snap = record is not None and record_every and step % record_every == 0
+        half = snap or step == steps
+        kick(f, 0.5 * dt if half else dt, step)
+        if snap:
+            record(step, field(f, step))
+    return field(f, steps)
 
 
 def gp_energy(psi: ComplexField2D, p: FluidParams) -> float:

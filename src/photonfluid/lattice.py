@@ -232,6 +232,10 @@ def continuum_error(
             or not np.isclose(nlse_field.dx, p.h)
             or not np.isclose(nlse_field.dy, p.h)):
         raise ValueError("incompatible grids between lattice and continuum field")
+    # refuses J = 0 before any stepping; ω(k) curves as −Jh²k², so the
+    # dynamically matched mass is the map's mass with the sign flipped
+    m_map, v_tilde = continuum_params(p.J, p.h, p.omega_c)
+    m_dyn = -m_map
 
     rate = max(abs(p.omega_c) + 4.0 * abs(p.J), abs(p.omega_m), 1e-12)
     if dt_lattice is None:
@@ -239,8 +243,6 @@ def continuum_error(
     n_lat = max(1, int(np.ceil(t_final / dt_lattice)))
     lat = step_lattice(lattice, p, t_final / n_lat, steps=n_lat, force=force)
 
-    m_dyn = -1.0 / (2.0 * p.J * p.h**2)
-    _, v_tilde = continuum_params(p.J, p.h, p.omega_c)
     G_eff = 0.0
     if p.g_prime != 0.0:
         # steady mirror response with amplitude decay gamma_eff

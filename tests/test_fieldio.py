@@ -130,3 +130,14 @@ def test_forged_sides_the_field_cannot_take(tmp_path):
     path.write_bytes(header + data)
     with pytest.raises(FieldFormatError, match="powers of two"):
         read_field(path)
+
+
+def test_corrupt_sidecar_raises_field_format_error(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "f.pfld"
+    write_field(path, random_field(rng, nx=4, ny=4))
+    sidecar = tmp_path / "f.pfld.json"
+    for junk in (b'{"t": 1', b"\xff\xfe{}"):
+        sidecar.write_bytes(junk)
+        with pytest.raises(FieldFormatError, match="corrupt sidecar"):
+            read_field(path)

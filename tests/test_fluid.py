@@ -1,9 +1,11 @@
 """NLSE core: split-step evolution, ground states, linearized excitations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from photonfluid.errors import StepSizeError
+from photonfluid.errors import NumericalError, StepSizeError
 from photonfluid.fluid import (
     CollapseError,
     ComplexField2D,
@@ -144,6 +146,91 @@ def test_strang_splitting_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
+
+
+def _unfused_strang(psi, p, dt, steps):
+    """The textbook Strang loop, two half kicks in every step; returns the
+    state after each step (index 0 is the start)."""
+    V = p.potential_grid(psi)
+    Vc = V - np.mean(V)
+    kin = np.exp(-1j * dt * psi.k_squared() / (2.0 * p.m))
+    f = psi.data.copy()
+    states = [f.copy()]
+    for _ in range(steps):
+        f = f * np.exp(-0.5j * dt * (Vc + p.G_kerr * np.abs(f) ** 2))
+        f = np.fft.ifft2(np.fft.fft2(f) * kin)
+        f = f * np.exp(-0.5j * dt * (Vc + p.G_kerr * np.abs(f) ** 2))
+        states.append(f.copy())
+    return states
+
+
+def _trapped_packet():
+    # non-square grid, moving Gaussian in an off-center trap with a nonzero
+    # mean (so the bookkept phase grows), repulsive 𝒢 for negative m
+    psi = ComplexField2D.filled(32, 16, 0.5, 0.5, 0.0)
+    X, Y = psi.xy()
+    psi.data = 2.0 * np.exp(-((X - 1.0) ** 2 + Y**2) / 4.0 + 0.8j * X + 0.3j * Y)
+    psi.meta["phase_offset"] = 0.25
+    p = FluidParams(m=-0.8, G_kerr=-1.5, V=0.7 + 0.05 * (X**2 + 2 * (Y - 0.5) ** 2))
+    return psi, p
+
+
+@pytest.mark.parametrize("steps, every", [
+    (0, 1), (1, 1), (1, 2), (2, 1), (2, 3),
+    (37, 0), (37, 1), (37, 4), (37, 5), (37, 37),
+])
+def test_fused_kicks_match_unfused_strang_loop(steps, every):
+    psi, p = _trapped_packet()
+    before = psi.data.copy()
+    dt = 2e-3
+    v_mean = float(np.mean(p.V))
+    ref = _unfused_strang(psi, p, dt, steps)
+    seen = []
+
+    def record(step, fld):
+        seen.append((step, fld.data.copy(), fld.meta["phase_offset"]))
+
+    out = evolve(psi, p, dt, steps, record=record, record_every=every)
+    want = [s for s in range(1, steps + 1) if every and s % every == 0]
+    assert [s for s, _, _ in seen] == want
+    for step, data, offset in seen + [(steps, out.data, out.meta["phase_offset"])]:
+        assert np.linalg.norm(data - ref[step]) <= 1e-12 * np.linalg.norm(ref[step])
+        assert offset == pytest.approx(0.25 + v_mean * dt * step, rel=1e-12, abs=1e-15)
+    np.testing.assert_array_equal(psi.data, before)
+
+
+def test_evolve_aborts_in_the_step_the_field_breaks():
+    psi, p = _trapped_packet()
+
+    def record(step, fld):
+        assert np.all(np.isfinite(fld.data))
+        if step == 10:
+            fld.data[3, 4] = np.nan            # the live buffer breaks here
+
+    with pytest.raises(NumericalError, match="step 11 of 37"):
+        evolve(psi, p, 2e-3, 37, record=record, record_every=5)
+    # a kick phase past the float range turns the field to nan in step 1
+    huge = FluidParams(m=1.0, G_kerr=1e308)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="step 1 of 37"):
+        evolve(psi, huge, 10.0, 37, force=True, record=record, record_every=5)
+
+
+def test_evolve_peak_memory():
+    # tracemalloc peak of one call, in complex fields of the grid: 7.006 for
+    # the unfused loop, which filled V and Ṽ grids for a scalar V and held
+    # the input copy across each FFT; 5.506 for the fused one, whose kick
+    # reuses one real and one complex buffer
+    psi = uniform_background(256, 256, 0.25, 0.25, flow_mode=(2, 0))
+    p = FluidParams(m=1.0, G_kerr=1.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evolve(psi, p, 5e-4, 6, record=lambda step, fld: None, record_every=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (256 * 256 * 16) < 7.05
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,14 @@ def test_continuum_error_rejects_grid_mismatch():
         continuum_error(s, fld, p, 1.0)
 
 
+def test_continuum_error_refuses_zero_hopping():
+    p = make_params(Nx=8, Ny=8, J=0.0)
+    s = LatticeState(np.ones((8, 8), complex), np.zeros((8, 8), complex))
+    fld = ComplexField2D(8, 8, 1.0, 1.0, np.ones((8, 8), complex))
+    with pytest.raises(ValueError, match="J = 0"):
+        continuum_error(s, fld, p, 1.0)
+
+
 def test_continuum_error_taylor_scaling():
     # single Bloch modes over one kinetic period: the deviation is the
     # O((kh)^2) Taylor remainder of the slowly-varying approximation
