@@ -14,7 +14,11 @@ Every run writes its artifacts plus a `manifest.json` (config hash, tool
 version, timestamps, artifact checksums, derived quantities).  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 physics gate (unstable
 operating point or Euclidean signature: the run is valid but gated stages
-were skipped).
+were skipped).  A config error still writes a `manifest.json` with
+status "failed" and the error in its notes when the output directory is
+known, i.e. `--out` was given or the config parsed; otherwise (an
+unreadable or unparsable config without `--out`) the error goes to stderr
+only.
 """
 
 from __future__ import annotations
@@ -303,8 +307,10 @@ def _background(cfg: RunConfig) -> tuple[ComplexField2D, FluidParams]:
 def run_nlse(cfg: RunConfig, art: Artifacts,
              snapshot_every: int | None = None, force: bool = False) -> dict:
     sec = cfg["nlse"]
-    psi, p = _background(cfg)
     every = snapshot_every if snapshot_every is not None else sec["snapshot_every"]
+    if every < 0:
+        raise ConfigError(f"--snapshot-every must be >= 0, got {every}")
+    psi, p = _background(cfg)
     dt = sec["dt"] or 0.08 / max(
         float(np.max(psi.k_squared())) / (2 * abs(p.m)),
         abs(p.G_kerr) * float(np.max(np.abs(psi.data)) ** 2) + 1e-12,
@@ -558,19 +564,14 @@ def main(argv=None) -> int:
     started = time.time()
     status, derived, notes = "ok", {}, []
     code = 0
-    outdir = None
-    art = None
+    outdir = args.out
+    cfg = art = None
     try:
         cfg_path = args.config or getattr(args, "params", None)
         if not cfg_path:
             raise ConfigError("a configuration file is required (--config)")
         with open(cfg_path) as fh:
             cfg = parse_config(fh.read())
-        if cfg.stage != args.command:
-            raise ConfigError(
-                f"config stage '{cfg.stage}' does not match "
-                f"subcommand '{args.command}'"
-            )
         if args.out:
             cfg.out = args.out
         if args.seed is not None:
@@ -578,6 +579,11 @@ def main(argv=None) -> int:
         if args.threads is not None:
             cfg.threads = args.threads
         outdir = cfg.out
+        if cfg.stage != args.command:
+            raise ConfigError(
+                f"config stage '{cfg.stage}' does not match "
+                f"subcommand '{args.command}'"
+            )
         art = Artifacts(outdir)
 
         if args.command == "rdr":
@@ -603,8 +609,8 @@ def main(argv=None) -> int:
         status, code = "gated", 4
         notes = [str(exc)]
     except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        status, code = "failed", 2
+        notes = [f"config error: {exc}"]
     except (NumericalError, FieldFormatError) as exc:
         status, code = "failed", 3
         notes = [str(exc)]
@@ -612,21 +618,22 @@ def main(argv=None) -> int:
         status, code = "failed", 3
         notes = [str(exc)]
 
-    if outdir is not None and art is not None:
+    if outdir is not None:
         payload = {
             "tool_version": __version__,
             "stage": args.command,
             "status": status,
-            "config_sha256": cfg.sha256(),
-            "config_echo": cfg.echo(),
-            "seed": cfg.seed,
-            "threads": cfg.threads,
+            "config_sha256": cfg.sha256() if cfg else None,
+            "config_echo": cfg.echo() if cfg else None,
+            "seed": cfg.seed if cfg else args.seed,
+            "threads": cfg.threads if cfg else args.threads,
             "started": started,
             "finished": time.time(),
             "derived": derived,
             "notes": notes,
-            "artifacts": art.manifest_entries(),
+            "artifacts": art.manifest_entries() if art else [],
         }
+        os.makedirs(outdir, exist_ok=True)
         write_manifest(outdir, payload)
     if notes:
         for n in notes:

@@ -372,6 +372,12 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
         _check_nonzero(cfg, lines_of, "nlse", "m")
     if cfg.stage == "lattice" or model == "array":
         _check_nonzero(cfg, lines_of, "lattice", "J")
+    # a negative count would book time and phase for a field never evolved
+    if "nlse" in cfg.sections:
+        for key in ("steps", "snapshot_every"):
+            if cfg.sections["nlse"][key] < 0:
+                raise ConfigError(f"nlse.{key} must be >= 0",
+                                  _line(lines_of, "nlse", key))
     if cfg.stage == "kernel":
         k = cfg.sections["kernel"]
         line = lines_of.get(("kernel", None), 1)

@@ -166,7 +166,8 @@ def evolve(
     The kick is split back into two halves at each `record` step and at the
     last step.  The spatial mean of V is removed and the accumulated global
     phase is tracked in meta['phase_offset'].  Refuses step sizes violating
-    the resolution precondition unless `force`.  Every kick checks the
+    the resolution precondition unless `force`, and a negative `steps`
+    with `ValueError`.  Every kick checks the
     field for finiteness and raises `NumericalError` naming the step, so a
     blow-up stops the run where it happens.
 
@@ -174,6 +175,8 @@ def evolve(
     state after that step, meta['phase_offset'] included.  The field shares
     the live buffer of the evolution: copy whatever is kept beyond the call.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     cfl = split_step_cfl(psi, p, dt)
     if cfl > 0.1 and not force:
         raise StepSizeError(

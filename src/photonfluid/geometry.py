@@ -238,13 +238,18 @@ def estimate_density_fluctuation(
 class MetricField:
     """Acoustic metric sampled on the grid.
 
-    g and g_inv have shape (nx, ny, 3, 3) with coordinate order (t, x, y);
-    entries are NaN wherever the signature is not Lorentzian.  det g
-    follows the closed form det g = −Ω³c² with the signed conformal factor
-    Ω = n/(m c_ex).  For negative photon mass Ω < 0 and the tensor is the
-    overall negative of a (−,+,+) metric; since the wave operator is
-    invariant under g → −g, `sqrt_minus_g` stores the volume weight of the
-    sign-normalized form, |det g|^{1/2} = |Ω|^{3/2} c.
+    Stored are the fields the metric is built from (n, c², v), the signed
+    conformal factor Ω = n/(m c_ex), the volume weight and the signature.
+    det g follows the closed form det g = −Ω³c².  For negative photon mass
+    Ω < 0 and the tensor is the overall negative of a (−,+,+) metric; since
+    the wave operator is invariant under g → −g, `sqrt_minus_g` stores the
+    volume weight of the sign-normalized form, |det g|^{1/2} = |Ω|^{3/2} c.
+
+    `g`, `g_inv` (shape (nx, ny, 3, 3), coordinate order (t, x, y)) and
+    `det_g` are read-only properties built from (Ω, c², v) on each access,
+    9·nx·ny floats per tensor; callers that read one repeatedly should keep
+    the result.  Their entries are NaN wherever the signature is not
+    Lorentzian.
     """
 
     nx: int
@@ -259,9 +264,6 @@ class MetricField:
     vx: np.ndarray
     vy: np.ndarray
     conformal: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    det_g: np.ndarray
     sqrt_minus_g: np.ndarray
     signature: np.ndarray
 
@@ -274,9 +276,47 @@ class MetricField:
     def y(self) -> np.ndarray:
         return self.y0 + np.arange(self.ny) * self.dy
 
+    @property
+    def g(self) -> np.ndarray:
+        """g₀₀ = −Ω(c² − v·v), g₀ᵢ = −Ωvᵢ, gᵢⱼ = Ωδᵢⱼ."""
+        conformal, vx, vy = self.conformal, self.vx, self.vy
+        v2 = vx * vx + vy * vy
+        g = np.full((self.nx, self.ny, 3, 3), np.nan)
+        g[..., 0, 0] = -conformal * (self.c2 - v2)
+        g[..., 0, 1] = g[..., 1, 0] = -conformal * vx
+        g[..., 0, 2] = g[..., 2, 0] = -conformal * vy
+        g[..., 1, 1] = conformal
+        g[..., 2, 2] = conformal
+        g[..., 1, 2] = g[..., 2, 1] = 0.0
+        g[~self.lorentzian()] = np.nan
+        return g
+
+    @property
+    def g_inv(self) -> np.ndarray:
+        """g⁰⁰ = −1/(Ωc²), g⁰ⁱ = −vᵢ/(Ωc²), gⁱʲ = (δᵢⱼ − vᵢvⱼ/c²)/Ω."""
+        conformal, c2, vx, vy = self.conformal, self.c2, self.vx, self.vy
+        g_inv = np.full((self.nx, self.ny, 3, 3), np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_oc2 = 1.0 / (conformal * c2)
+            g_inv[..., 0, 0] = -inv_oc2
+            g_inv[..., 0, 1] = g_inv[..., 1, 0] = -vx * inv_oc2
+            g_inv[..., 0, 2] = g_inv[..., 2, 0] = -vy * inv_oc2
+            g_inv[..., 1, 1] = (1.0 - vx * vx / c2) / conformal
+            g_inv[..., 2, 2] = (1.0 - vy * vy / c2) / conformal
+            g_inv[..., 1, 2] = g_inv[..., 2, 1] = (-vx * vy / c2) / conformal
+        g_inv[~self.lorentzian()] = np.nan
+        return g_inv
+
+    @property
+    def det_g(self) -> np.ndarray:
+        """det g = −Ω³c² (NaN where Ω is, i.e. off Lorentzian points)."""
+        return -(self.conformal**3) * self.c2
+
 
 def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
-    """Assemble the acoustic metric, its analytic inverse and signature.
+    """Classify the signature and compute the conformal factor and volume
+    weight of the acoustic metric; the tensors follow from these on access
+    (see `MetricField`).
 
     Per Lorentzian point (c² > 0): g₀₀ = −Ω(c² − v·v), g₀ᵢ = −Ωvᵢ,
     gᵢⱼ = Ωδᵢⱼ with Ω = n/(m c); the inverse is the closed form
@@ -296,41 +336,22 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
         signature[~fields.mask] = DEGENERATE
     lz = signature == LORENTZIAN
 
+    # Ω = n/(m c) and |det g|^{1/2} = |Ω³c²|^{1/2}, each formed in one buffer
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.sqrt(np.where(lz, c2, np.nan))
-        conformal = n / (m * c)
-
-    v2 = vx * vx + vy * vy
-    g = np.full((nx, ny, 3, 3), np.nan)
-    g[..., 0, 0] = -conformal * (c2 - v2)
-    g[..., 0, 1] = g[..., 1, 0] = -conformal * vx
-    g[..., 0, 2] = g[..., 2, 0] = -conformal * vy
-    g[..., 1, 1] = conformal
-    g[..., 2, 2] = conformal
-    g[..., 1, 2] = g[..., 2, 1] = 0.0
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_oc2 = 1.0 / (conformal * c2)
-        g_inv = np.full((nx, ny, 3, 3), np.nan)
-        g_inv[..., 0, 0] = -inv_oc2
-        g_inv[..., 0, 1] = g_inv[..., 1, 0] = -vx * inv_oc2
-        g_inv[..., 0, 2] = g_inv[..., 2, 0] = -vy * inv_oc2
-        g_inv[..., 1, 1] = (1.0 - vx * vx / c2) / conformal
-        g_inv[..., 2, 2] = (1.0 - vy * vy / c2) / conformal
-        g_inv[..., 1, 2] = g_inv[..., 2, 1] = (-vx * vy / c2) / conformal
-
-        det_g = -(conformal**3) * c2
-        sqrt_mg = np.sqrt(np.where(lz, np.abs(det_g), np.nan))
-
-    bad = ~lz
-    g[bad] = np.nan
-    g_inv[bad] = np.nan
+        conformal = np.where(lz, c2, np.nan)
+        np.sqrt(conformal, out=conformal)
+        conformal *= m
+        np.divide(n, conformal, out=conformal)
+        sqrt_mg = conformal**3
+        sqrt_mg *= c2
+        np.abs(sqrt_mg, out=sqrt_mg)
+        sqrt_mg[~lz] = np.nan
+        np.sqrt(sqrt_mg, out=sqrt_mg)
 
     return MetricField(
         nx=nx, ny=ny, dx=fields.dx, dy=fields.dy, x0=fields.x0, y0=fields.y0,
         m=m, n=n.copy(), c2=c2.copy(), vx=vx.copy(), vy=vy.copy(),
-        conformal=conformal, g=g, g_inv=g_inv, det_g=det_g,
-        sqrt_minus_g=sqrt_mg, signature=signature,
+        conformal=conformal, sqrt_minus_g=sqrt_mg, signature=signature,
     )
 
 
@@ -382,36 +403,38 @@ def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
     interpolation along cell edges; the F > level region lies on the left
     of the walking direction.  Saddle cells are disambiguated with the
     cell-centre average.  Closed loops repeat their first vertex.
+
+    The 4-bit case index of every cell is formed at once from the corner
+    signs (Lorensen & Cline, "Marching cubes", SIGGRAPH 1987); only the
+    cells the contour crosses (index neither 0 nor 15) are then walked, in
+    row-major order.
     """
     F = np.asarray(F, float) - level
-    nx, ny = F.shape
+    P = (F > 0).astype(np.uint8)
+    index = (P[:-1, :-1] | (P[1:, :-1] << 1) | (P[1:, 1:] << 2)
+             | (P[:-1, 1:] << 3))
+    crossing = np.nonzero((index != 0) & (index != 15))
     segments = {}
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            idx = 0
-            if F[i, j] > 0:
-                idx |= 1
-            if F[i + 1, j] > 0:
-                idx |= 2
-            if F[i + 1, j + 1] > 0:
-                idx |= 4
-            if F[i, j + 1] > 0:
-                idx |= 8
-            if idx in (0, 15):
-                continue
-            if idx in (5, 10):
-                center = 0.25 * (F[i, j] + F[i + 1, j] + F[i + 1, j + 1] + F[i, j + 1])
-                if idx == 5:
-                    pairs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (2, 1)]
-                else:
-                    pairs = [(3, 0), (1, 2)] if center > 0 else [(1, 0), (3, 2)]
+    for i, j, idx in zip(crossing[0].tolist(), crossing[1].tolist(),
+                         index[crossing].tolist()):
+        if idx in (5, 10):
+            center = 0.25 * (F[i, j] + F[i + 1, j] + F[i + 1, j + 1] + F[i, j + 1])
+            if idx == 5:
+                pairs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (2, 1)]
             else:
-                pairs = _CASES[idx]
-            for (e_in, e_out) in pairs:
-                p0 = _edge_point(i, j, e_in, F, x, y)
-                p1 = _edge_point(i, j, e_out, F, x, y)
-                segments.setdefault(_key(p0), []).append((p0, p1))
+                pairs = [(3, 0), (1, 2)] if center > 0 else [(1, 0), (3, 2)]
+        else:
+            pairs = _CASES[idx]
+        for (e_in, e_out) in pairs:
+            p0 = _edge_point(i, j, e_in, F, x, y)
+            p1 = _edge_point(i, j, e_out, F, x, y)
+            segments.setdefault(_key(p0), []).append((p0, p1))
+    return _link(segments)
 
+
+def _link(segments: dict) -> list:
+    """Chain oriented segments, keyed by their start vertex in scan order,
+    into polylines; emptied in the process."""
     by_end = {}
     for segs in segments.values():
         for seg in segs:

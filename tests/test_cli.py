@@ -302,6 +302,46 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "line 5: lattice.J must be nonzero" in capsys.readouterr().err
     assert not (tmp_path / "out" / "lattice_final.pfld").exists()
 
+    # negative step counts are refused before anything is evolved or written
+    neg = write_cfg(tmp_path, NLSE_CFG.replace("steps = 40", "steps = -3"))
+    assert main(["nlse", "--config", str(neg)]) == 2
+    assert "line 17: nlse.steps must be >= 0" in capsys.readouterr().err
+    neg = write_cfg(tmp_path, NLSE_CFG.replace("snapshot_every = 20",
+                                               "snapshot_every = -1"))
+    assert main(["nlse", "--config", str(neg)]) == 2
+    assert "line 18: nlse.snapshot_every must be >= 0" in capsys.readouterr().err
+    ok = write_cfg(tmp_path, NLSE_CFG)
+    assert main(["nlse", "--config", str(ok), "--snapshot-every", "-5"]) == 2
+    assert "--snapshot-every must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "nlse_final.pfld").exists()
+
+
+def test_config_error_writes_failed_manifest(tmp_path, capsys):
+    bad = write_cfg(tmp_path, NLSE_CFG.replace("nx = 32", "nx = 100"))
+    # no --out and no parsed config: the error has nowhere to go but stderr
+    assert main(["nlse", "--config", str(bad)]) == 2
+    assert "grid.nx = 100" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    given = tmp_path / "given"
+    assert main(["nlse", "--config", str(bad), "--out", str(given)]) == 2
+    assert "grid.nx = 100" in capsys.readouterr().err
+    with open(given / "manifest.json") as fh:
+        man = json.load(fh)
+    assert man["status"] == "failed"
+    assert man["artifacts"] == []
+    assert man["config_sha256"] is None
+    assert any("config error" in n and "grid.nx = 100" in n
+               for n in man["notes"])
+
+    # a parsed config names its own output directory
+    mismatch = write_cfg(tmp_path, RDR_CFG)
+    assert main(["nlse", "--config", str(mismatch)]) == 2
+    man = manifest(tmp_path)
+    assert man["status"] == "failed" and man["artifacts"] == []
+    assert man["stage"] == "nlse" and man["config_sha256"]
+    assert any("does not match subcommand 'nlse'" in n for n in man["notes"])
+
 
 def test_python_dash_m_runs_the_cli(tmp_path):
     cfg = write_cfg(tmp_path, RDR_CFG)

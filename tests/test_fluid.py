@@ -69,6 +69,17 @@ def test_step_size_refusal():
     evolve(psi, FluidParams(m=1.0, G_kerr=0.0), 0.01, 10, force=True)
 
 
+def test_evolve_rejects_negative_steps():
+    # a scalar V books v̄·dt·steps of global phase; a negative count must not
+    psi = uniform_background(8, 8, 0.5, 0.5)
+    p = FluidParams(m=1.0, G_kerr=1.0, V=2.0)
+    with pytest.raises(ValueError, match="steps must be >= 0, got -3"):
+        evolve(psi, p, 1e-3, -3)
+    out = evolve(psi, p, 1e-3, 0)
+    assert out.meta["phase_offset"] == 0.0
+    assert np.array_equal(out.data, psi.data)
+
+
 def test_trap_evolution_matches_crank_nicolson_oracle():
     # independent time integrator (Crank-Nicolson) on the shared spectral
     # Hamiltonian; a breathing Gaussian in a harmonic trap

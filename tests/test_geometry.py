@@ -1,5 +1,7 @@
 """Madelung split, linearized hydrodynamics, acoustic metric, horizons."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +28,7 @@ from photonfluid.geometry import (
     madelung,
     marching_squares,
 )
+from photonfluid.geometry import _CASES, _key, _link
 from photonfluid.unwrap import phase_residues, unwrap_least_squares, wrap_to_pi
 
 
@@ -246,6 +249,27 @@ def test_metric_identities_random_points(n, c2, vx, vy, m):
     assert met.det_g[2, 2] == pytest.approx(-(Om**3) * c2, rel=1e-9)
 
 
+def test_build_metric_peak_memory():
+    # tracemalloc peak of one call, in float grids: 28.4 while g and g_inv
+    # were stored; 6.25 once only Ω, √−g and the copied inputs are kept
+    nx = 256
+    x = (np.arange(nx) - nx // 2) * 0.25
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    f = HydroFields.from_profiles(x, x, 1.0, 1.0, n=np.ones_like(X),
+                                  vx=0.1 * X, vy=0.1 * Y,
+                                  c2=np.full_like(X, 0.25))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        met = build_metric(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (nx * nx * 8) < 10
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 4
+                   for v in vars(met).values())
+
+
 def test_signature_classification_follows_interaction_sign():
     lor = build_metric(HydroFields.uniform(8, 8, 1, 1, m=-1.0, G=-2.0))
     assert np.all(lor.signature == LORENTZIAN)
@@ -358,3 +382,89 @@ def test_marching_squares_open_chain_spans_domain():
     assert lines[0][:, 1].min() == pytest.approx(0.0)
     assert lines[0][:, 1].max() == pytest.approx(1.0)
     assert np.allclose(lines[0][:, 0], 0.503, atol=1e-9)
+
+
+def _per_cell_segments(F, x, y):
+    """Reference segments: scan every cell, i outer and j inner, and form
+    each case index from its four corner signs."""
+    edges = {0: ((0, 0), (1, 0)), 1: ((1, 0), (1, 1)),
+             2: ((0, 1), (1, 1)), 3: ((0, 0), (0, 1))}
+
+    def edge_point(i, j, edge):
+        (a0, b0), (a1, b1) = edges[edge]
+        f0 = F[i + a0, j + b0]
+        f1 = F[i + a1, j + b1]
+        t = f0 / (f0 - f1)
+        return (x[i + a0] + t * (x[i + a1] - x[i + a0]),
+                y[j + b0] + t * (y[j + b1] - y[j + b0]))
+
+    segments = {}
+    for i in range(F.shape[0] - 1):
+        for j in range(F.shape[1] - 1):
+            idx = ((F[i, j] > 0) | (F[i + 1, j] > 0) << 1
+                   | (F[i + 1, j + 1] > 0) << 2 | (F[i, j + 1] > 0) << 3)
+            if idx in (0, 15):
+                continue
+            if idx in (5, 10):
+                center = 0.25 * (F[i, j] + F[i + 1, j] + F[i + 1, j + 1]
+                                 + F[i, j + 1])
+                if idx == 5:
+                    pairs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (2, 1)]
+                else:
+                    pairs = [(3, 0), (1, 2)] if center > 0 else [(1, 0), (3, 2)]
+            else:
+                pairs = _CASES[idx]
+            for e_in, e_out in pairs:
+                p0, p1 = edge_point(i, j, e_in), edge_point(i, j, e_out)
+                segments.setdefault(_key(p0), []).append((p0, p1))
+    return segments
+
+
+def test_marching_squares_matches_per_cell_oracle():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(30):
+        nx, ny = (int(v) for v in rng.integers(2, 40, size=2))
+        x = np.cumsum(rng.uniform(0.1, 1.0, nx))     # non-uniform spacing
+        y = np.cumsum(rng.uniform(0.1, 1.0, ny))
+        F = rng.standard_normal((nx, ny))
+        F[rng.random((nx, ny)) < 0.15] = 0.0          # exact zeros
+        level = float(rng.choice([0.0, 0.3 * rng.standard_normal()]))
+        lines = marching_squares(F, x, y, level=level)
+        ref = _link(_per_cell_segments(F - level, x, y))
+        assert len(lines) == len(ref)
+        for line, want in zip(lines, ref):
+            assert np.array_equal(line, want)
+
+        G = F - level
+        P = (G > 0).astype(int)
+        case = P[:-1, :-1] | P[1:, :-1] << 1 | P[1:, 1:] << 2 | P[:-1, 1:] << 3
+        center = G[:-1, :-1] + G[1:, :-1] + G[1:, 1:] + G[:-1, 1:]
+        for c in (5, 10):
+            seen |= {(c, bool(s)) for s in center[case == c] > 0}
+        seen |= {"zero"} if np.any(G == 0) else set()
+    assert seen == {(5, True), (5, False), (10, True), (10, False), "zero"}
+
+
+@pytest.mark.parametrize("F, expected", [
+    # case 5, centre positive: the positive diagonal stays connected
+    ([[2.0, -1.0], [-1.0, 2.0]],
+     [[(2 / 3, 0.0), (1.0, 1 / 3)], [(1 / 3, 1.0), (0.0, 2 / 3)]]),
+    # case 5, centre negative: each positive corner is cut off alone
+    ([[1.0, -2.0], [-2.0, 1.0]],
+     [[(1 / 3, 0.0), (0.0, 1 / 3)], [(2 / 3, 1.0), (1.0, 2 / 3)]]),
+    # case 10, centre positive
+    ([[-1.0, 2.0], [2.0, -1.0]],
+     [[(0.0, 1 / 3), (1 / 3, 0.0)], [(1.0, 2 / 3), (2 / 3, 1.0)]]),
+    # case 10, centre negative
+    ([[-2.0, 1.0], [1.0, -2.0]],
+     [[(1.0, 1 / 3), (2 / 3, 0.0)], [(0.0, 2 / 3), (1 / 3, 1.0)]]),
+])
+def test_saddle_cell_pairings(F, expected):
+    # one 2x2 cell on the unit square; F[i, j] sits at (x_i, y_j), and the
+    # positive region lies to the left of each segment
+    lines = marching_squares(np.array(F), np.array([0.0, 1.0]),
+                             np.array([0.0, 1.0]))
+    assert len(lines) == 2
+    for line, want in zip(lines, expected):
+        assert np.allclose(line, want, rtol=0, atol=1e-15)
