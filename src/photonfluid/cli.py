@@ -19,6 +19,9 @@ status "failed" and the error in its notes when the output directory is
 known, i.e. `--out` was given or the config parsed; otherwise (an
 unreadable or unparsable config without `--out`) the error goes to stderr
 only.
+
+Nothing in the pipeline is random: `--seed` (and `[run] seed`) is
+reserved and only recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -128,12 +131,22 @@ def write_manifest(outdir: str, payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # stage runners
 
+def _from_config(build, *args, **kwargs):
+    """Call a parameter constructor or check on values taken from the
+    config; the `ValueError` of its argument checks is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _rdr_params(cfg: RunConfig) -> tuple[OptomechParams, complex | None, float | None]:
     r = cfg["rdr"]
     n_th = r["n_th"]
     if n_th is None and r["T"] is not None:
-        n_th = thermal_occupancy(cfg.omega_ref, r["T"])
-    p = OptomechParams(
+        n_th = _from_config(thermal_occupancy, cfg.omega_ref, r["T"])
+    p = _from_config(
+        OptomechParams,
         omega_i=r["omega_i"], gamma_i=r["gamma_i"],
         kappa_prime=r["kappa_prime"], kappa=r["kappa"],
         G0=r["G0"] or 0.0, eps=r["eps"] or 0.0, Delta=r["Delta"] or 0.0,
@@ -159,6 +172,8 @@ def run_rdr(cfg: RunConfig, art: Artifacts, sweep: str | None = None) -> dict:
 
     if sweep:
         param, values = _parse_sweep(sweep)
+        if param not in ("omega", "G", "Delta_bar", *_asdict(p)):
+            raise ConfigError(f"cannot sweep {param!r}")
 
         def point(v):
             kw = {"omega": omega, "G": rep.G, "Delta_bar": rep.Delta_bar}
@@ -168,7 +183,7 @@ def run_rdr(cfg: RunConfig, art: Artifacts, sweep: str | None = None) -> dict:
             elif param in ("G", "Delta_bar"):
                 kw[param] = v
             else:
-                pp = OptomechParams(**{**_asdict(p), param: v})
+                pp = _from_config(OptomechParams, **{**_asdict(p), param: v})
             r = rdr_report(pp, **kw)
             return [kw["omega"] if param == "omega" else v,
                     r.gamma_opt, r.omega_opt, r.n_f, int(r.stable)]
@@ -241,7 +256,8 @@ def run_kernel(cfg: RunConfig, art: Artifacts,
 
 def run_lattice(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     sec = cfg["lattice"]
-    p = LatticeParams(
+    p = _from_config(
+        LatticeParams,
         Nx=sec["nx"], Ny=sec["ny"], h=sec["h"], omega_c=sec["omega_c"],
         omega_m=sec["omega_m"], gamma=sec["gamma"], kappa=sec["kappa"],
         g_prime=sec["g_prime"], J=sec["J"], damping_convention=sec["damping"],
@@ -292,12 +308,12 @@ def _background(cfg: RunConfig) -> tuple[ComplexField2D, FluidParams]:
     if sec["background"] == "uniform":
         psi = uniform_background(nx, ny, dx, dy, density=sec["density"],
                                  flow_mode=(sec["flow_mx"], sec["flow_my"]))
-        p = FluidParams(m=sec["m"], G_kerr=sec["G_kerr"], V=0.0)
+        p = _from_config(FluidParams, m=sec["m"], G_kerr=sec["G_kerr"], V=0.0)
     else:
         probe = ComplexField2D.filled(nx, ny, dx, dy, 1.0)
         X, Y = probe.xy()
         V = 0.5 * sec["m"] * sec["trap_omega"] ** 2 * (X**2 + Y**2)
-        p = FluidParams(m=sec["m"], G_kerr=sec["G_kerr"], V=V)
+        p = _from_config(FluidParams, m=sec["m"], G_kerr=sec["G_kerr"], V=V)
         n_total = sec["n_total"] or sec["density"] * nx * dx * ny * dy
         psi = ground_state(p, n_total, (nx, ny, dx, dy))
     psi.meta["units"] = "natural"
@@ -483,7 +499,7 @@ def run_pipeline(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     psi.meta["units"] = "natural"
     art.write_field("background.pfld", psi, sidecar={"m": m, "G_kerr": G_kerr})
 
-    p = FluidParams(m=m, G_kerr=G_kerr, V=0.0)
+    p = _from_config(FluidParams, m=m, G_kerr=G_kerr, V=0.0)
     fields = HydroFields.from_field(psi, p)
     metric = build_metric(fields)
     lorentzian = bool(np.all(metric.signature == LORENTZIAN))
@@ -541,7 +557,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run configuration file")
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--threads", type=int, help="worker cap")
-        sp.add_argument("--seed", type=int, help="RNG seed override")
+        sp.add_argument("--seed", type=int,
+                        help="reserved: recorded in the manifest only; "
+                             "no stage draws random numbers")
         sp.add_argument("--force", action="store_true",
                         help="override step-size refusals")
         for args, kw in extra:

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
 
+from .constants import C, HBAR
 from .errors import PhysicsGateError, StepSizeError
 
 __all__ = [
@@ -81,10 +81,9 @@ def microcavity_params(geom: MicrocavityGeometry):
     harmonic trap with Ω = c√(2/(l₀R)); the per-photon frequency pull of
     a mirror displacement is g₀ = qπc/l₀².
     """
-    c = _const.c
-    m = _const.hbar * geom.q * np.pi / (c * geom.l0)
-    Omega = c * np.sqrt(2.0 / (geom.l0 * geom.R))
-    g0 = geom.q * np.pi * c / geom.l0**2
+    m = HBAR * geom.q * np.pi / (C * geom.l0)
+    Omega = C * np.sqrt(2.0 / (geom.l0 * geom.R))
+    g0 = geom.q * np.pi * C / geom.l0**2
     return m, Omega, g0
 
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants as _const
 
+from .constants import HBAR, K_B
 from .errors import ConvergenceError, PhysicsGateError
 
 __all__ = [
@@ -207,7 +207,7 @@ def omega_opt(omega, G, Delta_bar, kappa_prime, omega_i):
 
 
 def thermal_occupancy(omega: float, T: float) -> float:
-    """Bose occupancy n̄ = 1/(exp(ħω/k_BT) − 1) with CODATA constants.
+    """Bose occupancy n̄ = 1/(exp(ħω/k_BT) − 1) with exact SI constants.
 
     `omega` in rad/s, `T` in kelvin.  T = 0 returns the limit value 0.
     """
@@ -217,7 +217,7 @@ def thermal_occupancy(omega: float, T: float) -> float:
         raise ValueError("T must be non-negative")
     if T == 0.0:
         return 0.0
-    x = _const.hbar * omega / (_const.k * T)
+    x = HBAR * omega / (K_B * T)
     return float(1.0 / np.expm1(x))
 
 

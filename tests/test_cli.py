@@ -315,6 +315,22 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "--snapshot-every must be >= 0, got -5" in capsys.readouterr().err
     assert not (tmp_path / "out" / "nlse_final.pfld").exists()
 
+    # parameter-object checks on config values are config errors too, and
+    # the failed run still leaves its manifest
+    for old, new, msg in (("kappa_prime = 0.2", "kappa_prime = 0.0",
+                           "kappa_prime must be positive"),
+                          ("gamma_i = 1e-5", "gamma_i = -1e-5",
+                           "gamma_i must be non-negative")):
+        bad = write_cfg(tmp_path, RDR_CFG.replace(old, new))
+        assert main(["rdr", "--config", str(bad)]) == 2
+        assert msg in capsys.readouterr().err
+        man = manifest(tmp_path)
+        assert man["status"] == "failed" and man["artifacts"] == []
+        assert any("config error" in n and msg in n for n in man["notes"])
+    ok = write_cfg(tmp_path, RDR_CFG)
+    assert main(["rdr", "--config", str(ok), "--sweep", "bogus:0:1:3"]) == 2
+    assert "cannot sweep 'bogus'" in capsys.readouterr().err
+
 
 def test_config_error_writes_failed_manifest(tmp_path, capsys):
     bad = write_cfg(tmp_path, NLSE_CFG.replace("nx = 32", "nx = 100"))
@@ -352,6 +368,24 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert manifest(tmp_path)["status"] == "ok"
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only; importing it would cost every CLI run
+    # about a third of a second of start-up
+    cfg = write_cfg(tmp_path, PIPELINE_ARRAY_CFG)
+    src = os.path.dirname(os.path.dirname(photonfluid.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys\n"
+            "import photonfluid.cli\n"
+            f"code = photonfluid.cli.main(['pipeline', '--config', {str(cfg)!r}])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
     assert manifest(tmp_path)["status"] == "ok"
 
 

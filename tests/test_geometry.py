@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import fft as sp_fft
 from scipy.optimize import brentq
 
 from photonfluid.errors import PhysicsGateError
@@ -29,7 +30,8 @@ from photonfluid.geometry import (
     marching_squares,
 )
 from photonfluid.geometry import _CASES, _key, _link
-from photonfluid.unwrap import phase_residues, unwrap_least_squares, wrap_to_pi
+from photonfluid.unwrap import (dctn, idctn, phase_residues,
+                                unwrap_least_squares, wrap_to_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,24 @@ def test_unwrap_congruence_without_residues():
     # congruent to the input and free of 2*pi jumps
     assert np.allclose(wrap_to_pi(theta - wrapped), 0.0, atol=1e-9)
     assert np.max(np.abs(np.diff(theta, axis=1))) < np.pi
+
+
+def test_dct_matches_scipy_orthonormal_type_two():
+    rng = np.random.default_rng(5)
+    shapes = [(64, 4), (1, 1), (1, 8), (8, 1), (2, 2), (2, 3), (5, 7)]
+    shapes += [tuple(int(s) for s in rng.integers(1, 40, size=2))
+               for _ in range(16)]
+    for shape in shapes:
+        a = rng.standard_normal(shape)
+        keep = a.copy()
+        for ours, ref in ((dctn, sp_fft.dctn), (idctn, sp_fft.idctn)):
+            want = ref(a, type=2, norm="ortho")
+            got = ours(a)
+            assert got.shape == shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        back = idctn(dctn(a))
+        assert np.max(np.abs(back - a)) <= 1e-13 * np.max(np.abs(a))
+        assert np.array_equal(a, keep)
 
 
 # ---------------------------------------------------------------------------
