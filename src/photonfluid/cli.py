@@ -588,8 +588,12 @@ def main(argv=None) -> int:
         cfg_path = args.config or getattr(args, "params", None)
         if not cfg_path:
             raise ConfigError("a configuration file is required (--config)")
-        with open(cfg_path) as fh:
-            cfg = parse_config(fh.read())
+        try:
+            with open(cfg_path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {cfg_path}: {exc}") from exc
+        cfg = parse_config(text)
         if args.out:
             cfg.out = args.out
         if args.seed is not None:
@@ -626,7 +630,7 @@ def main(argv=None) -> int:
     except PhysicsGateError as exc:
         status, code = "gated", 4
         notes = [str(exc)]
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         status, code = "failed", 2
         notes = [f"config error: {exc}"]
     except (NumericalError, FieldFormatError) as exc:

@@ -124,7 +124,6 @@ SCHEMA = {
         "t_final": (10.0, float, None),
         "seed": ("mode", str, ("mode", "gaussian")),
         "mode_mx": (1, int, None),
-        "mode_my": (0, int, None),
         "amplitude": (1e-3, float, None),
         "x_center": (0.0, float, None),
         "sigma": (5.0, float, None),

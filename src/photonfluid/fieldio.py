@@ -83,6 +83,9 @@ def read_field(path) -> ComplexField2D:
                 f"endianness marker wrong (0x{endian:08x}); file written on an "
                 "incompatible producer"
             )
+        # an empty side makes nx·ny·16 = 0 whatever the other side forges
+        if nx == 0 or ny == 0:
+            raise FieldFormatError(f"empty grid {nx} x {ny}")
         # size the data block from the file, never from the header alone:
         # a forged nx·ny must not drive the read
         expect = nx * ny * 16

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .errors import PhysicsGateError
-from .fluid import ComplexField2D, FluidParams
+from .fluid import ComplexField2D, FluidParams, is_uniform, rk4_power
 from .unwrap import unwrap_least_squares
 
 __all__ = [
@@ -189,6 +189,13 @@ def hydro_linear_step(
 
     ∂_t δn = −∇·( v₀ δn + (n/m) ∇δθ )
     ∂_t δθ = −v₀·∇δθ − 𝒢 δn [ + (1/4mn) ∇·( n ∇(δn/n) ) ]
+
+    When n, v₀ and mc²/n are uniform to 1e-12 relative (and `steps` > 0)
+    every wavevector evolves on its own: (δn_k, δθ_k) is advanced by the
+    2×2 RK4 amplification matrix raised to `steps` (`rk4_power`), which
+    equals stepping up to roundoff.  The spectral derivative of a real
+    field, real(ifft2(ik·fft2 f)), drops the Nyquist row (for ∂ₓ) and
+    column (for ∂ᵧ), so k is zero there in the closed form as well.
     """
     if fields.mask is not None and not np.all(fields.mask):
         raise PhysicsGateError("background has masked points; hydro step needs "
@@ -197,6 +204,24 @@ def hydro_linear_step(
     n, vx, vy, m = fields.n, fields.vx, fields.vy, fields.m
     # local mc²/n = 𝒢, kept pointwise for generality
     mc2_over_n = np.where(n > 0, m * fields.c2 / n, 0.0)
+
+    if steps > 0 and is_uniform(n) and is_uniform(vx, vy) \
+            and is_uniform(mc2_over_n):
+        # ∂ of a real field is i·k with the Nyquist row/column dropped
+        kx, ky = kx.copy(), ky.copy()
+        kx[fields.nx // 2] = 0.0
+        ky[:, fields.ny // 2] = 0.0
+        k2 = kx * kx + ky * ky
+        n0, g = n.flat[0], mc2_over_n.flat[0]
+        q = 0.25 / (m * n0) if quantum_pressure else 0.0
+        adv = -1j * dt * (vx.flat[0] * kx + vy.flat[0] * ky)
+        p00, p01, p10, p11 = rk4_power(
+            (adv, dt * (n0 / m) * k2, -dt * (g + q * k2), adv), steps)
+        ak = np.fft.fft2(np.asarray(dn, float))
+        tk = np.fft.fft2(np.asarray(dtheta, float))
+        return (np.real(np.fft.ifft2(p00 * ak + p01 * tk)),
+                np.real(np.fft.ifft2(p10 * ak + p11 * tk)))
+
     qp = 0.25 / (m * n) if quantum_pressure else None
 
     def rhs(a, th):

@@ -15,6 +15,11 @@ wrap) and time with classical RK4, stable under the sonic CFL bound
 dt ≤ ½ min(dx,dy)/max(c_ex + |v₀|).  The equation is regular at horizons
 in these coordinates, so horizon-adjacent cells need no special stencil.
 
+On a uniform background (A, Bⁱ and C^{ij} equal everywhere to 1e-12
+relative) and within the CFL bound, every Fourier mode evolves on its own
+and `kg_evolve` applies the powers of its 2×2 RK4 amplification matrix
+instead of stepping; the result equals stepping up to roundoff.
+
 Characteristics travel at dx/dt = v₀ ± c_ex; inside the superexcitonic
 region (|v₀| > c_ex) both branches point downstream and upstream-launched
 packets stall at the horizon.  On uniform-flow backgrounds mode
@@ -28,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PhysicsGateError, StepSizeError
-from .fluid import ComplexField2D, FluidParams, linearized_step
+from .fluid import (ComplexField2D, FluidParams, is_uniform, linearized_step,
+                    rk4_power)
 from .geometry import LORENTZIAN, HydroFields, MetricField, build_metric
 
 __all__ = [
@@ -168,7 +174,14 @@ def kg_evolve(
     RK4 on (δθ, u); refuses CFL violations (dt > ½ min(dx,dy)/max(c+|v|))
     unless forced, and aborts with the step index if the field leaves the
     finite range.  With `sample_every` > 0, snapshots of δθ and the wave
-    energy are recorded along the way.
+    energy are recorded every `sample_every` steps and at the last one.
+
+    When the coefficients are uniform to 1e-12 relative, dt is within the
+    CFL bound and `steps` > 0, the steps are applied in closed form: each
+    Fourier mode (δθ_k, u_k) is multiplied by a power of its 2×2 RK4
+    amplification matrix (`rk4_power`), between snapshots when sampling.
+    This equals stepping up to roundoff.  A forced run past the CFL bound
+    always steps, so a blow-up is still reported at the step it happens.
     """
     if np.any(metric.signature != LORENTZIAN):
         raise PhysicsGateError(
@@ -180,17 +193,35 @@ def kg_evolve(
     if dt > dt_max and not force:
         raise StepSizeError(f"CFL violation: dt = {dt:.3g} > {dt_max:.3g}")
 
-    A, Bx, By, Cxx, Cxy, Cyy = kg_coefficients(metric)
-    inv_negA = 1.0 / (-A)
-    dx, dy = metric.dx, metric.dy
+    coeffs = kg_coefficients(metric)
+    if steps > 0 and dt <= dt_max and is_uniform(*coeffs):
+        advance = _kg_mode_propagator(metric, dt,
+                                      *(f.flat[0] for f in coeffs))
+    else:
+        A, Bx, By, Cxx, Cxy, Cyy = coeffs
+        inv_negA = 1.0 / (-A)
+        dx, dy = metric.dx, metric.dy
 
-    def rhs(th, u):
-        thx, thy = _dx_c(th, dx), _dy_c(th, dy)
-        flux = (Bx * _dx_c(u, dx) + By * _dy_c(u, dy)
-                + _dx_c(Bx * u, dx) + _dy_c(By * u, dy)
-                + _dx_c(Cxx * thx + Cxy * thy, dx)
-                + _dy_c(Cxy * thx + Cyy * thy, dy))
-        return u, inv_negA * flux
+        def rhs(th, u):
+            thx, thy = _dx_c(th, dx), _dy_c(th, dy)
+            flux = (Bx * _dx_c(u, dx) + By * _dy_c(u, dy)
+                    + _dx_c(Bx * u, dx) + _dy_c(By * u, dy)
+                    + _dx_c(Cxx * thx + Cxy * thy, dx)
+                    + _dy_c(Cxy * thx + Cyy * thy, dy))
+            return u, inv_negA * flux
+
+        def advance(th, u, first, last):
+            for step in range(first + 1, last + 1):
+                k1 = rhs(th, u)
+                k2 = rhs(th + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
+                k3 = rhs(th + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
+                k4 = rhs(th + dt * k3[0], u + dt * k3[1])
+                th = th + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                u = u + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+                if not (np.all(np.isfinite(th)) and np.all(np.isfinite(u))):
+                    raise NumericalError(
+                        f"Klein-Gordon field non-finite at step {step}")
+            return th, u
 
     th = np.asarray(dtheta0, float).copy()
     u = np.asarray(dtheta_dot0, float).copy()
@@ -200,16 +231,13 @@ def kg_evolve(
         snaps.append((th.copy(), u.copy()))
         energies.append(kg_energy(th, u, metric))
 
-    for step in range(1, steps + 1):
-        k1 = rhs(th, u)
-        k2 = rhs(th + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
-        k3 = rhs(th + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
-        k4 = rhs(th + dt * k3[0], u + dt * k3[1])
-        th = th + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u = u + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(u))):
-            raise NumericalError(f"Klein-Gordon field non-finite at step {step}")
-        if sample_every and (step % sample_every == 0 or step == steps):
+    # one stretch per sample: every `sample_every` steps and the last step
+    step = 0
+    while step < steps:
+        last = min(step + sample_every, steps) if sample_every else steps
+        th, u = advance(th, u, step, last)
+        step = last
+        if sample_every:
             times.append(step * dt)
             snaps.append((th.copy(), u.copy()))
             energies.append(kg_energy(th, u, metric))
@@ -220,6 +248,37 @@ def kg_evolve(
         snapshots=snaps if sample_every else None,
         energy=np.array(energies) if sample_every else None,
     )
+
+
+def _kg_mode_propagator(metric: MetricField, dt, A, Bx, By, Cxx, Cxy, Cyy):
+    """RK4 steps of `kg_evolve` on uniform coefficients, mode by mode.
+
+    The centred `np.roll` difference has the symbol S = i·sin(k·dx)/dx, so
+    (δθ_k, u_k) obeys d/dt (δθ, u) = [[0, 1], [C_k/(−A), 2B_k/(−A)]] (δθ, u)
+    with B_k = BⁱSᵢ and C_k = C^{ij}SᵢSⱼ, and each RK4 step multiplies it
+    by one 2×2 amplification matrix.  Returns `advance(θ, u, first, last)`,
+    which applies steps first+1 … last as that matrix's power.
+    """
+    sx = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(metric.nx))[:, None] / metric.dx
+    sy = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(metric.ny))[None, :] / metric.dy
+    z = (0.0, dt,
+         (dt / -A) * (Cxx * sx * sx + 2.0 * Cxy * sx * sy + Cyy * sy * sy),
+         (2.0 * dt / -A) * (Bx * sx + By * sy))
+    powers = {}     # a sampled run repeats one stride
+
+    def advance(th, u, first, last):
+        n = last - first
+        if n not in powers:
+            powers[n] = rk4_power(z, n)
+        p00, p01, p10, p11 = powers[n]
+        thk, uk = np.fft.fft2(th), np.fft.fft2(u)
+        th = np.real(np.fft.ifft2(p00 * thk + p01 * uk))
+        u = np.real(np.fft.ifft2(p10 * thk + p11 * uk))
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(u))):
+            raise NumericalError(f"Klein-Gordon field non-finite at step {last}")
+        return th, u
+
+    return advance
 
 
 @dataclass

@@ -331,6 +331,19 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["rdr", "--config", str(ok), "--sweep", "bogus:0:1:3"]) == 2
     assert "cannot sweep 'bogus'" in capsys.readouterr().err
 
+    # a config path that exists but cannot be read, and a key nothing reads
+    unreadable = tmp_path / "undecodable.cfg"
+    unreadable.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, unreadable):
+        out = tmp_path / "unreadable_out"
+        assert main(["rdr", "--config", str(path), "--out", str(out)]) == 2
+        assert f"cannot read {path}" in capsys.readouterr().err
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "failed" and man["config_sha256"] is None
+    kg = write_cfg(tmp_path, RDR_CFG + "[kg]\nmode_my = 1\n")
+    assert main(["rdr", "--config", str(kg)]) == 2
+    assert "line 13: unknown key kg.mode_my" in capsys.readouterr().err
+
 
 def test_config_error_writes_failed_manifest(tmp_path, capsys):
     bad = write_cfg(tmp_path, NLSE_CFG.replace("nx = 32", "nx = 100"))

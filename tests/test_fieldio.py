@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from photonfluid.errors import FieldFormatError
 from photonfluid.fieldio import HEADER_SIZE, read_field, write_field
@@ -141,3 +141,39 @@ def test_corrupt_sidecar_raises_field_format_error(tmp_path):
         sidecar.write_bytes(junk)
         with pytest.raises(FieldFormatError, match="corrupt sidecar"):
             read_field(path)
+
+
+_SIDES = st.one_of(st.integers(0, 9), st.sampled_from([2**32, 2**62, 2**63]),
+                   st.integers(0, 2**64 - 1))
+_SPACINGS = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 0.5, float("nan"),
+                                       float("inf")]), st.floats())
+
+
+@given(nx=_SIDES, ny=_SIDES, dx=_SPACINGS, dy=_SPACINGS,
+       version=st.sampled_from([1, 0, 2, 2**32 - 1]),
+       endian=st.sampled_from([0x01020304, 0x04030201, 0]),
+       units=st.binary(min_size=8, max_size=8),
+       extra=st.integers(-40, 40), fill=st.integers(0, 255))
+# an empty side makes nx·ny·16 = 0 match an empty data block whatever the
+# other side says
+@example(nx=2**63, ny=0, dx=0.5, dy=0.5, version=1, endian=0x01020304,
+         units=b"natural\x00", extra=0, fill=0)
+@example(nx=0, ny=2**63, dx=0.5, dy=0.5, version=1, endian=0x01020304,
+         units=b"natural\x00", extra=0, fill=0)
+@settings(max_examples=200)
+def test_forged_headers_raise_only_field_format_error(
+        tmp_path_factory, nx, ny, dx, dy, version, endian, units, extra, fill):
+    # data blocks short or long of nx·ny·16 by `extra` bytes (the exact size
+    # only where it is small), always with a matching checksum
+    size = nx * ny * 16 if nx * ny <= 64 else 0
+    data = bytes([fill]) * max(0, size + extra)
+    header = struct.pack("<4sII4xQQdd8sI4x", b"PFLD", version, endian,
+                         nx, ny, dx, dy, units, zlib.crc32(data))
+    path = tmp_path_factory.mktemp("fuzz") / "f.pfld"
+    path.write_bytes(header + data)
+    try:
+        field = read_field(path)
+    except FieldFormatError:
+        return
+    assert (field.nx, field.ny) == (nx, ny)
+    assert field.data.shape == (nx, ny)

@@ -16,6 +16,7 @@ from photonfluid.fluid import (
     ground_state,
     linearized_step,
     measure_dispersion,
+    rk4_power,
     uniform_background,
 )
 
@@ -430,3 +431,31 @@ def test_uniform_background_propagator_matches_rk4_steps(flow, G, m, steps):
     out = linearized_step(phi, psi0, p, dt, steps=steps)
     ref = _rk4_oracle(seed, psi0, p, dt, steps)
     assert np.linalg.norm(out.data - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 494])
+def test_rk4_power_matches_matrix_power_on_2x2_stacks(steps):
+    rng = np.random.default_rng(steps + 21)
+    Z = 0.05 * (rng.standard_normal((16, 8, 2, 2))
+                + 1j * rng.standard_normal((16, 8, 2, 2)))
+    Z2 = Z @ Z
+    R = np.eye(2) + Z + Z2 / 2 + Z2 @ Z / 6 + Z2 @ Z2 / 24
+    ref = np.linalg.matrix_power(R, steps)
+    p00, p01, p10, p11 = rk4_power(
+        (Z[..., 0, 0], Z[..., 0, 1], Z[..., 1, 0], Z[..., 1, 1]), steps)
+    got = np.stack([np.stack([p00, p01], -1), np.stack([p10, p11], -1)], -2)
+    err = np.linalg.norm(got - ref, axis=(-2, -1))
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 494])
+def test_rk4_power_matches_product_loop_on_scalars(steps):
+    rng = np.random.default_rng(steps + 22)
+    z = 0.05 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    R = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+    ref = np.ones_like(R)
+    for _ in range(steps):
+        ref = ref * R
+    got = rk4_power(z, steps)
+    assert got.shape == z.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy import fft as sp_fft
 from scipy.optimize import brentq
 
+from photonfluid import geometry
 from photonfluid.errors import PhysicsGateError
 from photonfluid.fluid import (
     ComplexField2D,
@@ -488,3 +489,66 @@ def test_saddle_cell_pairings(F, expected):
     assert len(lines) == 2
     for line, want in zip(lines, expected):
         assert np.allclose(line, want, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# closed form on uniform backgrounds against step-by-step RK4
+
+def _hydro_rk4_oracle(dn, th, f, dt, steps, quantum_pressure):
+    """Step-by-step RK4 of the pointwise right-hand side with spectral
+    derivatives of real fields, real(ifft2(ik·fft2 g))."""
+    kx = 2 * np.pi * np.fft.fftfreq(f.nx, f.dx)[:, None]
+    ky = 2 * np.pi * np.fft.fftfreq(f.ny, f.dy)[None, :]
+
+    def d(g, k):
+        return np.real(np.fft.ifft2(1j * k * np.fft.fft2(g)))
+
+    n, m = f.n, f.m
+
+    def rhs(a, th):
+        da = -(d(f.vx * a + (n / m) * d(th, kx), kx)
+               + d(f.vy * a + (n / m) * d(th, ky), ky))
+        dth = -(f.vx * d(th, kx) + f.vy * d(th, ky)) - (m * f.c2 / n) * a
+        if quantum_pressure:
+            r = a / n
+            dth = dth + (d(n * d(r, kx), kx) + d(n * d(r, ky), ky)) / (4 * m * n)
+        return da, dth
+
+    a = dn
+    for _ in range(steps):
+        k1 = rhs(a, th)
+        k2 = rhs(a + 0.5 * dt * k1[0], th + 0.5 * dt * k1[1])
+        k3 = rhs(a + 0.5 * dt * k2[0], th + 0.5 * dt * k2[1])
+        k4 = rhs(a + dt * k3[0], th + dt * k3[1])
+        a = a + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        th = th + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return a, th
+
+
+@pytest.mark.parametrize("case", [
+    (32, 8, 0.7, 0.9, 1.0, 1.0, 1.3, 0.4, -0.3),      # flow in x and y
+    (32, 8, 0.5, 0.6, -2.0, -0.5, 0.8, -0.2, 0.35),   # m < 0
+])
+@pytest.mark.parametrize("quantum_pressure", [True, False])
+@pytest.mark.parametrize("steps", [0, 1, 300])
+def test_hydro_uniform_closed_form_matches_rk4_steps(case, quantum_pressure,
+                                                     steps, monkeypatch):
+    nx, ny, dx, dy, m, G, n, vx, vy = case
+    f = HydroFields.uniform(nx, ny, dx, dy, m=m, G=G, density=n, vx=vx, vy=vy)
+    k2max = (np.pi / dx) ** 2 + (np.pi / dy) ** 2
+    q = 0.25 / abs(m * n) if quantum_pressure else 0.0
+    rate = np.hypot(vx, vy) * np.sqrt(k2max) \
+        + np.sqrt(abs(n / m) * k2max * (abs(G) + q * k2max))
+    dt = 0.5 / rate
+    rng = np.random.default_rng(steps + 5)
+    # full-spectrum seeds: the Nyquist row and column carry content too
+    dn0, th0 = rng.standard_normal((nx, ny)), rng.standard_normal((nx, ny))
+    calls, power = [], geometry.rk4_power
+    monkeypatch.setattr(geometry, "rk4_power",
+                        lambda z, k: calls.append(k) or power(z, k))
+    dn, th = hydro_linear_step(dn0, th0, f, dt, steps=steps,
+                               quantum_pressure=quantum_pressure)
+    assert calls == ([steps] if steps else [])
+    dn_ref, th_ref = _hydro_rk4_oracle(dn0, th0, f, dt, steps, quantum_pressure)
+    assert np.linalg.norm(dn - dn_ref) <= 1e-11 * np.linalg.norm(dn_ref)
+    assert np.linalg.norm(th - th_ref) <= 1e-11 * np.linalg.norm(th_ref)

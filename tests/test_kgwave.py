@@ -7,10 +7,12 @@ from scipy.integrate import solve_ivp
 from photonfluid.errors import NumericalError, PhysicsGateError, StepSizeError
 from photonfluid.fluid import ComplexField2D, FluidParams, uniform_background
 from photonfluid.geometry import HydroFields, build_metric
+from photonfluid import kgwave
 from photonfluid.kgwave import (
     center_of_energy,
     crosscheck_kg_vs_nlse,
     dalembertian,
+    kg_coefficients,
     kg_energy,
     kg_evolve,
 )
@@ -249,3 +251,83 @@ def test_crosscheck_deviation_grows_with_kxi():
                                     kxi_limit=limit)
         devs.append(rep.deviation)
     assert devs[0] < devs[1] < devs[2]
+
+
+# ---------------------------------------------------------------------------
+# closed form on uniform coefficients against step-by-step RK4
+
+def _kg_rk4_oracle(th, u, metric, dt, steps, sample_every=0):
+    """Step-by-step RK4 of the flux-form system with np.roll differences;
+    records (step, δθ, u) where `kg_evolve` records its snapshots."""
+    A, Bx, By, Cxx, Cxy, Cyy = kg_coefficients(metric)
+
+    def d(f, axis, h):
+        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2 * h)
+
+    def rhs(th, u):
+        thx, thy = d(th, 0, metric.dx), d(th, 1, metric.dy)
+        flux = (Bx * d(u, 0, metric.dx) + By * d(u, 1, metric.dy)
+                + d(Bx * u, 0, metric.dx) + d(By * u, 1, metric.dy)
+                + d(Cxx * thx + Cxy * thy, 0, metric.dx)
+                + d(Cxy * thx + Cyy * thy, 1, metric.dy))
+        return u, flux / (-A)
+
+    records = [(0, th, u)] if sample_every else []
+    for step in range(1, steps + 1):
+        k1 = rhs(th, u)
+        k2 = rhs(th + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
+        k3 = rhs(th + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
+        k4 = rhs(th + dt * k3[0], u + dt * k3[1])
+        th = th + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u = u + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if sample_every and (step % sample_every == 0 or step == steps):
+            records.append((step, th, u))
+    return th, u, records
+
+
+def _uniform_kg_case(nx, ny, dx, dy, m, G, n, vx, vy, seed):
+    met = build_metric(HydroFields.uniform(nx, ny, dx, dy, m=m, G=G,
+                                           density=n, vx=vx, vy=vy))
+    dt = 0.9 * 0.5 * min(dx, dy) / (np.sqrt(n * G / m) + np.hypot(vx, vy))
+    rng = np.random.default_rng(seed)
+    # full-spectrum seeds: every mode, the Nyquist row and column included
+    return met, dt, rng.standard_normal((nx, ny)), rng.standard_normal((nx, ny))
+
+
+def _close(a, b, rel=1e-11):
+    return np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("case", [
+    (32, 16, 0.5, 0.7, 1.0, 1.0, 1.0, 0.3, -0.2),     # flow in x and y
+    (128, 4, 0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0),
+    (32, 16, 0.6, 0.4, -2.0, -0.5, 1.3, -0.25, 0.15),  # m < 0
+])
+@pytest.mark.parametrize("steps", [0, 1, 300])
+def test_kg_uniform_closed_form_matches_rk4_steps(case, steps, monkeypatch):
+    met, dt, th0, u0 = _uniform_kg_case(*case, seed=steps + 3)
+    calls, power = [], kgwave.rk4_power
+    monkeypatch.setattr(kgwave, "rk4_power",
+                        lambda z, n: calls.append(n) or power(z, n))
+    res = kg_evolve(th0, u0, met, dt, steps)
+    assert calls == ([steps] if steps else [])
+    th, u, _ = _kg_rk4_oracle(th0, u0, met, dt, steps)
+    assert _close(res.dtheta, th) and _close(res.dtheta_dot, u)
+    assert res.t == steps * dt
+
+
+@pytest.mark.parametrize("sample_every", [100, 70, 500])
+def test_kg_uniform_closed_form_samples_where_the_loop_does(sample_every):
+    # 100 divides 300 (the last stride ends on the last step), 70 does not
+    # (a remainder stride of 20 follows), 500 exceeds the run
+    met, dt, th0, u0 = _uniform_kg_case(32, 16, 0.5, 0.7, 1.0, 1.0, 1.0,
+                                        0.3, -0.2, seed=11)
+    res = kg_evolve(th0, u0, met, dt, 300, sample_every=sample_every)
+    _, _, records = _kg_rk4_oracle(th0, u0, met, dt, 300, sample_every)
+    assert np.array_equal(res.times, [s * dt for s, _, _ in records])
+    assert len(res.snapshots) == len(records) == len(res.energy)
+    for (th, u), e, (_, th_ref, u_ref) in zip(res.snapshots, res.energy,
+                                             records):
+        assert _close(th, th_ref) and _close(u, u_ref)
+        e_ref = kg_energy(th_ref, u_ref, met)
+        assert abs(e - e_ref) <= 1e-11 * abs(e_ref)
