@@ -377,6 +377,11 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
             if cfg.sections["nlse"][key] < 0:
                 raise ConfigError(f"nlse.{key} must be >= 0",
                                   _line(lines_of, "nlse", key))
+    # the kg stage's trace is its samples: a stride of 0 records none, and
+    # a negative one has no next sample
+    if "kg" in cfg.sections and cfg.sections["kg"]["sample_every"] < 1:
+        raise ConfigError("kg.sample_every must be >= 1",
+                          _line(lines_of, "kg", "sample_every"))
     if cfg.stage == "kernel":
         k = cfg.sections["kernel"]
         line = lines_of.get(("kernel", None), 1)

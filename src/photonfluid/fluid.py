@@ -348,9 +348,10 @@ def rk4_power(z, steps: int):
     multiplies y by R, so R^steps advances a constant-coefficient linear
     system by `steps` steps, equal to stepping up to roundoff: the RK4
     polynomial stands where an exponential integrator would put exp(Z).
-    R is raised to `steps` by binary powering in numpy arithmetic, so an
-    unstable mode overflows to inf for the caller's finiteness check and
-    a decayed one underflows to zero; `steps` <= 0 gives the identity.
+    R is raised to `steps` (>= 1; callers leave the state as it is for
+    fewer) by binary powering in numpy arithmetic, so an unstable mode
+    overflows to inf for the caller's finiteness check and a decayed one
+    underflows to zero.
     """
     if isinstance(z, tuple):
         z00, z01, z10, z11 = z
@@ -377,13 +378,7 @@ def rk4_power(z, steps: int):
             steps >>= 1
             if steps:
                 r = mul(r, r)
-    if out is not None:
-        return out
-    if isinstance(r, tuple):
-        shape = np.broadcast_shapes(*(np.shape(e) for e in r))
-        return (np.ones(shape, complex), np.zeros(shape, complex),
-                np.zeros(shape, complex), np.ones(shape, complex))
-    return np.ones_like(r)
+    return out
 
 
 def linearized_step(
@@ -424,7 +419,7 @@ def linearized_step(
     invm = 1.0 / p.m
 
     out = dphi.copy()
-    if is_uniform(gx, gy) and is_uniform(nG):
+    if steps > 0 and is_uniform(gx, gy) and is_uniform(nG):
         # dφ/dt = ifft2(kmul·fft2 φ) − ic(φ + φ*): with a = fft2 φ and
         # b_k = a*_{−k}, d(a, b)_k/dt = M_k (a, b)_k for each wavevector
         kmul = 1j * (inv2m * (-k2) + invm * (gx.flat[0] * 1j * kx
@@ -433,7 +428,6 @@ def linearized_step(
         neg = (-np.arange(psi0.nx) % psi0.nx)[:, None], \
             (-np.arange(psi0.ny) % psi0.ny)[None, :]
         zc = dt * 1j * c
-        # steps <= 0 leaves φ as it is, like the loop's range(steps)
         p00, p01, _, _ = rk4_power(
             (dt * kmul - zc, -zc, zc, dt * np.conj(kmul[neg]) + zc), steps)
         a = np.fft.fft2(out.data)

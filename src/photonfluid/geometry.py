@@ -195,7 +195,8 @@ def hydro_linear_step(
     2×2 RK4 amplification matrix raised to `steps` (`rk4_power`), which
     equals stepping up to roundoff.  The spectral derivative of a real
     field, real(ifft2(ik·fft2 f)), drops the Nyquist row (for ∂ₓ) and
-    column (for ∂ᵧ), so k is zero there in the closed form as well.
+    column (for ∂ᵧ) of an even side, so k is zero there in the closed form
+    as well; an odd side has no Nyquist mode and keeps every k.
     """
     if fields.mask is not None and not np.all(fields.mask):
         raise PhysicsGateError("background has masked points; hydro step needs "
@@ -209,8 +210,10 @@ def hydro_linear_step(
             and is_uniform(mc2_over_n):
         # ∂ of a real field is i·k with the Nyquist row/column dropped
         kx, ky = kx.copy(), ky.copy()
-        kx[fields.nx // 2] = 0.0
-        ky[:, fields.ny // 2] = 0.0
+        if fields.nx % 2 == 0:
+            kx[fields.nx // 2] = 0.0
+        if fields.ny % 2 == 0:
+            ky[:, fields.ny // 2] = 0.0
         k2 = kx * kx + ky * ky
         n0, g = n.flat[0], mc2_over_n.flat[0]
         q = 0.25 / (m * n0) if quantum_pressure else 0.0

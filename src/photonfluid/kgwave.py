@@ -174,7 +174,8 @@ def kg_evolve(
     RK4 on (δθ, u); refuses CFL violations (dt > ½ min(dx,dy)/max(c+|v|))
     unless forced, and aborts with the step index if the field leaves the
     finite range.  With `sample_every` > 0, snapshots of δθ and the wave
-    energy are recorded every `sample_every` steps and at the last one.
+    energy are recorded every `sample_every` steps and at the last one; a
+    negative `sample_every` is refused with `ValueError`.
 
     When the coefficients are uniform to 1e-12 relative, dt is within the
     CFL bound and `steps` > 0, the steps are applied in closed form: each
@@ -183,6 +184,8 @@ def kg_evolve(
     This equals stepping up to roundoff.  A forced run past the CFL bound
     always steps, so a blow-up is still reported at the step it happens.
     """
+    if sample_every < 0:
+        raise ValueError(f"sample_every must be >= 0, got {sample_every}")
     if np.any(metric.signature != LORENTZIAN):
         raise PhysicsGateError(
             "metric has non-Lorentzian points: wave propagation is gated off"

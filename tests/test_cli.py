@@ -344,6 +344,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["rdr", "--config", str(kg)]) == 2
     assert "line 13: unknown key kg.mode_my" in capsys.readouterr().err
 
+    # a KG sampling stride that records no trace is refused before anything
+    # is evolved
+    for every in ("0", "-1"):
+        kg = write_cfg(tmp_path, KG_CFG.replace("sample_every = 20",
+                                                f"sample_every = {every}"))
+        assert main(["kg", "--config", str(kg)]) == 2
+        assert "line 30: kg.sample_every must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "kg_trace.csv").exists()
+
 
 def test_config_error_writes_failed_manifest(tmp_path, capsys):
     bad = write_cfg(tmp_path, NLSE_CFG.replace("nx = 32", "nx = 100"))

@@ -528,6 +528,7 @@ def _hydro_rk4_oracle(dn, th, f, dt, steps, quantum_pressure):
 @pytest.mark.parametrize("case", [
     (32, 8, 0.7, 0.9, 1.0, 1.0, 1.3, 0.4, -0.3),      # flow in x and y
     (32, 8, 0.5, 0.6, -2.0, -0.5, 0.8, -0.2, 0.35),   # m < 0
+    (33, 7, 0.7, 0.9, 1.0, 1.0, 1.3, 0.4, -0.3),      # odd sides: no Nyquist
 ])
 @pytest.mark.parametrize("quantum_pressure", [True, False])
 @pytest.mark.parametrize("steps", [0, 1, 300])
@@ -549,6 +550,28 @@ def test_hydro_uniform_closed_form_matches_rk4_steps(case, quantum_pressure,
     dn, th = hydro_linear_step(dn0, th0, f, dt, steps=steps,
                                quantum_pressure=quantum_pressure)
     assert calls == ([steps] if steps else [])
+    dn_ref, th_ref = _hydro_rk4_oracle(dn0, th0, f, dt, steps, quantum_pressure)
+    assert np.linalg.norm(dn - dn_ref) <= 1e-11 * np.linalg.norm(dn_ref)
+    assert np.linalg.norm(th - th_ref) <= 1e-11 * np.linalg.norm(th_ref)
+
+
+@pytest.mark.parametrize("quantum_pressure", [True, False])
+def test_hydro_nonuniform_background_steps_like_the_oracle(quantum_pressure,
+                                                           monkeypatch):
+    # one perturbed flow point and one perturbed density point: no closed
+    # form, so the general RK4 loop runs
+    f = HydroFields.uniform(32, 8, 0.7, 0.9, m=1.0, G=1.0, density=1.3,
+                            vx=0.4, vy=-0.3)
+    f.vx[5, 3] += 0.05
+    f.n[20, 6] *= 1.02
+    f.c2 = f.n * f.G / f.m
+    monkeypatch.setattr(geometry, "rk4_power",
+                        lambda z, k: pytest.fail("closed form taken"))
+    rng = np.random.default_rng(17)
+    dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
+    dt, steps = 2e-3, 50
+    dn, th = hydro_linear_step(dn0, th0, f, dt, steps=steps,
+                               quantum_pressure=quantum_pressure)
     dn_ref, th_ref = _hydro_rk4_oracle(dn0, th0, f, dt, steps, quantum_pressure)
     assert np.linalg.norm(dn - dn_ref) <= 1e-11 * np.linalg.norm(dn_ref)
     assert np.linalg.norm(th - th_ref) <= 1e-11 * np.linalg.norm(th_ref)

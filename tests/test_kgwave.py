@@ -302,6 +302,7 @@ def _close(a, b, rel=1e-11):
     (32, 16, 0.5, 0.7, 1.0, 1.0, 1.0, 0.3, -0.2),     # flow in x and y
     (128, 4, 0.5, 0.5, 1.0, 1.0, 1.0, 0.0, 0.0),
     (32, 16, 0.6, 0.4, -2.0, -0.5, 1.3, -0.25, 0.15),  # m < 0
+    (33, 7, 0.5, 0.7, 1.0, 1.0, 1.0, 0.3, -0.2),      # odd sides
 ])
 @pytest.mark.parametrize("steps", [0, 1, 300])
 def test_kg_uniform_closed_form_matches_rk4_steps(case, steps, monkeypatch):
@@ -331,3 +332,11 @@ def test_kg_uniform_closed_form_samples_where_the_loop_does(sample_every):
         assert _close(th, th_ref) and _close(u, u_ref)
         e_ref = kg_energy(th_ref, u_ref, met)
         assert abs(e - e_ref) <= 1e-11 * abs(e_ref)
+
+
+def test_kg_rejects_negative_sample_every():
+    # a negative stride has no next sample: the run would never end
+    met, dt, th0, u0 = _uniform_kg_case(32, 16, 0.5, 0.7, 1.0, 1.0, 1.0,
+                                        0.3, -0.2, seed=12)
+    with pytest.raises(ValueError, match="sample_every must be >= 0"):
+        kg_evolve(th0, u0, met, dt, 10, sample_every=-1)
