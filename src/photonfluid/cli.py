@@ -21,7 +21,8 @@ unreadable or unparsable config without `--out`) the error goes to stderr
 only.
 
 Nothing in the pipeline is random: `--seed` (and `[run] seed`) is
-reserved and only recorded in the manifest.
+reserved and only recorded in the manifest.  Every stage runs in one
+thread, so `--threads` (and `[run] threads`) is likewise only recorded.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import ConfigError, FieldFormatError, NumericalError, \
     PhotonFluidError, PhysicsGateError
 from .fieldio import write_field
 from .fluid import ComplexField2D, FluidParams, evolve, gp_energy, \
-    ground_state, uniform_background
+    ground_state, spectral_d, uniform_background, wavenumbers
 from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
     build_metric, find_horizon
 from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_evolve
@@ -188,14 +189,7 @@ def run_rdr(cfg: RunConfig, art: Artifacts, sweep: str | None = None) -> dict:
             return [kw["omega"] if param == "omega" else v,
                     r.gamma_opt, r.omega_opt, r.n_f, int(r.stable)]
 
-        # sweep points are independent pure evaluations; gather in
-        # submission order so the CSV stays deterministic
-        if cfg.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                rows = list(pool.map(point, values))
-        else:
-            rows = [point(v) for v in values]
+        rows = [point(v) for v in values]
         head = ["omega" if param == "omega" else param,
                 "gamma_opt", "omega_opt", "n_f", "stable"]
         art.write_csv("rdr_sweep.csv", head, rows)
@@ -433,8 +427,8 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
         th0 = sec["amplitude"] * np.exp(
             -((x - sec["x_center"]) ** 2) / (2 * sec["sigma"] ** 2)
         ) * np.ones((1, metric.ny))
-    kxgrid = 2 * np.pi * np.fft.fftfreq(metric.nx, metric.dx)[:, None]
-    thx = np.real(np.fft.ifft2(1j * kxgrid * np.fft.fft2(th0)))
+    kx, _ = wavenumbers(metric.nx, metric.ny, metric.dx, metric.dy)
+    thx = spectral_d(th0, kx)
     u0 = -(fields.vx + np.sqrt(fields.c2)) * thx   # launch on the v+c branch
 
     speed = float(np.max(np.sqrt(metric.c2) + np.hypot(metric.vx, metric.vy)))
@@ -556,7 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=(name != "kernel"),
                         help="run configuration file")
         sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--threads", type=int, help="worker cap")
+        sp.add_argument("--threads", type=int,
+                        help="reserved: recorded in the manifest only; "
+                             "every stage runs in one thread")
         sp.add_argument("--seed", type=int,
                         help="reserved: recorded in the manifest only; "
                              "no stage draws random numbers")

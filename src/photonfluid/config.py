@@ -6,13 +6,12 @@ Grammar (one statement per line):
     key = value          assignment inside the current section
     # comment            full-line or trailing comments (also ';')
 
-Values are booleans (`true`/`false`), integers, floats, quoted or bare
-strings, or inline arrays `[v1, v2, ...]` of those scalars.  Parsing is
-strict: unknown sections or keys, missing required keys, type mismatches
-and unit inconsistencies all fail with the offending line number.  Every
-default is materialized in the parsed result, and `echo()` renders the
-fully resolved configuration in canonical form (parse(echo(cfg)) is the
-identity).
+Values are booleans (`true`/`false`), integers, floats, or quoted or
+bare strings.  Parsing is strict: unknown sections or keys, missing
+required keys, type mismatches and unit inconsistencies all fail with the
+offending line number.  Every default is materialized in the parsed
+result, and `echo()` renders the fully resolved configuration in
+canonical form (parse(echo(cfg)) is the identity).
 
 Frequencies in SI mode (`units = SI`, rad/s) are rescaled by ω_i into the
 internal natural units; `T` (kelvin) is only meaningful there, while
@@ -191,12 +190,10 @@ def _render(val) -> str:
         return repr(val)
     if isinstance(val, int):
         return str(val)
-    if isinstance(val, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in val) + "]"
     return f'"{val}"'
 
 
-def _parse_scalar(tok: str, line: int):
+def _parse_value(tok: str, line: int):
     tok = tok.strip()
     if not tok:
         raise ConfigError("empty value", line)
@@ -217,18 +214,6 @@ def _parse_scalar(tok: str, line: int):
     if any(ch in tok for ch in " \t"):
         raise ConfigError(f"cannot parse value {tok!r}", line)
     return tok
-
-
-def _parse_value(tok: str, line: int):
-    tok = tok.strip()
-    if tok.startswith("["):
-        if not tok.endswith("]"):
-            raise ConfigError("unterminated array", line)
-        inner = tok[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(t, line) for t in inner.split(",")]
-    return _parse_scalar(tok, line)
 
 
 def _coerce(section, key, value, typ, choices, line):

@@ -16,9 +16,9 @@ flip t′−t → s in the kernel integrand is absorbed in the definition above;
 the long-time limit uses the quarter-square damping γ²/4 consistent with
 the half-linewidth equation of motion ∂_t b = −i(ω_m − iγ/2) b + i g|Ψ|².
 
-`validate_elimination` checks the reduction on a single cell: it integrates
-the full photon–phonon pair against the eliminated Kerr equation and
-reports the phase-trajectory discrepancy.
+`validate_elimination` checks the reduction on a single cell: it evaluates
+the full photon–phonon pair in closed form against the eliminated Kerr
+equation and reports the phase-trajectory discrepancy.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR
-from .errors import PhysicsGateError, StepSizeError
+from .errors import PhysicsGateError
 
 __all__ = [
     "KernelParams",
@@ -132,7 +132,7 @@ class EliminationCheck:
     phase_err_abs   absolute phase discrepancy at t_final (radians)
     phase_full      accumulated phase of the full model at t_final
     phase_elim      accumulated phase of the Kerr model at t_final
-    norm_drift      max relative drift of |Ψ|² (should be ~1e-12)
+    norm_drift      max relative drift of |Ψ|² (0: conserved exactly)
     """
 
     err_norm: float
@@ -148,17 +148,24 @@ def validate_elimination(
     t_final: float,
     dt: float | None = None,
     Delta: float = 0.0,
-    norm_tol: float = 1e-9,
 ) -> EliminationCheck:
-    """Integrate the full photon-phonon cell against the eliminated equation.
+    """Compare the full photon-phonon cell with the eliminated equation.
 
     Full model:      ∂_t Ψ = −i[Δ − g(b + b*)]Ψ,
                      ∂_t b = −i(ω_m − iγ/2) b + i g |Ψ|²,  b(0) = 0.
     Eliminated:      ∂_t Ψ = −i[Δ − 2g²𝒯(∞)|Ψ|²]Ψ.
 
-    Both conserve |Ψ|² exactly; the comparison is purely between the phase
-    trajectories.  The window starts at 5/γ so the mechanical transient
-    has died before the deviation is scored.
+    Both conserve |Ψ|² = n exactly, so b is driven by a constant source and
+    Re b(t) = g n 𝒯(t).  The full model's phase is then closed form,
+
+        φ(t) = −Δt + 2g²n ∫₀ᵗ 𝒯(s) ds,   a = γ/2,  D = a² + ω_m²,
+        ∫₀ᵗ 𝒯 = [ω_m t − (2aω_m − e^{−at}(2aω_m cos ω_m t
+                                         + (a² − ω_m²) sin ω_m t))/D] / D,
+
+    and the comparison is purely between the phase trajectories, sampled
+    where an RK4 run with step `dt` would record: every n_steps // 4000
+    steps and at t_final.  The window starts at 5/γ so the mechanical
+    transient has died before the deviation is scored.
     """
     if k.gamma <= 0:
         raise ValueError("gamma must be positive for elimination")
@@ -166,44 +173,23 @@ def validate_elimination(
         dt = min(0.02 / max(abs(k.omega_m), 1e-12), 0.1 / k.gamma)
     n_steps = int(np.ceil(t_final / dt))
     dt = t_final / n_steps
-
-    g, wm, ga = k.g, k.omega_m, k.gamma
-    tinf = memory_kernel_inf(k)
-
-    def rhs(psi, b):
-        dpsi = -1j * (Delta - g * 2.0 * b.real) * psi
-        db = -(1j * wm + ga / 2.0) * b + 1j * g * (psi.real**2 + psi.imag**2)
-        return dpsi, db
-
-    psi = complex(np.sqrt(n_photon))
-    b = 0.0 + 0.0j
     sample_every = max(1, n_steps // 4000)
-    ts = [0.0]
-    psis = [psi]
-    norm_drift = 0.0
+    steps = np.arange(0, n_steps + 1, sample_every)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    ts = steps * dt
 
-    for step in range(1, n_steps + 1):
-        k1 = rhs(psi, b)
-        k2 = rhs(psi + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1])
-        k3 = rhs(psi + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1])
-        k4 = rhs(psi + dt * k3[0], b + dt * k3[1])
-        psi = psi + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        b = b + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if step % sample_every == 0 or step == n_steps:
-            drift = abs(abs(psi) ** 2 - n_photon) / n_photon
-            norm_drift = max(norm_drift, drift)
-            if drift > norm_tol:
-                raise StepSizeError(
-                    f"|Psi|^2 drifted by {drift:.2e} at t={step*dt:.3g}; reduce dt"
-                )
-            ts.append(step * dt)
-            psis.append(psi)
+    g, wm = k.g, k.omega_m
+    a = k.gamma / 2.0
+    D = a * a + wm * wm
+    with np.errstate(under="ignore"):     # the transient decays to zero
+        int_T = (wm * ts - (2 * a * wm - np.exp(-a * ts) * (
+            2 * a * wm * np.cos(wm * ts)
+            + (a * a - wm * wm) * np.sin(wm * ts))) / D) / D
+    phase_full = -Delta * ts + 2.0 * g**2 * n_photon * int_T
+    phase_elim = -(Delta - 2.0 * g**2 * memory_kernel_inf(k) * n_photon) * ts
 
-    ts = np.array(ts)
-    phase_full = np.unwrap(np.angle(np.array(psis)))
-    phase_elim = -(Delta - 2.0 * g**2 * tinf * n_photon) * ts
-
-    win = ts >= 5.0 / ga
+    win = ts >= 5.0 / k.gamma
     if not np.any(win):
         raise ValueError("t_final too short: window [5/gamma, t_final] is empty")
     diff = phase_full[win] - phase_elim[win]
@@ -215,5 +201,5 @@ def validate_elimination(
         phase_err_abs=float(abs(phase_full[-1] - phase_elim[-1])),
         phase_full=float(phase_full[-1]),
         phase_elim=float(phase_elim[-1]),
-        norm_drift=float(norm_drift),
+        norm_drift=0.0,
     )

@@ -18,6 +18,12 @@ Attractive interactions (𝒢m < 0) make c_ex imaginary: long modes grow
 (modulational instability) and the dispersion is returned with an
 imaginary part.  Grids are FFT-friendly (power-of-two sides) and cell
 coordinates are centered on the box.
+
+The module also holds the numerical kernels every linear stage of the
+package shares: `wavenumbers` builds the periodic k-grid and `spectral_d`
+the spectral derivative of a real field on it; `rk4` is the one classical
+RK4 driver (with a per-step finiteness check) and `rk4_power` its closed
+form for constant-coefficient systems.
 """
 
 from __future__ import annotations
@@ -41,11 +47,49 @@ __all__ = [
     "bogoliubov_dispersion",
     "measure_dispersion",
     "uniform_background",
+    "wavenumbers",
+    "spectral_d",
+    "rk4",
 ]
 
 
 def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def wavenumbers(nx: int, ny: int, dx: float, dy: float):
+    """Angular wavenumbers of a periodic nx×ny grid in FFT order: kx as an
+    (nx, 1) column and ky as a (1, ny) row."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=dy)
+    return kx[:, None], ky[None, :]
+
+
+def spectral_d(f: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Spectral derivative real(ifft2(i·k·fft2 f)) of a real periodic field
+    along the axis of `k`, one of the two `wavenumbers` grids.  Taking the
+    real part drops the Nyquist mode of an even side."""
+    return np.real(np.fft.ifft2(1j * k * np.fft.fft2(f)))
+
+
+def rk4(rhs, y: tuple, dt: float, first: int, last: int, what: str) -> tuple:
+    """Classical RK4 steps first+1 … last of dy/dt = rhs(*y).
+
+    `y` is a tuple of arrays and `rhs` returns their time derivatives as a
+    tuple in the same order.  Every step checks each component for
+    finiteness and raises `NumericalError` naming `what` and the step, so a
+    blow-up stops the run where it happens.
+    """
+    for step in range(first + 1, last + 1):
+        k1 = rhs(*y)
+        k2 = rhs(*[a + 0.5 * dt * k for a, k in zip(y, k1)])
+        k3 = rhs(*[a + 0.5 * dt * k for a, k in zip(y, k2)])
+        k4 = rhs(*[a + dt * k for a, k in zip(y, k3)])
+        y = [a + (dt / 6.0) * (p + 2 * q + 2 * r + s)
+             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        if not all(np.isfinite(a).all() for a in y):
+            raise NumericalError(f"{what} non-finite at step {step}")
+    return tuple(y)
 
 
 @dataclass
@@ -85,14 +129,14 @@ class ComplexField2D:
         return np.meshgrid(self.x(), self.y(), indexing="ij")
 
     def kx(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
+        return wavenumbers(self.nx, self.ny, self.dx, self.dy)[0].ravel()
 
     def ky(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
+        return wavenumbers(self.nx, self.ny, self.dx, self.dy)[1].ravel()
 
     def k_squared(self) -> np.ndarray:
-        kx, ky = self.kx(), self.ky()
-        return kx[:, None] ** 2 + ky[None, :] ** 2
+        kx, ky = wavenumbers(self.nx, self.ny, self.dx, self.dy)
+        return kx**2 + ky**2
 
     def cell_area(self) -> float:
         return self.dx * self.dy
@@ -391,7 +435,8 @@ def linearized_step(
 ) -> ComplexField2D:
     """Advance the relative fluctuation φ on a stationary background Ψ₀.
 
-    RK4 in time, spectral derivatives in space.  The background enters
+    RK4 in time (`rk4`, which names the first step that leaves the finite
+    range), spectral derivatives in space.  The background enters
     through n = |Ψ₀|² and ∇Ψ₀/Ψ₀, so Ψ₀ must stay clear of zeros; fields
     with nodes or vortex cores belong to the masked-region machinery of
     the geometry layer, not here.
@@ -408,8 +453,7 @@ def linearized_step(
             "background amplitude has (near-)zeros; use the geometry module's "
             "masked-region handling for fields with nodes or vortex cores"
         )
-    kx = psi0.kx()[:, None]
-    ky = psi0.ky()[None, :]
+    kx, ky = wavenumbers(psi0.nx, psi0.ny, psi0.dx, psi0.dy)
     k2 = psi0.k_squared()
     f0k = np.fft.fft2(psi0.data)
     gx = np.fft.ifft2(1j * kx * f0k) / psi0.data
@@ -432,24 +476,19 @@ def linearized_step(
             (dt * kmul - zc, -zc, zc, dt * np.conj(kmul[neg]) + zc), steps)
         a = np.fft.fft2(out.data)
         f = np.fft.ifft2(p00 * a + p01 * np.conj(a[neg]))
+        if not np.all(np.isfinite(f)):
+            raise NumericalError(
+                f"fluctuation field non-finite after {steps} steps")
     else:
         def rhs(phi):
             phik = np.fft.fft2(phi)
             lap = np.fft.ifft2(-k2 * phik)
             dxphi = np.fft.ifft2(1j * kx * phik)
             dyphi = np.fft.ifft2(1j * ky * phik)
-            return 1j * (inv2m * lap + invm * (gx * dxphi + gy * dyphi)) \
-                - 1j * nG * (phi + np.conj(phi))
+            return (1j * (inv2m * lap + invm * (gx * dxphi + gy * dyphi))
+                    - 1j * nG * (phi + np.conj(phi)),)
 
-        f = out.data
-        for _ in range(steps):
-            k1 = rhs(f)
-            k2_ = rhs(f + 0.5 * dt * k1)
-            k3 = rhs(f + 0.5 * dt * k2_)
-            k4 = rhs(f + dt * k3)
-            f = f + (dt / 6.0) * (k1 + 2 * k2_ + 2 * k3 + k4)
-    if not np.all(np.isfinite(f)):
-        raise NumericalError("non-finite fluctuation field; reduce dt")
+        (f,) = rk4(rhs, (out.data,), dt, 0, steps, "fluctuation field")
     out.data = np.ascontiguousarray(f)
     return out
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .errors import PhysicsGateError
-from .fluid import ComplexField2D, FluidParams, is_uniform, rk4_power
+from .errors import NumericalError, PhysicsGateError
+from .fluid import (ComplexField2D, FluidParams, is_uniform, rk4, rk4_power,
+                    spectral_d, wavenumbers)
 from .unwrap import unwrap_least_squares
 
 __all__ = [
@@ -161,20 +162,6 @@ class HydroFields:
                    m=m, G=G, n=n, vx=vx, vy=vy, c2=c2, xi=xi,
                    x0=float(x[0]), y0=float(y[0]))
 
-    # spectral helpers for the linearized hydro step (periodic topology)
-    def _kgrids(self):
-        kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
-        ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
-        return kx[:, None], ky[None, :]
-
-
-def _ddx(f, kx):
-    return np.real(np.fft.ifft2(1j * kx * np.fft.fft2(f)))
-
-
-def _ddy(f, ky):
-    return np.real(np.fft.ifft2(1j * ky * np.fft.fft2(f)))
-
 
 def hydro_linear_step(
     dn: np.ndarray,
@@ -185,7 +172,8 @@ def hydro_linear_step(
     quantum_pressure: bool = True,
 ):
     """Advance the linearized hydrodynamic pair (δn, δθ) on a stationary
-    background (RK4, spectral derivatives, periodic).
+    background (RK4, spectral derivatives, periodic).  A step that leaves
+    the finite range raises `NumericalError` naming it.
 
     ∂_t δn = −∇·( v₀ δn + (n/m) ∇δθ )
     ∂_t δθ = −v₀·∇δθ − 𝒢 δn [ + (1/4mn) ∇·( n ∇(δn/n) ) ]
@@ -193,7 +181,8 @@ def hydro_linear_step(
     When n, v₀ and mc²/n are uniform to 1e-12 relative (and `steps` > 0)
     every wavevector evolves on its own: (δn_k, δθ_k) is advanced by the
     2×2 RK4 amplification matrix raised to `steps` (`rk4_power`), which
-    equals stepping up to roundoff.  The spectral derivative of a real
+    equals stepping up to roundoff; a non-finite result raises
+    `NumericalError` as well.  The spectral derivative of a real
     field, real(ifft2(ik·fft2 f)), drops the Nyquist row (for ∂ₓ) and
     column (for ∂ᵧ) of an even side, so k is zero there in the closed form
     as well; an odd side has no Nyquist mode and keeps every k.
@@ -201,7 +190,7 @@ def hydro_linear_step(
     if fields.mask is not None and not np.all(fields.mask):
         raise PhysicsGateError("background has masked points; hydro step needs "
                                "a clean (residue-free) region")
-    kx, ky = fields._kgrids()
+    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
     n, vx, vy, m = fields.n, fields.vx, fields.vy, fields.m
     # local mc²/n = 𝒢, kept pointwise for generality
     mc2_over_n = np.where(n > 0, m * fields.c2 / n, 0.0)
@@ -222,30 +211,29 @@ def hydro_linear_step(
             (adv, dt * (n0 / m) * k2, -dt * (g + q * k2), adv), steps)
         ak = np.fft.fft2(np.asarray(dn, float))
         tk = np.fft.fft2(np.asarray(dtheta, float))
-        return (np.real(np.fft.ifft2(p00 * ak + p01 * tk)),
-                np.real(np.fft.ifft2(p10 * ak + p11 * tk)))
+        a = np.real(np.fft.ifft2(p00 * ak + p01 * tk))
+        th = np.real(np.fft.ifft2(p10 * ak + p11 * tk))
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(th))):
+            raise NumericalError(
+                f"hydro fluctuation non-finite after {steps} steps")
+        return a, th
 
     qp = 0.25 / (m * n) if quantum_pressure else None
 
     def rhs(a, th):
-        fx = vx * a + (n / m) * _ddx(th, kx)
-        fy = vy * a + (n / m) * _ddy(th, ky)
-        da = -(_ddx(fx, kx) + _ddy(fy, ky))
-        dth = -(vx * _ddx(th, kx) + vy * _ddy(th, ky)) - mc2_over_n * a
+        thx, thy = spectral_d(th, kx), spectral_d(th, ky)
+        da = -(spectral_d(vx * a + (n / m) * thx, kx)
+               + spectral_d(vy * a + (n / m) * thy, ky))
+        dth = -(vx * thx + vy * thy) - mc2_over_n * a
         if qp is not None:
             r = a / n
-            dth = dth + qp * (_ddx(n * _ddx(r, kx), kx) + _ddy(n * _ddy(r, ky), ky))
+            dth = dth + qp * (spectral_d(n * spectral_d(r, kx), kx)
+                              + spectral_d(n * spectral_d(r, ky), ky))
         return da, dth
 
-    a, th = np.asarray(dn, float).copy(), np.asarray(dtheta, float).copy()
-    for _ in range(steps):
-        k1 = rhs(a, th)
-        k2 = rhs(a + 0.5 * dt * k1[0], th + 0.5 * dt * k1[1])
-        k3 = rhs(a + 0.5 * dt * k2[0], th + 0.5 * dt * k2[1])
-        k4 = rhs(a + dt * k3[0], th + dt * k3[1])
-        a = a + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        th = th + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return a, th
+    return rk4(rhs, (np.asarray(dn, float).copy(),
+                     np.asarray(dtheta, float).copy()),
+               dt, 0, steps, "hydro fluctuation")
 
 
 def estimate_density_fluctuation(
@@ -257,8 +245,8 @@ def estimate_density_fluctuation(
     """
     if np.any(fields.c2 <= 0):
         raise PhysicsGateError("c_ex² <= 0 somewhere: no hydrodynamic regime")
-    kx, ky = fields._kgrids()
-    adv = fields.vx * _ddx(dtheta, kx) + fields.vy * _ddy(dtheta, ky)
+    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
+    adv = fields.vx * spectral_d(dtheta, kx) + fields.vy * spectral_d(dtheta, ky)
     return -(fields.n / (fields.m * fields.c2)) * (adv + dtheta_t)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NumericalError, PhysicsGateError, StepSizeError
 from .fluid import (ComplexField2D, FluidParams, is_uniform, linearized_step,
-                    rk4_power)
+                    rk4, rk4_power, spectral_d, wavenumbers)
 from .geometry import LORENTZIAN, HydroFields, MetricField, build_metric
 
 __all__ = [
@@ -214,17 +214,7 @@ def kg_evolve(
             return u, inv_negA * flux
 
         def advance(th, u, first, last):
-            for step in range(first + 1, last + 1):
-                k1 = rhs(th, u)
-                k2 = rhs(th + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
-                k3 = rhs(th + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
-                k4 = rhs(th + dt * k3[0], u + dt * k3[1])
-                th = th + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                u = u + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                if not (np.all(np.isfinite(th)) and np.all(np.isfinite(u))):
-                    raise NumericalError(
-                        f"Klein-Gordon field non-finite at step {step}")
-            return th, u
+            return rk4(rhs, (th, u), dt, first, last, "Klein-Gordon field")
 
     th = np.asarray(dtheta0, float).copy()
     u = np.asarray(dtheta_dot0, float).copy()
@@ -298,8 +288,7 @@ def _seed_kxi(seed: np.ndarray, fields: HydroFields) -> float:
     peak = float(np.max(spec))
     if peak == 0.0:
         return 0.0
-    kx = 2 * np.pi * np.fft.fftfreq(fields.nx, fields.dx)[:, None]
-    ky = 2 * np.pi * np.fft.fftfreq(fields.ny, fields.dy)[None, :]
+    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
     kk = np.sqrt(kx**2 + ky**2)
     live = spec > 1e-10 * peak
     xi = float(np.nanmean(fields.xi))
@@ -332,10 +321,9 @@ def crosscheck_kg_vs_nlse(
         )
     metric = build_metric(fields)
 
-    kx = 2 * np.pi * np.fft.fftfreq(fields.nx, fields.dx)[:, None]
-    ky = 2 * np.pi * np.fft.fftfreq(fields.ny, fields.dy)[None, :]
-    thx = np.real(np.fft.ifft2(1j * kx * np.fft.fft2(dtheta0)))
-    thy = np.real(np.fft.ifft2(1j * ky * np.fft.fft2(dtheta0)))
+    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
+    thx = spectral_d(dtheta0, kx)
+    thy = spectral_d(dtheta0, ky)
     u0 = -(fields.vx * thx + fields.vy * thy)
 
     speed = float(np.max(np.sqrt(metric.c2) + np.hypot(metric.vx, metric.vy)))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .errors import NumericalError, StepSizeError
-from .fluid import ComplexField2D, FluidParams, evolve, rk4_power
+from .fluid import ComplexField2D, FluidParams, evolve, rk4, rk4_power
 
 __all__ = [
     "LatticeParams",
@@ -157,16 +157,7 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
         db = -cb * b + 1j * gp * (a.real**2 + a.imag**2)
         return da, db
 
-    a, b = s.a.copy(), s.b.copy()
-    for step in range(1, steps + 1):
-        k1 = rhs(a, b)
-        k2 = rhs(a + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1])
-        k3 = rhs(a + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1])
-        k4 = rhs(a + dt * k3[0], b + dt * k3[1])
-        a = a + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        b = b + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise NumericalError(f"lattice state non-finite at step {step}")
+    a, b = rk4(rhs, (s.a.copy(), s.b.copy()), dt, 0, steps, "lattice state")
     return LatticeState(a, b, s.t + steps * dt, dict(s.meta))
 
 

@@ -64,6 +64,9 @@ def test_type_errors_carry_lines():
     with pytest.raises(ConfigError, match="must be an integer"):
         parse_config(MINIMAL_RDR.replace("stage = rdr",
                                          "stage = rdr\nseed = 1.5"))
+    # the value grammar has no arrays
+    with pytest.raises(ConfigError, match="line 8: cannot parse value"):
+        parse_config(MINIMAL_RDR.replace("G = 0.08", "G = [0.08, 0.05]"))
 
 
 def test_missing_required_parameters():
@@ -125,17 +128,6 @@ n_th = 10.0
     cfg = parse_config(text)
     assert cfg["rdr"]["gamma_i"] * cfg.omega_ref == pytest.approx(
         si_value, rel=1e-12)
-
-
-def test_inline_arrays_parse():
-    # arrays are part of the value grammar even where scalars are expected,
-    # so they must round-trip through the tokenizer and then be rejected by
-    # the field typing
-    with pytest.raises(ConfigError, match="must be a number"):
-        parse_config(MINIMAL_RDR.replace("G = 0.08", "G = [0.08, 0.05]"))
-    from photonfluid.config import _parse_value
-    assert _parse_value("[1, 2.5, true, none]", 1) == [1, 2.5, True, None]
-    assert _parse_value("[]", 1) == []
 
 
 def test_echo_round_trip_identity():

@@ -171,3 +171,59 @@ def test_elimination_absolute_phase_error_monotone():
 def test_elimination_rejects_undamped():
     with pytest.raises(ValueError):
         validate_elimination(KernelParams(1.0, 0.0, 0.1), 1.0, 10.0)
+
+
+def rk4_elimination(k, n_photon, t_final, Delta=0.0):
+    """Step the full photon-phonon cell with scalar RK4 and score it as
+    `validate_elimination` does: the reference for its closed form."""
+    dt = min(0.02 / max(abs(k.omega_m), 1e-12), 0.1 / k.gamma)
+    n_steps = int(np.ceil(t_final / dt))
+    dt = t_final / n_steps
+    g, wm, ga = k.g, k.omega_m, k.gamma
+
+    def rhs(psi, b):
+        dpsi = -1j * (Delta - g * 2.0 * b.real) * psi
+        db = -(1j * wm + ga / 2.0) * b + 1j * g * (psi.real**2 + psi.imag**2)
+        return dpsi, db
+
+    psi, b = complex(np.sqrt(n_photon)), 0j
+    sample_every = max(1, n_steps // 4000)
+    ts, psis = [0.0], [psi]
+    for step in range(1, n_steps + 1):
+        k1 = rhs(psi, b)
+        k2 = rhs(psi + 0.5 * dt * k1[0], b + 0.5 * dt * k1[1])
+        k3 = rhs(psi + 0.5 * dt * k2[0], b + 0.5 * dt * k2[1])
+        k4 = rhs(psi + dt * k3[0], b + dt * k3[1])
+        psi = psi + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        b = b + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if step % sample_every == 0 or step == n_steps:
+            ts.append(step * dt)
+            psis.append(psi)
+    ts = np.array(ts)
+    phase_full = np.unwrap(np.angle(np.array(psis)))
+    phase_elim = -(Delta - 2.0 * g**2 * memory_kernel_inf(k) * n_photon) * ts
+    win = ts >= 5.0 / ga
+    diff = phase_full[win] - phase_elim[win]
+    ref = np.linalg.norm(phase_elim[win])
+    err_norm = np.linalg.norm(diff) / ref if ref > 0 else np.linalg.norm(diff)
+    return err_norm, abs(phase_full[-1] - phase_elim[-1]), phase_full[-1]
+
+
+@pytest.mark.parametrize("gamma, g, Delta", [
+    (1.0, 0.1, 0.0), (3.0, 0.1, 0.0), (10.0, 0.1, 0.0), (30.0, 0.1, 0.0),
+    (100.0, 0.1, 0.0), (3.0, 0.5, 0.0), (1.0, 0.1, 0.05), (3.0, 0.1, 0.1),
+    (10.0, 0.1, -0.01), (2.0, 0.0, 0.4),
+])
+def test_elimination_closed_form_matches_rk4_cell(gamma, g, Delta):
+    # a large detuning is left out: the loop's own truncation error on the
+    # phase −Δt then exceeds 1e-9 of the small Kerr discrepancy it scores
+    k = KernelParams(1.0, gamma, g)
+    err_norm, phase_err_abs, phase_full = rk4_elimination(k, 1.0, 100.0, Delta)
+    chk = validate_elimination(k, 1.0, 100.0, Delta=Delta)
+    # with g = 0 the closed form scores exactly zero and the loop its
+    # truncation error, so the scale there is the accumulated phase
+    floor = 0.0 if g else 1e-9
+    assert chk.err_norm == pytest.approx(err_norm, rel=1e-9, abs=floor)
+    assert chk.phase_err_abs == pytest.approx(
+        phase_err_abs, rel=1e-9, abs=floor * abs(phase_full))
+    assert chk.phase_full == pytest.approx(phase_full, rel=1e-9)

@@ -17,8 +17,13 @@ from photonfluid.fluid import (
     linearized_step,
     measure_dispersion,
     rk4_power,
+    spectral_d,
     uniform_background,
+    wavenumbers,
 )
+from photonfluid.geometry import HydroFields, build_metric, hydro_linear_step
+from photonfluid.kgwave import kg_evolve
+from photonfluid.lattice import LatticeParams, LatticeState, step_lattice
 
 
 def gaussian_field(nx, dx, width, k0=0.0):
@@ -459,3 +464,93 @@ def test_rk4_power_matches_product_loop_on_scalars(steps):
     got = rk4_power(z, steps)
     assert got.shape == z.shape
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# shared RK4 driver and spectral kernel
+
+def _unstable_runs():
+    """Each stepped stage on a step far past its stability bound, as
+    `steps -> arrays`, with the name its error message carries."""
+    rng = np.random.default_rng(3)
+    psi0 = uniform_background(16, 16, 0.5, 0.5)
+    psi0.data = psi0.data * (1.0 + 0.1 * np.cos(psi0.x()))[:, None]
+    phi = ComplexField2D(16, 16, 0.5, 0.5,
+                         1e-3 * rng.standard_normal((16, 16)))
+    fp = FluidParams(m=1.0, G_kerr=1.0)
+
+    hydro = HydroFields.uniform(32, 8, 1.0, 1.0, m=1.0, G=1.0, vx=0.3)
+    hydro.vx[5, 3] += 0.05
+    dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
+
+    met = build_metric(HydroFields.uniform(64, 4, 0.5, 0.5, m=1.0, G=1.0))
+    kg0 = 1e-2 * np.cos(2 * np.pi * met.x() / 32.0)[:, None] \
+        + 1e-6 * rng.standard_normal((64, 4))
+
+    lp = LatticeParams(Nx=8, Ny=8, h=1.0, omega_c=0.0, omega_m=1.0,
+                       gamma=0.1, kappa=0.0, g_prime=0.05, J=-0.25)
+    lat = LatticeState.bloch(lp, 1, 0)
+
+    def linearized(n):
+        return (linearized_step(phi, psi0, fp, 1.0, steps=n).data,)
+
+    def hydro_step(n):
+        return hydro_linear_step(dn0, th0, hydro, 5.0, steps=n)
+
+    def kg(n):
+        r = kg_evolve(kg0, np.zeros_like(kg0), met, 5.0, n, force=True)
+        return r.dtheta, r.dtheta_dot
+
+    def lattice(n):
+        s = step_lattice(lat, lp, 5.0, n, force=True)
+        return s.a, s.b
+
+    return {"linearized_step": ("fluctuation field", linearized),
+            "hydro_linear_step": ("hydro fluctuation", hydro_step),
+            "kg_evolve": ("Klein-Gordon field", kg),
+            "step_lattice": ("lattice state", lattice)}
+
+
+@pytest.mark.parametrize("stage", ["linearized_step", "hydro_linear_step",
+                                   "kg_evolve", "step_lattice"])
+def test_rk4_loops_name_the_first_non_finite_step(stage):
+    what, run = _unstable_runs()[stage]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError,
+                           match=f"^{what} non-finite at step \\d+$") as err:
+            run(100_000)
+        step = int(str(err.value).rsplit(" ", 1)[1])
+        before = run(step - 1)
+    assert step > 1
+    assert all(np.all(np.isfinite(a)) for a in before)
+
+
+def test_spectral_stages_reach_numpy_fft(monkeypatch):
+    # the benchmark tracer counts FFTs by wrapping numpy.fft.fft2/ifft2; a
+    # module that bound them at import would bypass both it and this test
+    counts = {"fft2": 0, "ifft2": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kw):
+            counts[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def calls(run):
+        counts.update(fft2=0, ifft2=0)
+        run()
+        return counts["fft2"], counts["ifft2"]
+
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((16, 8))
+    kx, _ = wavenumbers(16, 8, 0.5, 0.5)
+    assert calls(lambda: spectral_d(f, kx)) == (1, 1)
+
+    # one general step: four stages of ∂ₓδθ, ∂ᵧδθ, the two flux
+    # derivatives and the four quantum-pressure derivatives
+    hydro = HydroFields.uniform(16, 8, 0.5, 0.5, m=1.0, G=1.0, vx=0.3)
+    hydro.vx[5, 3] += 0.05
+    assert calls(lambda: hydro_linear_step(f, f, hydro, 1e-3)) == (32, 32)
+
+    # closed form: one fft2 and one ifft2 per component
+    met = build_metric(HydroFields.uniform(16, 8, 0.5, 0.5, m=1.0, G=1.0))
+    assert calls(lambda: kg_evolve(f, f, met, 1e-2, 5)) == (2, 2)

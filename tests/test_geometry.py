@@ -9,7 +9,7 @@ from scipy import fft as sp_fft
 from scipy.optimize import brentq
 
 from photonfluid import geometry
-from photonfluid.errors import PhysicsGateError
+from photonfluid.errors import NumericalError, PhysicsGateError
 from photonfluid.fluid import (
     ComplexField2D,
     FluidParams,
@@ -575,3 +575,18 @@ def test_hydro_nonuniform_background_steps_like_the_oracle(quantum_pressure,
     dn_ref, th_ref = _hydro_rk4_oracle(dn0, th0, f, dt, steps, quantum_pressure)
     assert np.linalg.norm(dn - dn_ref) <= 1e-11 * np.linalg.norm(dn_ref)
     assert np.linalg.norm(th - th_ref) <= 1e-11 * np.linalg.norm(th_ref)
+
+
+@pytest.mark.parametrize("perturbed, steps", [(False, 2000), (True, 200)])
+def test_hydro_unstable_step_raises(perturbed, steps):
+    # dt = 5 is far past the stability bound of the fastest modes: the
+    # closed form (uniform) and the loop (one perturbed flow point) must
+    # both refuse their non-finite result
+    f = HydroFields.uniform(32, 8, 1.0, 1.0, m=1.0, G=1.0, vx=0.3)
+    if perturbed:
+        f.vx[5, 3] += 0.05
+    rng = np.random.default_rng(4)
+    dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="hydro fluctuation non-finite"):
+        hydro_linear_step(dn0, th0, f, 5.0, steps=steps)
