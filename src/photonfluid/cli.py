@@ -51,7 +51,7 @@ from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
 from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_evolve
 from .lattice import LatticeParams, LatticeState, continuum_error, \
     continuum_params, lattice_dispersion, step_lattice
-from .rdr import OptomechParams, rdr_report, steady_state, thermal_occupancy
+from .rdr import OptomechParams, rdr_report, thermal_occupancy
 
 __all__ = ["main", "entry", "run_pipeline"]
 

@@ -15,7 +15,8 @@ canonical form (parse(echo(cfg)) is the identity).
 
 Frequencies in SI mode (`units = SI`, rad/s) are rescaled by ω_i into the
 internal natural units; `T` (kelvin) is only meaningful there, while
-dimensionless runs must give `n_th` directly.
+dimensionless runs must give `n_th` directly.  SI mode is accepted for
+`stage = rdr` only, the one stage whose inputs are rescaled.
 """
 
 from __future__ import annotations
@@ -327,6 +328,13 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_stage(cfg: RunConfig, lines_of) -> None:
+    # only [rdr] is rescaled by ω_i; any other stage would read its
+    # couplings, rates and grid as natural units without saying so
+    if cfg.units == "SI" and cfg.stage != "rdr":
+        raise ConfigError(
+            f"units = SI is supported for stage = rdr only; stage "
+            f"'{cfg.stage}' takes natural units", _line(lines_of, "run", "units")
+        )
     if "rdr" in cfg.sections and cfg.stage in ("rdr", "pipeline"):
         r = cfg.sections["rdr"]
         line = lines_of.get(("rdr", None), 1)

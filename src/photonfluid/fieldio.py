@@ -44,8 +44,13 @@ assert struct.calcsize(_HEADER_FMT) == HEADER_SIZE
 
 
 def write_field(path, field: ComplexField2D, sidecar: dict | None = None) -> None:
-    """Write a field (and optional JSON sidecar) atomically."""
-    data = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
+    """Write a field (and optional JSON sidecar) atomically.
+
+    No copy of the data is made: the CRC and the write both read a byte
+    view of the contiguous little-endian complex128 array (a field of
+    another layout or dtype is converted once).
+    """
+    data = memoryview(np.ascontiguousarray(field.data, dtype="<c16")).cast("B")
     units = str(field.meta.get("units", "natural")).encode()[:8]
     header = struct.pack(
         _HEADER_FMT, MAGIC, VERSION, ENDIAN_SENTINEL,

@@ -19,6 +19,14 @@ Attractive interactions (𝒢m < 0) make c_ex imaginary: long modes grow
 imaginary part.  Grids are FFT-friendly (power-of-two sides) and cell
 coordinates are centered on the box.
 
+The split step of `evolve` and the imaginary-time step of `ground_state`
+share one in-place kinetic step, `_kinetic_step`: both transforms are
+`fft2(f, out=f)`, the inverse taken as ifft2(y) = conj(fft2(conj y))/N,
+so a step allocates no field-sized array.  `ifft2(f, out=f)` is not an
+option: numpy's `ifft2` drops `out` on its way to the transform and
+returns a new array, leaving `f` untouched.  For power-of-two sides the
+conjugate form is bit-identical to `ifft2`, since 1/N is a power of two.
+
 The module also holds the numerical kernels every linear stage of the
 package shares: `wavenumbers` builds the periodic k-grid and `spectral_d`
 the spectral derivative of a real field on it; `rk4` is the one classical
@@ -181,6 +189,20 @@ class FluidParams:
         return V
 
 
+def _kinetic_step(f: np.ndarray, kin_conj_n: np.ndarray) -> None:
+    """f ← ifft2(kin · fft2 f) in place, for a contiguous complex field on a
+    power-of-two grid; `kin_conj_n` holds conj(kin)/N, N = f.size.
+
+    The inverse is conj(fft2(conj(kin · fft2 f)))/N, and conj(kin)/N
+    multiplies the conjugated spectrum, so both transforms write into `f`.
+    """
+    np.fft.fft2(f, out=f)
+    np.conjugate(f, out=f)
+    f *= kin_conj_n
+    np.fft.fft2(f, out=f)
+    np.conjugate(f, out=f)
+
+
 def split_step_cfl(psi: ComplexField2D, p: FluidParams, dt: float) -> float:
     """dt · max(|V| + |𝒢| max n, k_max²/2|m|): should stay ≤ 0.1."""
     V = p.potential_grid(psi)
@@ -204,7 +226,10 @@ def evolve(
     """Strang split-step spectral evolution over `steps` of size `dt`.
 
     Each step is a half potential+interaction kick, a full kinetic step in
-    k-space and a half kick; periodic boundaries.  A kick only rotates the
+    k-space and a half kick; periodic boundaries.  The kinetic step is
+    `_kinetic_step`, two in-place `fft2` calls around conj(kin)/N
+    (numpy's `ifft2` ignores `out=`), and the kicks reuse two buffers, so
+    a step allocates no field-sized array.  A kick only rotates the
     phase, so |Ψ|² and with it the kick itself carry over: a step's closing
     half kick and the next step's opening one are applied as one full kick.
     The kick is split back into two halves at each `record` step and at the
@@ -230,6 +255,8 @@ def evolve(
     # a scalar V is a global phase only: no grid for it
     Vc = p.potential_grid(psi) - v_mean if np.ndim(p.V) else None
     kin = np.exp(-1j * dt * psi.k_squared() / (2.0 * p.m))
+    np.conjugate(kin, out=kin)
+    kin *= 1.0 / kin.size
     G = p.G_kerr
     offset = psi.meta.get("phase_offset", 0.0)
 
@@ -260,9 +287,7 @@ def evolve(
     for step in range(1, steps + 1):
         if half:
             kick(f, 0.5 * dt, step)
-        f = np.fft.fft2(f)
-        f *= kin
-        f = np.fft.ifft2(f)
+        _kinetic_step(f, kin)
         snap = record is not None and record_every and step % record_every == 0
         half = snap or step == steps
         kick(f, 0.5 * dt if half else dt, step)
@@ -282,9 +307,13 @@ def gp_energy(psi: ComplexField2D, p: FluidParams) -> float:
     return float((kin + pot + inter) * psi.cell_area())
 
 
-def _normalize(data: np.ndarray, target: float, area: float) -> np.ndarray:
-    cur = np.sum(np.abs(data) ** 2) * area
-    return data * np.sqrt(target / cur)
+def _normalize(data: np.ndarray, target: float, area: float,
+               buf: np.ndarray) -> None:
+    """Scale `data` in place to ∫|data|² = target; `buf` is a real scratch
+    array of its shape."""
+    np.abs(data, out=buf)
+    buf *= buf
+    data *= np.sqrt(target / (np.sum(buf) * area))
 
 
 class CollapseError(ConvergenceError):
@@ -330,39 +359,55 @@ def ground_state(
         i0 = np.unravel_index(np.argmin(V), V.shape)
         w = max(4 * max(dx, dy), 0.5 * min(nx * dx, ny * dy) / 8)
         psi.data = np.exp(-(((X - X[i0]) ** 2 + (Y - Y[i0]) ** 2) / (2 * w * w)))
-    psi.data = _normalize(psi.data, n_total, psi.cell_area())
+    # the trapped start is real; the in-place kinetic step needs complex
+    f = psi.data = np.asarray(psi.data, dtype=np.complex128)
+    # the density and its kick factor, and |f|² of the norm, reuse these
+    dens = np.empty(f.shape)
+    scratch = np.empty(f.shape)
+    _normalize(f, n_total, psi.cell_area(), scratch)
 
     k2 = psi.k_squared()
     if dtau is None:
         dtau = 0.25 / max(float(np.max(k2)) / (2 * p.m), abs(p.G_kerr) * n_total
                           / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
+    # real, so its own conjugate: the kinetic step's conj(kin)/N
     kin = np.exp(-dtau * k2 / (2.0 * p.m))
+    kin *= 1.0 / kin.size
     Vc = V - float(np.mean(V))
+
+    def density(f):
+        np.square(f.real, out=dens)
+        return np.add(dens, np.square(f.imag, out=scratch), out=dens)
+
+    def kick(f):
+        # f *= exp(−dτ/2 (Ṽ + 𝒢|f|²))
+        d = density(f)
+        d *= p.G_kerr
+        d += Vc
+        d *= -0.5 * dtau
+        f *= np.exp(d, out=d)
 
     e_prev = gp_energy(psi, p)
     peak0 = float(np.max(np.abs(psi.data) ** 2))
     attractive = p.G_kerr < 0
-    f = psi.data
     for it in range(1, max_iter + 1):
-        f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
-        f = np.fft.ifft2(np.fft.fft2(f) * kin)
-        f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
-        f = _normalize(f, n_total, psi.cell_area())
+        kick(f)
+        _kinetic_step(f, kin)
+        kick(f)
+        _normalize(f, n_total, psi.cell_area(), scratch)
         if attractive and it % 2 == 0:
-            peak = float(np.max(f.real**2 + f.imag**2))
+            peak = float(np.max(density(f)))
             if not np.isfinite(peak):
                 raise CollapseError(np.inf, 0.0)
             heal = 1.0 / np.sqrt(2.0 * p.m * abs(p.G_kerr) * peak)
             if peak > 25.0 * peak0 and heal < 2.0 * max(dx, dy):
                 raise CollapseError(peak, heal)
         if it % 10 == 0 or it == max_iter:
-            psi.data = np.ascontiguousarray(f)
             e = gp_energy(psi, p)
             if not np.isfinite(e):
                 raise ConvergenceError("imaginary time diverged (non-finite energy)")
             if abs(e - e_prev) < tol * max(abs(e), 1e-30) * 10:
                 # per-step change is ~1/10 of the 10-step change
-                psi.data = np.ascontiguousarray(f)
                 return psi
             e_prev = e
     raise ConvergenceError(

@@ -111,8 +111,18 @@ def lattice_dispersion(ki, kj, omega_c, J):
 
 
 def _neighbor_sum(a: np.ndarray) -> np.ndarray:
-    return (np.roll(a, 1, 0) + np.roll(a, -1, 0)
-            + np.roll(a, 1, 1) + np.roll(a, -1, 1))
+    """Periodic sum of the four nearest neighbours, added in the order
+    a[i−1] + a[i+1] + a[:, j−1] + a[:, j+1] by slices instead of rolled
+    copies."""
+    out = np.empty_like(a)
+    out[1:], out[0] = a[:-1], a[-1]
+    out[:-1] += a[1:]
+    out[-1] += a[0]
+    out[:, 1:] += a[:, :-1]
+    out[:, 0] += a[:, -1]
+    out[:, :-1] += a[:, 1:]
+    out[:, -1] += a[:, 0]
+    return out
 
 
 def step_lattice(s: LatticeState, p: LatticeParams, dt: float,

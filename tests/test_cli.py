@@ -327,6 +327,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
         man = manifest(tmp_path)
         assert man["status"] == "failed" and man["artifacts"] == []
         assert any("config error" in n and msg in n for n in man["notes"])
+    # only [rdr] is rescaled in SI mode: a pipeline would read its kernel,
+    # lattice and grid as natural units, so SI is refused at its line
+    si = write_cfg(tmp_path, PIPELINE_ARRAY_CFG.replace(
+        "seed = 7", "seed = 7\nunits = SI"))
+    assert main(["pipeline", "--config", str(si),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "line 6: units = SI is supported for stage = rdr only" \
+        in capsys.readouterr().err
+    man = manifest(tmp_path)
+    assert man["status"] == "failed" and man["artifacts"] == []
     ok = write_cfg(tmp_path, RDR_CFG)
     assert main(["rdr", "--config", str(ok), "--sweep", "bogus:0:1:3"]) == 2
     assert "cannot sweep 'bogus'" in capsys.readouterr().err

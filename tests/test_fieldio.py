@@ -1,6 +1,7 @@
 """PFLD binary format: lossless round trips and corruption detection."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -37,6 +38,22 @@ def test_round_trip_property(tmp_path_factory, seed):
     f = random_field(rng, nx=8, ny=4)
     path = tmp_path_factory.mktemp("fio") / "f.pfld"
     write_field(path, f)
+    assert read_field(path).data.tobytes() == f.data.tobytes()
+
+
+def test_write_makes_no_copy_of_the_data(tmp_path):
+    # the CRC and the write read a byte view of the array: the tracemalloc
+    # peak stays far below one field (a tobytes() copy would be 1.0)
+    f = random_field(np.random.default_rng(5), nx=256, ny=256)
+    path = tmp_path / "big.pfld"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_field(path, f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / f.data.nbytes < 0.1
     assert read_field(path).data.tobytes() == f.data.tobytes()
 
 

@@ -10,6 +10,7 @@ from photonfluid.fluid import (
     CollapseError,
     ComplexField2D,
     FluidParams,
+    _kinetic_step,
     bogoliubov_dispersion,
     evolve,
     gp_energy,
@@ -233,11 +234,126 @@ def test_evolve_aborts_in_the_step_the_field_breaks():
         evolve(psi, huge, 10.0, 37, force=True, record=record, record_every=5)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (4, 128), (64, 4), (32, 16),
+                                   (256, 256)])
+def test_in_place_kinetic_step_matches_ifft2(shape):
+    # the inverse is conj(fft2(conj y))/N written into the input buffer;
+    # it must agree with numpy's allocating ifft2 of the same spectrum
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kin = np.exp(1j * rng.uniform(0.0, 2 * np.pi, shape)) \
+        * rng.uniform(0.5, 1.0, shape)
+    ref = np.fft.ifft2(kin * np.fft.fft2(f))
+    _kinetic_step(f, np.conj(kin) / f.size)
+    assert np.max(np.abs(f - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def _allocating_evolve(psi, p, dt, steps, every):
+    """The fused split step with a new array per transform,
+    f = ifft2(kin · fft2 f); returns (step, field, phase_offset) at every
+    recorded step and at the last one."""
+    v_mean = float(np.mean(p.V))
+    Vc = p.potential_grid(psi) - v_mean
+    kin = np.exp(-1j * dt * psi.k_squared() / (2.0 * p.m))
+    offset = psi.meta.get("phase_offset", 0.0)
+
+    def kick(f, tau):
+        return f * np.exp(-1j * tau * (Vc + p.G_kerr * np.abs(f) ** 2))
+
+    f = psi.data.copy()
+    out = []
+    half = True
+    for step in range(1, steps + 1):
+        if half:
+            f = kick(f, 0.5 * dt)
+        f = np.fft.ifft2(np.fft.fft2(f) * kin)
+        snap = bool(every) and step % every == 0
+        half = snap or step == steps
+        f = kick(f, 0.5 * dt if half else dt)
+        if half:
+            out.append((step, f.copy(), offset + v_mean * dt * step))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 128), (64, 4), (32, 16)])
+def test_evolve_matches_allocating_split_step(shape):
+    nx, ny = shape
+    psi = ComplexField2D.filled(nx, ny, 0.5, 0.5, 0.0)
+    X, Y = psi.xy()
+    psi.data = 2.0 * np.exp(-((X - 0.5) ** 2 + Y**2) / 4.0 + 0.8j * X + 0.3j * Y)
+    psi.meta["phase_offset"] = 0.25
+    p = FluidParams(m=-0.8, G_kerr=-1.5, V=0.7 + 0.05 * (X**2 + 2 * Y**2))
+    seen = []
+
+    def record(step, fld):
+        seen.append((step, fld.data.copy(), fld.meta["phase_offset"]))
+
+    out = evolve(psi, p, 1e-3, 23, force=True, record=record, record_every=4)
+    got = seen + [(23, out.data, out.meta["phase_offset"])]
+    want = _allocating_evolve(psi, p, 1e-3, 23, 4)
+    assert [s for s, _, _ in got] == [s for s, _, _ in want]
+    for (_, data, offset), (_, ref, ref_offset) in zip(got, want):
+        assert np.max(np.abs(data - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert offset == pytest.approx(ref_offset, rel=1e-13)
+
+
+def _allocating_ground_state(p, n_total, grid, tol=1e-10):
+    """The imaginary-time loop of `ground_state` with a new array per
+    transform, kick and normalization (m > 0, no collapse check)."""
+    nx, ny, dx, dy = grid
+    psi = ComplexField2D.filled(nx, ny, dx, dy, 1.0)
+    V = p.potential_grid(psi)
+    if np.ptp(V) > 0:
+        X, Y = psi.xy()
+        i0 = np.unravel_index(np.argmin(V), V.shape)
+        w = max(4 * max(dx, dy), 0.5 * min(nx * dx, ny * dy) / 8)
+        psi.data = np.exp(-(((X - X[i0]) ** 2 + (Y - Y[i0]) ** 2) / (2 * w * w)))
+
+    def normalize(f):
+        return f * np.sqrt(n_total / (np.sum(np.abs(f) ** 2) * dx * dy))
+
+    k2 = psi.k_squared()
+    dtau = 0.25 / max(float(np.max(k2)) / (2 * p.m), abs(p.G_kerr) * n_total
+                      / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
+    kin = np.exp(-dtau * k2 / (2.0 * p.m))
+    Vc = V - float(np.mean(V))
+    f = normalize(psi.data)
+    psi.data = f
+    e_prev = gp_energy(psi, p)
+    for it in range(1, 200_001):
+        f = f * np.exp(-0.5 * dtau * (Vc + p.G_kerr * np.abs(f) ** 2))
+        f = np.fft.ifft2(np.fft.fft2(f) * kin)
+        f = f * np.exp(-0.5 * dtau * (Vc + p.G_kerr * np.abs(f) ** 2))
+        f = normalize(f)
+        if it % 10 == 0:
+            psi.data = f
+            e = gp_energy(psi, p)
+            if abs(e - e_prev) < tol * max(abs(e), 1e-30) * 10:
+                return f
+            e_prev = e
+    raise AssertionError("oracle did not converge")
+
+
+@pytest.mark.parametrize("nx, ny, dx, G, trap", [
+    (32, 16, 0.3, 2.0, True),     # real trapped start, non-square grid
+    (16, 16, 0.5, 2.0, False),    # uniform start
+    (64, 64, 0.25, -1.0, True),   # attractive, below collapse
+])
+def test_ground_state_matches_allocating_loop(nx, ny, dx, G, trap):
+    probe = ComplexField2D.filled(nx, ny, dx, dx, 1.0)
+    X, Y = probe.xy()
+    p = FluidParams(m=1.0, G_kerr=G, V=0.5 * (X**2 + Y**2) if trap else 0.0)
+    gs = ground_state(p, 1.0, (nx, ny, dx, dx))
+    ref = _allocating_ground_state(p, 1.0, (nx, ny, dx, dx))
+    assert np.max(np.abs(gs.data - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_evolve_peak_memory():
     # tracemalloc peak of one call, in complex fields of the grid: 7.006 for
     # the unfused loop, which filled V and Ṽ grids for a scalar V and held
     # the input copy across each FFT; 5.506 for the fused one, whose kick
-    # reuses one real and one complex buffer
+    # reuses one real and one complex buffer; 3.682 since the kinetic step
+    # transforms in place (the peak is now set while building kin)
     psi = uniform_background(256, 256, 0.25, 0.25, flow_mode=(2, 0))
     p = FluidParams(m=1.0, G_kerr=1.0)
     tracemalloc.start()
@@ -247,7 +363,7 @@ def test_evolve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / (256 * 256 * 16) < 7.05
+    assert peak / (256 * 256 * 16) < 3.78
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +670,10 @@ def test_spectral_stages_reach_numpy_fft(monkeypatch):
     # closed form: one fft2 and one ifft2 per component
     met = build_metric(HydroFields.uniform(16, 8, 0.5, 0.5, m=1.0, G=1.0))
     assert calls(lambda: kg_evolve(f, f, met, 1e-2, 5)) == (2, 2)
+
+    # the split step's in-place inverse is a second fft2, never an ifft2
+    psi = uniform_background(16, 8, 0.5, 0.5, flow_mode=(1, 0))
+    p = FluidParams(m=1.0, G_kerr=1.0)
+    assert calls(lambda: evolve(psi, p, 1e-3, 1)) == (2, 0)
+    n_fft2, n_ifft2 = calls(lambda: ground_state(p, 3.0, (8, 8, 0.5, 0.5)))
+    assert n_fft2 >= 3 and n_ifft2 == 0
