@@ -22,9 +22,9 @@ coordinates are centered on the box.
 The split step of `evolve` and the imaginary-time step of `ground_state`
 share one in-place kinetic step, `_kinetic_step`: both transforms are
 `fft2(f, out=f)`, the inverse taken as ifft2(y) = conj(fft2(conj y))/N,
-so a step allocates no field-sized array.  `ifft2(f, out=f)` is not an
-option: numpy's `ifft2` drops `out` on its way to the transform and
-returns a new array, leaving `f` untouched.  For power-of-two sides the
+so the transforms allocate no field-sized array.  `ifft2(f, out=f)` is
+not an option: numpy's `ifft2` drops `out` on its way to the transform
+and returns a new array, leaving `f` untouched.  For power-of-two sides the
 conjugate form is bit-identical to `ifft2`, since 1/N is a power of two.
 
 The module also holds the numerical kernels every linear stage of the
@@ -307,13 +307,9 @@ def gp_energy(psi: ComplexField2D, p: FluidParams) -> float:
     return float((kin + pot + inter) * psi.cell_area())
 
 
-def _normalize(data: np.ndarray, target: float, area: float,
-               buf: np.ndarray) -> None:
-    """Scale `data` in place to ∫|data|² = target; `buf` is a real scratch
-    array of its shape."""
-    np.abs(data, out=buf)
-    buf *= buf
-    data *= np.sqrt(target / (np.sum(buf) * area))
+def _normalize(data: np.ndarray, target: float, area: float) -> np.ndarray:
+    cur = np.sum(np.abs(data) ** 2) * area
+    return data * np.sqrt(target / cur)
 
 
 class CollapseError(ConvergenceError):
@@ -359,55 +355,42 @@ def ground_state(
         i0 = np.unravel_index(np.argmin(V), V.shape)
         w = max(4 * max(dx, dy), 0.5 * min(nx * dx, ny * dy) / 8)
         psi.data = np.exp(-(((X - X[i0]) ** 2 + (Y - Y[i0]) ** 2) / (2 * w * w)))
-    # the trapped start is real; the in-place kinetic step needs complex
-    f = psi.data = np.asarray(psi.data, dtype=np.complex128)
-    # the density and its kick factor, and |f|² of the norm, reuse these
-    dens = np.empty(f.shape)
-    scratch = np.empty(f.shape)
-    _normalize(f, n_total, psi.cell_area(), scratch)
+    # complex even for the real trapped start: the kinetic step is in place
+    psi.data = _normalize(np.asarray(psi.data, dtype=np.complex128), n_total,
+                          psi.cell_area())
 
     k2 = psi.k_squared()
     if dtau is None:
         dtau = 0.25 / max(float(np.max(k2)) / (2 * p.m), abs(p.G_kerr) * n_total
                           / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
     # real, so its own conjugate: the kinetic step's conj(kin)/N
-    kin = np.exp(-dtau * k2 / (2.0 * p.m))
-    kin *= 1.0 / kin.size
+    kin = np.exp(-dtau * k2 / (2.0 * p.m)) / k2.size
     Vc = V - float(np.mean(V))
-
-    def density(f):
-        np.square(f.real, out=dens)
-        return np.add(dens, np.square(f.imag, out=scratch), out=dens)
-
-    def kick(f):
-        # f *= exp(−dτ/2 (Ṽ + 𝒢|f|²))
-        d = density(f)
-        d *= p.G_kerr
-        d += Vc
-        d *= -0.5 * dtau
-        f *= np.exp(d, out=d)
 
     e_prev = gp_energy(psi, p)
     peak0 = float(np.max(np.abs(psi.data) ** 2))
     attractive = p.G_kerr < 0
+    f = psi.data
     for it in range(1, max_iter + 1):
-        kick(f)
+        f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
         _kinetic_step(f, kin)
-        kick(f)
-        _normalize(f, n_total, psi.cell_area(), scratch)
+        f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
+        f = _normalize(f, n_total, psi.cell_area())
         if attractive and it % 2 == 0:
-            peak = float(np.max(density(f)))
+            peak = float(np.max(f.real**2 + f.imag**2))
             if not np.isfinite(peak):
                 raise CollapseError(np.inf, 0.0)
             heal = 1.0 / np.sqrt(2.0 * p.m * abs(p.G_kerr) * peak)
             if peak > 25.0 * peak0 and heal < 2.0 * max(dx, dy):
                 raise CollapseError(peak, heal)
         if it % 10 == 0 or it == max_iter:
+            psi.data = np.ascontiguousarray(f)
             e = gp_energy(psi, p)
             if not np.isfinite(e):
                 raise ConvergenceError("imaginary time diverged (non-finite energy)")
             if abs(e - e_prev) < tol * max(abs(e), 1e-30) * 10:
                 # per-step change is ~1/10 of the 10-step change
+                psi.data = np.ascontiguousarray(f)
                 return psi
             e_prev = e
     raise ConvergenceError(

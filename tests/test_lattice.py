@@ -15,6 +15,7 @@ from photonfluid.lattice import (
     lattice_dispersion,
     step_lattice,
 )
+from photonfluid.lattice import _neighbor_sum
 
 
 def make_params(**kw):
@@ -147,6 +148,18 @@ def test_uncoupled_lattice_propagator_matches_rk4_steps(J, kappa, damping, steps
     assert np.linalg.norm(out.a - ref_a) <= 1e-11 * np.linalg.norm(ref_a)
     assert np.linalg.norm(out.b - ref_b) <= 1e-11 * np.linalg.norm(ref_b)
     assert out.t == 0.5 + steps * dt
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (64, 16), (4, 128), (128, 4),
+                                   (33, 7)])
+def test_neighbor_sum_matches_rolled_stencil(shape):
+    # the slice-built sum adds the four neighbours in the order of the
+    # rolled stencil, so it must agree with it bit for bit, wrap rows included
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = (np.roll(a, 1, 0) + np.roll(a, -1, 0)
+           + np.roll(a, 1, 1) + np.roll(a, -1, 1))
+    assert np.array_equal(_neighbor_sum(a), ref)
 
 
 # ---------------------------------------------------------------------------
