@@ -21,8 +21,10 @@ unreadable or unparsable config without `--out`) the error goes to stderr
 only.
 
 Nothing in the pipeline is random: `--seed` (and `[run] seed`) is
-reserved and only recorded in the manifest.  Every stage runs in one
-thread, so `--threads` (and `[run] threads`) is likewise only recorded.
+reserved and only recorded in the manifest.  `--threads` (and `[run]
+threads`) is likewise only recorded: the NLSE split step sizes its own
+thread pool to the CPUs the process may use, on grids of at least 2¹⁶
+cells, and every other stage runs in one thread.
 """
 
 from __future__ import annotations
@@ -552,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--threads", type=int,
                         help="reserved: recorded in the manifest only; "
-                             "every stage runs in one thread")
+                             "the NLSE split step uses the CPUs it may run "
+                             "on, every other stage one thread")
         sp.add_argument("--seed", type=int,
                         help="reserved: recorded in the manifest only; "
                              "no stage draws random numbers")

@@ -20,12 +20,23 @@ imaginary part.  Grids are FFT-friendly (power-of-two sides) and cell
 coordinates are centered on the box.
 
 The split step of `evolve` and the imaginary-time step of `ground_state`
-share one in-place kinetic step, `_kinetic_step`: both transforms are
-`fft2(f, out=f)`, the inverse taken as ifft2(y) = conj(fft2(conj y))/N,
-so the transforms allocate no field-sized array.  `ifft2(f, out=f)` is
-not an option: numpy's `ifft2` drops `out` on its way to the transform
-and returns a new array, leaving `f` untouched.  For power-of-two sides the
-conjugate form is bit-identical to `ifft2`, since 1/N is a power of two.
+share one in-place kinetic kernel.  Each 2-D transform is two per-axis
+`fft2(blk, axes=(a,), out=blk)` passes over disjoint blocks of the field,
+and the inverse is taken as ifft2(y) = conj(fft2(conj y))/N, so no
+transform allocates a field-sized array (`ifft2(f, out=f)` is not an
+option: numpy's `ifft2` drops `out` and returns a new array).  A row pass
+on blocks of whole rows applies the inverse row FFT, the conjugation, the
+kick and the next step's forward row FFT; a column pass on blocks of whole
+columns applies the forward column FFT, the conjugation and ×conj(kin)/N,
+and the inverse column FFT.  A step is thus two joins and no other
+synchronisation.  On grids of at least 2¹⁶ cells `evolve` runs the blocks
+of each pass on a thread pool sized to the CPUs the process may use (at
+most 8), since numpy's pocketfft releases the GIL; pocketfft's plan cache
+takes no lock, so both side lengths are planned serially first.  Smaller
+grids, where threads cost more than they save, and `ground_state`
+(`_kinetic_step`) run the same kernel as one block in the calling thread.
+Every transform is per row or per column and every kick sees the same
+rows, so the result does not depend on the block count.
 
 The module also holds the numerical kernels every linear stage of the
 package shares: `wavenumbers` builds the periodic k-grid and `spectral_d`
@@ -36,7 +47,10 @@ form for constant-coefficient systems.
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass, field as _field
+from functools import partial
 
 import numpy as np
 
@@ -189,18 +203,84 @@ class FluidParams:
         return V
 
 
+# fewest grid cells on which `evolve` runs its blocks on threads: on two
+# cores, two blocks tie with one at 2¹⁵ cells (1.6–2.0 against 1.6–1.7 ms
+# per step at 128×256) and win from 2¹⁶ (2.8–3.2 against 3.4–4.0 at 256²)
+_THREAD_CELLS = 1 << 16
+# cells per kick chunk, the unit of a kick's scratch buffers
+_KICK_CELLS = 1 << 13
+
+
+def _workers() -> int:
+    """CPUs this process may run on, at most 8."""
+    try:
+        return min(len(os.sched_getaffinity(0)), 8)
+    except AttributeError:  # no affinity mask on this platform
+        return min(os.cpu_count() or 1, 8)
+
+
+def _row_pass(blk: np.ndarray, inverse: bool, kick, forward: bool) -> None:
+    """Row pass of the split step on a block of whole rows, in place: with
+    `inverse` the inverse row FFT and the conjugation that end the last
+    kinetic step, then `kick()` unless it is None, then with `forward` the
+    next kinetic step's forward row FFT.
+
+    The per-axis transforms here and in `_column_pass` pass `s`, which
+    spares numpy's shape lookup: without it the 4 calls per step, against
+    2 for whole-grid transforms, made the one-block step 12–15% slower at
+    64²."""
+    if inverse:
+        np.fft.fft2(blk, s=blk.shape[1:], axes=(1,), out=blk)
+        np.conjugate(blk, out=blk)
+    if kick is not None:
+        kick()
+    if forward:
+        np.fft.fft2(blk, s=blk.shape[1:], axes=(1,), out=blk)
+
+
+def _column_pass(blk: np.ndarray, kin_conj_n: np.ndarray) -> None:
+    """Column pass of the split step on a block of whole columns, in place:
+    the forward column FFT, the conjugation and ×conj(kin)/N (`kin_conj_n`
+    cut to the same columns), then the inverse column FFT."""
+    np.fft.fft2(blk, s=blk.shape[:1], axes=(0,), out=blk)
+    # numpy would copy a block narrower than the grid through 3 × 8192
+    # element ufunc buffers (0.38 of a 256² field per concurrent block);
+    # with 256-element buffers it runs on the contiguous row stretches of
+    # a 512² half (0.81 against 1.32 ms) and a real kin still casts fast
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(256)
+        np.conjugate(blk, out=blk)
+        blk *= kin_conj_n
+    np.fft.fft2(blk, s=blk.shape[:1], axes=(0,), out=blk)
+
+
+def _run_blocks(pool, block, n: int) -> None:
+    """block(0) … block(n − 1): the first in the calling thread, the rest on
+    `pool` (None when n is 1), each in a copy of the caller's context, so
+    numpy's error state is the same in every block.  Every block is joined
+    before the first error in block order is raised."""
+    futures = [pool.submit(contextvars.copy_context().run, block, b)
+               for b in range(1, n)]
+    try:
+        block(0)
+    finally:
+        for fut in futures:
+            fut.exception()  # waits for the block without raising
+    for fut in futures:
+        fut.result()
+
+
 def _kinetic_step(f: np.ndarray, kin_conj_n: np.ndarray) -> None:
     """f ← ifft2(kin · fft2 f) in place, for a contiguous complex field on a
     power-of-two grid; `kin_conj_n` holds conj(kin)/N, N = f.size.
 
-    The inverse is conj(fft2(conj(kin · fft2 f)))/N, and conj(kin)/N
-    multiplies the conjugated spectrum, so both transforms write into `f`.
+    This is the split step's kernel as one block: the inverse is
+    conj(fft2(conj(kin · fft2 f)))/N, and conj(kin)/N multiplies the
+    conjugated spectrum, so every per-axis transform writes into `f`.
     """
-    np.fft.fft2(f, out=f)
-    np.conjugate(f, out=f)
-    f *= kin_conj_n
-    np.fft.fft2(f, out=f)
-    np.conjugate(f, out=f)
+    _row_pass(f, False, None, True)
+    _column_pass(f, kin_conj_n)
+    _row_pass(f, True, None, False)
 
 
 def split_step_cfl(psi: ComplexField2D, p: FluidParams, dt: float) -> float:
@@ -226,10 +306,7 @@ def evolve(
     """Strang split-step spectral evolution over `steps` of size `dt`.
 
     Each step is a half potential+interaction kick, a full kinetic step in
-    k-space and a half kick; periodic boundaries.  The kinetic step is
-    `_kinetic_step`, two in-place `fft2` calls around conj(kin)/N
-    (numpy's `ifft2` ignores `out=`), and the kicks reuse two buffers, so
-    a step allocates no field-sized array.  A kick only rotates the
+    k-space and a half kick; periodic boundaries.  A kick only rotates the
     phase, so |Ψ|² and with it the kick itself carry over: a step's closing
     half kick and the next step's opening one are applied as one full kick.
     The kick is split back into two halves at each `record` step and at the
@@ -239,6 +316,18 @@ def evolve(
     with `ValueError`.  Every kick checks the
     field for finiteness and raises `NumericalError` naming the step, so a
     blow-up stops the run where it happens.
+
+    A step is a column pass and a row pass of the module's kinetic kernel,
+    the kick inside the row pass between the inverse and the next forward
+    row FFT: 4 `fft2` calls per block, each over one axis of one block.
+    The field is cut into B row blocks and B column blocks, B = 1 below
+    2¹⁶ cells and otherwise the CPUs this process may use, at most 8 and at
+    most half the kick chunks; the blocks of a pass run at once, the first
+    in the calling thread and the rest on a thread pool that lives for the
+    call.  Every block is joined before an error leaves, the first in
+    block order.  Kicks work through fixed chunks of 2¹³ cells with
+    per-block scratch, so a step allocates no field-sized array, and row
+    blocks are whole chunks, so the result is bitwise the same for any B.
 
     `record(step, field)` is invoked every `record_every` steps with the
     state after that step, meta['phase_offset'] included.  The field shares
@@ -260,39 +349,76 @@ def evolve(
     G = p.G_kerr
     offset = psi.meta.get("phase_offset", 0.0)
 
-    # the kick's phase and its exponential, reused by every kick: arrays
-    # allocated per kick page-fault anew on most steps
-    phase_buf = np.empty(psi.data.shape)
-    e = np.empty_like(psi.data)
+    f = psi.data.copy()
+    nx, ny = f.shape
+    # kicks go chunk by chunk and row blocks are whole chunks, so every call
+    # sees the same rows, and the result the same bits, at any block count;
+    # a block holds at least two chunks, so that the blocks' kick scratch
+    # stays within 3/4 of a field
+    chunk = min(nx, max(1, _KICK_CELLS // ny))
+    n_chunks = nx // chunk
+    workers = _workers() if f.size >= _THREAD_CELLS else 1
+    nb = max(1, min(workers, n_chunks // 2, ny))
+    rows = [slice(b * n_chunks // nb * chunk, (b + 1) * n_chunks // nb * chunk)
+            for b in range(nb)]
+    cols = [slice(b * ny // nb, (b + 1) * ny // nb) for b in range(nb)]
+    # per block, the kick's phase and its exponential for one chunk
+    bufs = [(np.empty((chunk, ny)), np.empty((chunk, ny), complex))
+            for _ in range(nb)]
 
-    def kick(f, tau, step):
-        # f *= exp(−iτ(Ṽ + 𝒢|f|²)); the buffer holds |f|, |f|², then the phase
-        ph = np.abs(f, out=phase_buf)
-        ph *= ph
-        if not np.isfinite(ph.sum()):
-            raise NumericalError(f"non-finite field in step {step} of {steps}")
-        ph *= -tau * G
-        if Vc is not None:
-            ph -= tau * Vc
-        np.cos(ph, out=e.real)
-        np.sin(ph, out=e.imag)
-        f *= e
+    def kick(b, tau, step):
+        # f *= exp(−iτ(Ṽ + 𝒢|f|²)) on the rows of block b; `ph` holds |f|,
+        # |f|², then the phase
+        ph, e = bufs[b]
+        for a in range(rows[b].start, rows[b].stop, chunk):
+            part = f[a:a + chunk]
+            np.abs(part, out=ph)
+            ph *= ph
+            if not np.isfinite(ph.sum()):
+                raise NumericalError(f"non-finite field in step {step} of {steps}")
+            ph *= -tau * G
+            if Vc is not None:
+                ph -= tau * Vc[a:a + chunk]
+            np.cos(ph, out=e.real)
+            np.sin(ph, out=e.imag)
+            part *= e
+
+    def row_block(b, inverse, tau, forward, step):
+        _row_pass(f[rows[b]], inverse, partial(kick, b, tau, step), forward)
+
+    def column_block(b):
+        _column_pass(f[:, cols[b]], kin[:, cols[b]])
 
     def field(f, step):
         meta = dict(psi.meta, phase_offset=offset + v_mean * dt * step)
         return ComplexField2D(psi.nx, psi.ny, psi.dx, psi.dy, f, meta)
 
-    f = psi.data.copy()
-    half = True  # the step opens with a half kick
-    for step in range(1, steps + 1):
-        if half:
-            kick(f, 0.5 * dt, step)
-        _kinetic_step(f, kin)
-        snap = record is not None and record_every and step % record_every == 0
-        half = snap or step == steps
-        kick(f, 0.5 * dt if half else dt, step)
-        if snap:
-            record(step, field(f, step))
+    pool = None
+    if nb > 1:
+        # imported here: the import costs about 10 ms that small grids skip
+        from concurrent.futures import ThreadPoolExecutor
+
+        # pocketfft's plan cache takes no lock: build both plans serially
+        for n in {nx, ny}:
+            np.fft.fft(np.zeros(n, complex))
+        pool = ThreadPoolExecutor(nb - 1)
+    try:
+        half = True  # the step opens with a half kick
+        for step in range(1, steps + 1):
+            if half:
+                _run_blocks(pool, partial(row_block, inverse=False, tau=0.5 * dt,
+                                          forward=True, step=step), nb)
+            _run_blocks(pool, column_block, nb)
+            snap = record is not None and record_every and step % record_every == 0
+            half = snap or step == steps
+            _run_blocks(pool, partial(row_block, inverse=True,
+                                      tau=0.5 * dt if half else dt,
+                                      forward=not half, step=step), nb)
+            if snap:
+                record(step, field(f, step))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return field(f, steps)
 
 

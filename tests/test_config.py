@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from photonfluid.config import SCHEMA, parse_config
+from photonfluid.config import SCHEMA, STAGE_SECTIONS, STAGES, parse_config
 from photonfluid.errors import ConfigError
 
 MINIMAL_RDR = """
@@ -185,3 +185,65 @@ def test_standalone_kernel_needs_mechanics():
     cfg = parse_config(
         "[run]\nstage = kernel\n[kernel]\ng = 0.1\nomega_m = 1.0\ngamma = 5.0\n")
     assert cfg["kernel"]["gamma"] == 5.0
+
+
+# text within one line: no control characters or line separators
+_WORDS = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")),
+                 min_size=1, max_size=12)
+# values of every type the grammar knows, in every key's place
+_VALUES = st.one_of(
+    st.sampled_from(["true", "FALSE", "none", "SI", "natural", '"x"', "'y'",
+                     '"', "", "64.0", "3.5", "1e999", "-1e999", "nan", "-0",
+                     "0x10", "1_0", "a b", *STAGES]),
+    st.integers().map(str), st.floats().map(repr), _WORDS)
+_KEYS = sorted({key for keys in SCHEMA.values() for key in keys})
+_JUNK = st.one_of(
+    st.sampled_from([f"[{sec}]" for sec in SCHEMA]
+                    + ["[run", "[]", "[nope]", "=", "# c", "; c", ""]),
+    st.builds("{} = {}".format, st.one_of(st.sampled_from(_KEYS), _WORDS),
+              _VALUES),
+    st.text(max_size=30))
+# for each stage, the canonical echo of a valid config: every key of the
+# sections the stage reads, the required ones set
+_REQUIRED_KEYS = {"rdr": MINIMAL_RDR.split("[rdr]")[1],
+                  "kernel": "g = 0.1\nomega_m = 1.0\ngamma = 5.0\n"}
+_VALID = {
+    stage: parse_config(f"[run]\nstage = {stage}\n" + "".join(
+        f"[{sec}]\n{_REQUIRED_KEYS[sec]}" for sec in STAGE_SECTIONS[stage]
+        if sec in _REQUIRED_KEYS)).echo().splitlines()
+    for stage in STAGES}
+
+
+@st.composite
+def _config_texts(draw):
+    # a valid text with up to four edits: a value replaced by anything, a
+    # junk line put in, or a line taken out
+    lines = list(_VALID[draw(st.sampled_from(STAGES))])
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["value"] * 4 + ["insert", "delete"]))
+        if edit == "value":
+            i = draw(st.sampled_from([i for i, ln in enumerate(lines)
+                                      if " = " in ln] or [0]))
+            key = lines[i].partition(" = ")[0]
+            comment = draw(st.sampled_from(["", " # note", " ; x"]))
+            lines[i] = f"{key} = {draw(_VALUES)}{comment}"
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "insert":
+            lines.insert(i, draw(_JUNK))
+        elif len(lines) > 1:
+            del lines[i]
+    return "\n".join(lines)
+
+
+@given(_config_texts())
+@settings(max_examples=200)
+def test_config_text_fuzz_raises_only_config_error(text):
+    # config text is untrusted input: whatever it holds, parse_config
+    # returns a config or raises ConfigError, nothing else
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert cfg.stage in STAGES
+    cfg.echo()

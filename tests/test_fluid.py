@@ -1,10 +1,16 @@
 """NLSE core: split-step evolution, ground states, linearized excitations."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from photonfluid import fluid
 from photonfluid.errors import NumericalError, StepSizeError
 from photonfluid.fluid import (
     CollapseError,
@@ -275,14 +281,20 @@ def _allocating_evolve(psi, p, dt, steps, every):
     return out
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (4, 128), (64, 4), (32, 16)])
-def test_evolve_matches_allocating_split_step(shape):
-    nx, ny = shape
+def _moving_packet(nx, ny):
     psi = ComplexField2D.filled(nx, ny, 0.5, 0.5, 0.0)
     X, Y = psi.xy()
     psi.data = 2.0 * np.exp(-((X - 0.5) ** 2 + Y**2) / 4.0 + 0.8j * X + 0.3j * Y)
     psi.meta["phase_offset"] = 0.25
     p = FluidParams(m=-0.8, G_kerr=-1.5, V=0.7 + 0.05 * (X**2 + 2 * Y**2))
+    return psi, p
+
+
+# 256² is at the threaded size: its row and column passes run on blocks
+@pytest.mark.parametrize("shape", [(2, 2), (4, 128), (64, 4), (32, 16),
+                                   (256, 256)])
+def test_evolve_matches_allocating_split_step(shape):
+    psi, p = _moving_packet(*shape)
     seen = []
 
     def record(step, fld):
@@ -364,6 +376,105 @@ def test_evolve_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak / (256 * 256 * 16) < 3.78
+
+
+def _count_fft2(monkeypatch):
+    calls = [0]
+
+    def counted(*args, _fn=np.fft.fft2, **kw):
+        calls[0] += 1
+        return _fn(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "fft2", counted)
+    return calls
+
+
+def test_split_step_is_bitwise_identical_for_any_block_count(monkeypatch):
+    # blocks are whole kick chunks and every transform is per row or per
+    # column, so cutting the grid into more blocks must not change a bit,
+    # also with more blocks than cores and a short switch interval to
+    # shuffle the threads; each step makes 4 fft2 calls per block, each
+    # over one axis of one block
+    psi, p = _moving_packet(256, 256)
+    calls = _count_fft2(monkeypatch)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for blocks in (1, 2, 4):
+            monkeypatch.setattr(fluid, "_workers", lambda blocks=blocks: blocks)
+            calls[0] = 0
+            seen = []
+            out = evolve(psi, p, 1e-3, 9, force=True, record_every=4,
+                         record=lambda step, fld: seen.append(fld.data.copy()))
+            assert calls[0] == 4 * blocks * 9
+            runs.append(seen + [out.data])
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_non_finite_last_block_raises_after_joining_every_block(monkeypatch):
+    # the NaN sits in the last of four row blocks, which a pool thread
+    # kicks; its error names the step and no pool thread outlives the call
+    monkeypatch.setattr(fluid, "_workers", lambda: 4)
+    psi, p = _moving_packet(256, 256)
+    baseline = threading.active_count()
+
+    def record(step, fld):
+        if step == 10:
+            fld.data[-1, 7] = np.nan
+
+    with pytest.raises(NumericalError, match="step 11 of 23"):
+        evolve(psi, p, 1e-3, 23, force=True, record=record, record_every=5)
+    assert threading.active_count() == baseline
+
+
+def test_run_blocks_joins_every_block_and_raises_the_first_in_order():
+    # block 0 (calling thread) fails at once and block 2 before block 1;
+    # block 1's error is raised, and only after every block has finished
+    from concurrent.futures import ThreadPoolExecutor
+
+    done = []
+
+    def block(b):
+        time.sleep(0.05 * (b == 1) + 0.1 * (b == 3))
+        done.append(b)
+        if b in (1, 2):
+            raise ValueError(f"block {b}")
+
+    with ThreadPoolExecutor(3) as pool:
+        with pytest.raises(ValueError, match="block 1"):
+            fluid._run_blocks(pool, block, 4)
+        assert sorted(done) == [0, 1, 2, 3]
+        done.clear()
+        with pytest.raises(ZeroDivisionError):
+            fluid._run_blocks(pool, lambda b: done.append(b) or 1 / b, 4)
+        assert sorted(done) == [0, 1, 2, 3]
+
+
+def test_small_grids_and_cli_import_start_no_thread():
+    # below 2^16 cells evolve runs its one block in the calling thread and
+    # never imports concurrent.futures (about 10 ms of start-up)
+    src = os.path.dirname(os.path.dirname(fluid.__file__))
+    code = (
+        "import sys, threading\n"
+        "import photonfluid.cli\n"
+        "from photonfluid import fluid\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "fluid._workers = lambda: 8\n"
+        "psi = fluid.uniform_background(64, 16, 0.5, 0.5, flow_mode=(1, 0))\n"
+        "started = []\n"
+        "threading.Thread.start = lambda self: started.append(self)\n"
+        "fluid.evolve(psi, fluid.FluidParams(m=1.0, G_kerr=1.0), 1e-3, 4)\n"
+        "print(len(started), 'concurrent.futures' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +782,10 @@ def test_spectral_stages_reach_numpy_fft(monkeypatch):
     met = build_metric(HydroFields.uniform(16, 8, 0.5, 0.5, m=1.0, G=1.0))
     assert calls(lambda: kg_evolve(f, f, met, 1e-2, 5)) == (2, 2)
 
-    # the split step's in-place inverse is a second fft2, never an ifft2
+    # the split step's in-place inverse is a second fft2, never an ifft2;
+    # each transform is a row and a column fft2 call, here on one block
     psi = uniform_background(16, 8, 0.5, 0.5, flow_mode=(1, 0))
     p = FluidParams(m=1.0, G_kerr=1.0)
-    assert calls(lambda: evolve(psi, p, 1e-3, 1)) == (2, 0)
+    assert calls(lambda: evolve(psi, p, 1e-3, 1)) == (4, 0)
     n_fft2, n_ifft2 = calls(lambda: ground_state(p, 3.0, (8, 8, 0.5, 0.5)))
     assert n_fft2 >= 3 and n_ifft2 == 0
