@@ -20,11 +20,11 @@ known, i.e. `--out` was given or the config parsed; otherwise (an
 unreadable or unparsable config without `--out`) the error goes to stderr
 only.
 
-Nothing in the pipeline is random: `--seed` (and `[run] seed`) is
-reserved and only recorded in the manifest.  `--threads` (and `[run]
-threads`) is likewise only recorded: the NLSE split step sizes its own
-thread pool to the CPUs the process may use, on grids of at least 2¹⁶
-cells, and every other stage runs in one thread.
+Nothing in the pipeline is random: `[run] seed` is reserved and only
+recorded in the manifest.  The NLSE split step sizes its own thread pool
+to the CPUs the process may use, on grids of at least 2¹⁶ cells; every
+other stage runs in one thread.  `--force` (on `lattice`, `nlse` and `kg`,
+the stages with a step-size refusal) steps past that refusal.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ from . import __version__
 from .config import RunConfig, parse_config
 from .elimination import KernelParams, kerr_coupling, memory_kernel, \
     memory_kernel_inf, validate_elimination
-from .errors import ConfigError, FieldFormatError, NumericalError, \
-    PhotonFluidError, PhysicsGateError
+from .errors import ConfigError, PhotonFluidError, PhysicsGateError
 from .fieldio import write_field
 from .fluid import ComplexField2D, FluidParams, evolve, gp_energy, \
     ground_state, spectral_d, uniform_background, wavenumbers
 from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
-    build_metric, find_horizon
-from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_evolve
+    build_metric, find_horizon, healing_length
+from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_evolve, \
+    sonic_cfl_dt
 from .lattice import LatticeParams, LatticeState, continuum_error, \
     continuum_params, lattice_dispersion, step_lattice
 from .rdr import OptomechParams, rdr_report, thermal_occupancy
@@ -297,19 +297,22 @@ def run_lattice(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     return summary
 
 
-def _background(cfg: RunConfig) -> tuple[ComplexField2D, FluidParams]:
+def _background(cfg: RunConfig, m: float,
+                G_kerr: float) -> tuple[ComplexField2D, FluidParams]:
+    """The `[nlse]` background on `[grid]` for a fluid of mass m and Kerr
+    coupling G_kerr."""
     g = cfg["grid"]
     sec = cfg["nlse"]
     nx, ny, dx, dy = g["nx"], g["ny"], g["dx"], g["dy"]
     if sec["background"] == "uniform":
         psi = uniform_background(nx, ny, dx, dy, density=sec["density"],
                                  flow_mode=(sec["flow_mx"], sec["flow_my"]))
-        p = _from_config(FluidParams, m=sec["m"], G_kerr=sec["G_kerr"], V=0.0)
+        p = _from_config(FluidParams, m=m, G_kerr=G_kerr, V=0.0)
     else:
         probe = ComplexField2D.filled(nx, ny, dx, dy, 1.0)
         X, Y = probe.xy()
-        V = 0.5 * sec["m"] * sec["trap_omega"] ** 2 * (X**2 + Y**2)
-        p = _from_config(FluidParams, m=sec["m"], G_kerr=sec["G_kerr"], V=V)
+        V = 0.5 * m * sec["trap_omega"] ** 2 * (X**2 + Y**2)
+        p = _from_config(FluidParams, m=m, G_kerr=G_kerr, V=V)
         n_total = sec["n_total"] or sec["density"] * nx * dx * ny * dy
         psi = ground_state(p, n_total, (nx, ny, dx, dy))
     psi.meta["units"] = "natural"
@@ -322,7 +325,7 @@ def run_nlse(cfg: RunConfig, art: Artifacts,
     every = snapshot_every if snapshot_every is not None else sec["snapshot_every"]
     if every < 0:
         raise ConfigError(f"--snapshot-every must be >= 0, got {every}")
-    psi, p = _background(cfg)
+    psi, p = _background(cfg, sec["m"], sec["G_kerr"])
     dt = sec["dt"] or 0.08 / max(
         float(np.max(psi.k_squared())) / (2 * abs(p.m)),
         abs(p.G_kerr) * float(np.max(np.abs(psi.data)) ** 2) + 1e-12,
@@ -356,8 +359,7 @@ def _hydro_fields(cfg: RunConfig) -> HydroFields:
     nx, ny, dx, dy = g["nx"], g["ny"], g["dx"], g["dy"]
     m, G = nsec["m"], nsec["G_kerr"]
     if msec["source"] == "nlse":
-        psi, p = _background(cfg)
-        return HydroFields.from_field(psi, p)
+        return HydroFields.from_field(*_background(cfg, m, G))
     x = (np.arange(nx) - nx // 2) * dx
     y = (np.arange(ny) - ny // 2) * dy
     if msec["source"] == "uniform":
@@ -387,14 +389,15 @@ def _hydro_fields(cfg: RunConfig) -> HydroFields:
     )
 
 
-def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
-    fields = _hydro_fields(cfg)
+def _metric_census(fields: HydroFields, art: Artifacts):
+    """The acoustic metric of `fields`, its signature census and its
+    horizon loops (traced only when every point is Lorentzian), which are
+    written to `horizons.json`."""
     metric = build_metric(fields)
-    census = {
-        "lorentzian": int(np.sum(metric.signature == LORENTZIAN)),
-        "euclidean": int(np.sum(metric.signature == EUCLIDEAN)),
-        "degenerate": int(np.sum(metric.signature == DEGENERATE)),
-    }
+    census = {name: int(np.sum(metric.signature == code))
+              for name, code in (("lorentzian", LORENTZIAN),
+                                 ("euclidean", EUCLIDEAN),
+                                 ("degenerate", DEGENERATE))}
     horizons = []
     if census["euclidean"] == 0 and census["degenerate"] == 0:
         horizons = [loop.tolist() for loop in find_horizon(fields)]
@@ -402,6 +405,12 @@ def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
         "orientation": "superexcitonic region (|v0| > c_ex) on the left",
         "loops": horizons,
     })
+    return metric, census, horizons
+
+
+def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
+    fields = _hydro_fields(cfg)
+    metric, census, horizons = _metric_census(fields, art)
     for name, grid in (("c2", fields.c2), ("vx", fields.vx),
                        ("vy", fields.vy), ("n", fields.n)):
         fld = ComplexField2D(fields.nx, fields.ny, fields.dx, fields.dy,
@@ -433,8 +442,7 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     thx = spectral_d(th0, kx)
     u0 = -(fields.vx + np.sqrt(fields.c2)) * thx   # launch on the v+c branch
 
-    speed = float(np.max(np.sqrt(metric.c2) + np.hypot(metric.vx, metric.vy)))
-    dt = sec["dt"] or 0.4 * min(metric.dx, metric.dy) / speed
+    dt = sec["dt"] or 0.8 * sonic_cfl_dt(metric)
     steps = max(1, int(np.ceil(sec["t_final"] / dt)))
     res = kg_evolve(th0, u0, metric, sec["t_final"] / steps, steps,
                     force=force, sample_every=sec["sample_every"])
@@ -453,7 +461,7 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     return summary
 
 
-def run_pipeline(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
+def run_pipeline(cfg: RunConfig, art: Artifacts) -> dict:
     """The full analogy chain: engineered reservoir → Kerr fluid →
     acoustic metric → wave propagation crosscheck."""
     derived: dict = {}
@@ -485,36 +493,21 @@ def run_pipeline(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     derived["c_ex_sq"] = c2
     if c2 > 0:
         derived["c_ex"] = float(np.sqrt(c2))
-        derived["xi"] = 1.0 / (abs(m) * derived["c_ex"])
+        derived["xi"] = float(healing_length(m, c2))
 
-    g = cfg["grid"]
-    psi = uniform_background(g["nx"], g["ny"], g["dx"], g["dy"],
-                             density=density,
-                             flow_mode=(cfg["nlse"]["flow_mx"],
-                                        cfg["nlse"]["flow_my"]))
-    psi.meta["units"] = "natural"
+    # the background is uniform: `[nlse] background = ground_state` is a
+    # config error for this stage
+    psi, p = _background(cfg, m, G_kerr)
     art.write_field("background.pfld", psi, sidecar={"m": m, "G_kerr": G_kerr})
-
-    p = _from_config(FluidParams, m=m, G_kerr=G_kerr, V=0.0)
-    fields = HydroFields.from_field(psi, p)
-    metric = build_metric(fields)
-    lorentzian = bool(np.all(metric.signature == LORENTZIAN))
-    census = {
-        "lorentzian": int(np.sum(metric.signature == LORENTZIAN)),
-        "euclidean": int(np.sum(metric.signature == EUCLIDEAN)),
-    }
+    _, census, _ = _metric_census(HydroFields.from_field(psi, p), art)
     derived["signature"] = census
-
-    if not lorentzian:
-        notes.append("metric Euclidean (G_kerr·m < 0): kg stage skipped")
-        art.write_json("horizons.json", {"orientation": None, "loops": []})
+    # any non-Lorentzian point gates: the crosscheck's run time needs
+    # derived["c_ex"], which is unset unless c_ex² > 0
+    if census["euclidean"] or census["degenerate"]:
+        why = "Euclidean (G_kerr·m < 0)" if census["euclidean"] \
+            else "degenerate (c_ex² = 0)"
+        notes.append(f"metric {why}: kg stage skipped")
         raise _GatedButComplete(derived, notes)
-
-    horizons = [loop.tolist() for loop in find_horizon(fields)]
-    art.write_json("horizons.json", {
-        "orientation": "superexcitonic region (|v0| > c_ex) on the left",
-        "loops": horizons,
-    })
 
     sec = cfg["kg"]
     x = psi.x()[:, None]
@@ -552,26 +545,19 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=(name != "kernel"),
                         help="run configuration file")
         sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--threads", type=int,
-                        help="reserved: recorded in the manifest only; "
-                             "the NLSE split step uses the CPUs it may run "
-                             "on, every other stage one thread")
-        sp.add_argument("--seed", type=int,
-                        help="reserved: recorded in the manifest only; "
-                             "no stage draws random numbers")
-        sp.add_argument("--force", action="store_true",
-                        help="override step-size refusals")
         for args, kw in extra:
             sp.add_argument(*args, **kw)
         return sp
 
+    force = (("--force",), dict(action="store_true",
+                                help="override step-size refusals"))
     add("rdr", [(("--sweep",), dict(help="param:min:max:steps"))])
     add("kernel", [(("--params",), dict(help="alias for --config")),
                    (("--sweep-gamma",), dict(help="min:max:steps"))])
-    add("lattice")
-    add("nlse", [(("--snapshot-every",), dict(type=int))])
+    add("lattice", [force])
+    add("nlse", [(("--snapshot-every",), dict(type=int)), force])
     add("metric")
-    add("kg")
+    add("kg", [force])
     add("pipeline")
     return ap
 
@@ -595,10 +581,6 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.out:
             cfg.out = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
         outdir = cfg.out
         if cfg.stage != args.command:
             raise ConfigError(
@@ -621,7 +603,7 @@ def main(argv=None) -> int:
         elif args.command == "kg":
             derived = run_kg(cfg, art, force=args.force)
         else:
-            out = run_pipeline(cfg, art, force=args.force)
+            out = run_pipeline(cfg, art)
             derived, notes = out["derived"], out["notes"]
     except _GatedButComplete as exc:
         status, code = "gated", 4
@@ -632,10 +614,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         status, code = "failed", 2
         notes = [f"config error: {exc}"]
-    except (NumericalError, FieldFormatError) as exc:
-        status, code = "failed", 3
-        notes = [str(exc)]
-    except PhotonFluidError as exc:
+    except PhotonFluidError as exc:     # numerical and field-format errors
         status, code = "failed", 3
         notes = [str(exc)]
 
@@ -646,8 +625,7 @@ def main(argv=None) -> int:
             "status": status,
             "config_sha256": cfg.sha256() if cfg else None,
             "config_echo": cfg.echo() if cfg else None,
-            "seed": cfg.seed if cfg else args.seed,
-            "threads": cfg.threads if cfg else args.threads,
+            "seed": cfg.seed if cfg else None,
             "started": started,
             "finished": time.time(),
             "derived": derived,

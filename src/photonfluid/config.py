@@ -45,7 +45,6 @@ SCHEMA = {
         "units": ("natural", str, ("natural", "SI")),
         "seed": (0, int, None),
         "out": ("runs/out", str, None),
-        "threads": (1, int, None),
     },
     "rdr": {
         "omega_i": (1.0, float, None),
@@ -157,7 +156,6 @@ class RunConfig:
     units: str
     seed: int
     out: str
-    threads: int
     sections: dict
     source_text: str = ""
     omega_ref: float = 1.0     # SI rad/s per natural frequency unit
@@ -305,8 +303,7 @@ def parse_config(text: str) -> RunConfig:
     run = sections["run"]
     cfg = RunConfig(
         stage=run["stage"], units=run["units"], seed=run["seed"],
-        out=run["out"], threads=run["threads"], sections=sections,
-        source_text=text,
+        out=run["out"], sections=sections, source_text=text,
     )
 
     # the selected stage must have all the sections it consumes
@@ -335,6 +332,11 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
             f"units = SI is supported for stage = rdr only; stage "
             f"'{cfg.stage}' takes natural units", _line(lines_of, "run", "units")
         )
+    # the pipeline's crosscheck compares against a uniform background only
+    if cfg.stage == "pipeline" and cfg["nlse"]["background"] != "uniform":
+        raise ConfigError(
+            "nlse.background = ground_state is not supported for stage = "
+            "pipeline", _line(lines_of, "nlse", "background"))
     if "rdr" in cfg.sections and cfg.stage in ("rdr", "pipeline"):
         r = cfg.sections["rdr"]
         line = lines_of.get(("rdr", None), 1)

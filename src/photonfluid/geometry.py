@@ -39,6 +39,7 @@ __all__ = [
     "MadelungResult",
     "HydroFields",
     "MetricField",
+    "healing_length",
     "madelung",
     "hydro_linear_step",
     "estimate_density_fluctuation",
@@ -82,6 +83,12 @@ def madelung(psi: ComplexField2D, floor_rel: float = 1e-8) -> MadelungResult:
     return MadelungResult(n=n, theta=theta, vortices=vortices, mask=mask)
 
 
+def healing_length(m, c2):
+    """ξ = 1/(|m| c_ex) where c_ex² > 0, NaN elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(c2 > 0, 1.0 / (abs(m) * np.sqrt(np.abs(c2))), np.nan)
+
+
 @dataclass
 class HydroFields:
     """Hydrodynamic background on a grid: density n, phase θ (optional for
@@ -122,12 +129,10 @@ class HydroFields:
         md = madelung(psi)
         gx, gy = np.gradient(md.theta, psi.dx, psi.dy)
         c2 = md.n * p.G_kerr / p.m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = np.where(c2 > 0, 1.0 / (abs(p.m) * np.sqrt(np.abs(c2))), np.nan)
         return cls(
             nx=psi.nx, ny=psi.ny, dx=psi.dx, dy=psi.dy, m=p.m, G=p.G_kerr,
-            n=md.n, vx=gx / p.m, vy=gy / p.m, c2=c2, xi=xi,
-            theta=md.theta, mask=md.mask,
+            n=md.n, vx=gx / p.m, vy=gy / p.m, c2=c2,
+            xi=healing_length(p.m, c2), theta=md.theta, mask=md.mask,
             x0=float(psi.x()[0]), y0=float(psi.y()[0]),
             meta={"vortices": md.vortices},
         )
@@ -136,12 +141,10 @@ class HydroFields:
     def uniform(cls, nx, ny, dx, dy, m, G, density=1.0, vx=0.0, vy=0.0):
         n = np.full((nx, ny), float(density))
         c2 = n * G / m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = np.where(c2 > 0, 1.0 / (abs(m) * np.sqrt(np.abs(c2))), np.nan)
         return cls(nx=nx, ny=ny, dx=dx, dy=dy, m=m, G=G, n=n,
                    vx=np.full((nx, ny), float(vx)),
                    vy=np.full((nx, ny), float(vy)),
-                   c2=c2, xi=xi,
+                   c2=c2, xi=healing_length(m, c2),
                    x0=-(nx // 2) * dx, y0=-(ny // 2) * dy)
 
     @classmethod
@@ -156,11 +159,9 @@ class HydroFields:
             c2 = n * G / m
         else:
             c2 = np.broadcast_to(np.asarray(c2, float), shape).copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = np.where(c2 > 0, 1.0 / (abs(m) * np.sqrt(np.abs(c2))), np.nan)
         return cls(nx=nx, ny=ny, dx=float(x[1] - x[0]), dy=float(y[1] - y[0]),
-                   m=m, G=G, n=n, vx=vx, vy=vy, c2=c2, xi=xi,
-                   x0=float(x[0]), y0=float(y[0]))
+                   m=m, G=G, n=n, vx=vx, vy=vy, c2=c2,
+                   xi=healing_length(m, c2), x0=float(x[0]), y0=float(y[0]))
 
 
 def hydro_linear_step(

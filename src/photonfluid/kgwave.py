@@ -39,6 +39,7 @@ from .geometry import LORENTZIAN, HydroFields, MetricField, build_metric
 
 __all__ = [
     "kg_coefficients",
+    "sonic_cfl_dt",
     "dalembertian",
     "kg_evolve",
     "kg_energy",
@@ -79,6 +80,30 @@ def kg_coefficients(metric: MetricField):
     return A, Bx, By, Cxx, Cxy, Cyy
 
 
+def sonic_cfl_dt(metric: MetricField) -> float:
+    """Sonic CFL bound ½ min(dx,dy)/max(c_ex + |v₀|) of the RK4 stepper."""
+    speed = float(np.max(np.sqrt(metric.c2) + np.hypot(metric.vx, metric.vy)))
+    return 0.5 * min(metric.dx, metric.dy) / speed
+
+
+def _flux(th, u, coeffs, dx, dy):
+    """Bˣ∂ₓu + Bʸ∂ᵧu + ∂ₓ(Bˣu) + ∂ᵧ(Bʸu) + ∂ᵢ(C^{ij}∂ⱼδθ), centred."""
+    _, Bx, By, Cxx, Cxy, Cyy = coeffs
+    thx, thy = _dx_c(th, dx), _dy_c(th, dy)
+    return (Bx * _dx_c(u, dx) + By * _dy_c(u, dy)
+            + _dx_c(Bx * u, dx) + _dy_c(By * u, dy)
+            + _dx_c(Cxx * thx + Cxy * thy, dx)
+            + _dy_c(Cxy * thx + Cyy * thy, dy))
+
+
+def _energy(th, u, coeffs, dx, dy) -> float:
+    A, _, _, Cxx, Cxy, Cyy = coeffs
+    thx, thy = _dx_c(th, dx), _dy_c(th, dy)
+    dens = -0.5 * A * np.asarray(u) ** 2 \
+        + 0.5 * (Cxx * thx**2 + 2 * Cxy * thx * thy + Cyy * thy**2)
+    return float(np.sum(dens) * dx * dy)
+
+
 def dalembertian(
     dtheta: np.ndarray,
     metric: MetricField,
@@ -90,20 +115,13 @@ def dalembertian(
     Missing time derivatives are treated as zero (static field).  Output
     is NaN wherever the centred stencil touches a non-Lorentzian point.
     """
-    nx, ny, dx, dy = metric.nx, metric.ny, metric.dx, metric.dy
-    A, Bx, By, Cxx, Cxy, Cyy = kg_coefficients(metric)
+    nx, ny = metric.nx, metric.ny
+    coeffs = kg_coefficients(metric)
     th = np.asarray(dtheta, float)
     u = np.zeros((nx, ny)) if dtheta_dot is None else np.asarray(dtheta_dot, float)
     udot = np.zeros((nx, ny)) if dtheta_ddot is None else np.asarray(dtheta_ddot, float)
-
-    thx, thy = _dx_c(th, dx), _dy_c(th, dy)
-    out = (
-        A * udot
-        + Bx * _dx_c(u, dx) + By * _dy_c(u, dy)
-        + _dx_c(Bx * u, dx) + _dy_c(By * u, dy)
-        + _dx_c(Cxx * thx + Cxy * thy, dx)
-        + _dy_c(Cxy * thx + Cyy * thy, dy)
-    ) / metric.sqrt_minus_g
+    out = (coeffs[0] * udot + _flux(th, u, coeffs, metric.dx, metric.dy)) \
+        / metric.sqrt_minus_g
 
     good = metric.lorentzian()
     if not np.all(good):
@@ -130,16 +148,11 @@ def kg_energy(dtheta, dtheta_dot, metric: MetricField) -> float:
     Conserved on static backgrounds; positive definite only where the
     flow is subcritical (C is indefinite inside a superexcitonic region).
     """
-    A, _, _, Cxx, Cxy, Cyy = kg_coefficients(metric)
-    thx = _dx_c(dtheta, metric.dx)
-    thy = _dy_c(dtheta, metric.dy)
-    dens = -0.5 * A * np.asarray(dtheta_dot) ** 2 \
-        + 0.5 * (Cxx * thx**2 + 2 * Cxy * thx * thy + Cyy * thy**2)
-    return float(np.sum(dens) * metric.dx * metric.dy)
+    return _energy(dtheta, dtheta_dot, kg_coefficients(metric),
+                   metric.dx, metric.dy)
 
 
 def _energy_density(dtheta, dtheta_dot, metric: MetricField) -> np.ndarray:
-    A, _, _, Cxx, Cxy, Cyy = kg_coefficients(metric)
     thx = _dx_c(dtheta, metric.dx)
     thy = _dy_c(dtheta, metric.dy)
     # positive tracking density: fluid-frame kinetic + gradient energy
@@ -190,28 +203,20 @@ def kg_evolve(
         raise PhysicsGateError(
             "metric has non-Lorentzian points: wave propagation is gated off"
         )
-    speed = float(np.max(np.sqrt(metric.c2)
-                         + np.hypot(metric.vx, metric.vy)))
-    dt_max = 0.5 * min(metric.dx, metric.dy) / speed
+    dt_max = sonic_cfl_dt(metric)
     if dt > dt_max and not force:
         raise StepSizeError(f"CFL violation: dt = {dt:.3g} > {dt_max:.3g}")
 
     coeffs = kg_coefficients(metric)
+    dx, dy = metric.dx, metric.dy
     if steps > 0 and dt <= dt_max and is_uniform(*coeffs):
         advance = _kg_mode_propagator(metric, dt,
                                       *(f.flat[0] for f in coeffs))
     else:
-        A, Bx, By, Cxx, Cxy, Cyy = coeffs
-        inv_negA = 1.0 / (-A)
-        dx, dy = metric.dx, metric.dy
+        inv_negA = 1.0 / (-coeffs[0])
 
         def rhs(th, u):
-            thx, thy = _dx_c(th, dx), _dy_c(th, dy)
-            flux = (Bx * _dx_c(u, dx) + By * _dy_c(u, dy)
-                    + _dx_c(Bx * u, dx) + _dy_c(By * u, dy)
-                    + _dx_c(Cxx * thx + Cxy * thy, dx)
-                    + _dy_c(Cxy * thx + Cyy * thy, dy))
-            return u, inv_negA * flux
+            return u, inv_negA * _flux(th, u, coeffs, dx, dy)
 
         def advance(th, u, first, last):
             return rk4(rhs, (th, u), dt, first, last, "Klein-Gordon field")
@@ -222,7 +227,7 @@ def kg_evolve(
     if sample_every:
         times.append(0.0)
         snaps.append((th.copy(), u.copy()))
-        energies.append(kg_energy(th, u, metric))
+        energies.append(_energy(th, u, coeffs, dx, dy))
 
     # one stretch per sample: every `sample_every` steps and the last step
     step = 0
@@ -233,7 +238,7 @@ def kg_evolve(
         if sample_every:
             times.append(step * dt)
             snaps.append((th.copy(), u.copy()))
-            energies.append(kg_energy(th, u, metric))
+            energies.append(_energy(th, u, coeffs, dx, dy))
 
     return KGResult(
         dtheta=th, dtheta_dot=u, t=steps * dt,
@@ -326,8 +331,7 @@ def crosscheck_kg_vs_nlse(
     thy = spectral_d(dtheta0, ky)
     u0 = -(fields.vx * thx + fields.vy * thy)
 
-    speed = float(np.max(np.sqrt(metric.c2) + np.hypot(metric.vx, metric.vy)))
-    dt_kg = 0.25 * min(metric.dx, metric.dy) / speed
+    dt_kg = 0.5 * sonic_cfl_dt(metric)
     dt_nl = 0.08 / max(
         float(np.max(psi0.k_squared())) / (2 * abs(p.m)),
         2.0 * abs(p.G_kerr) * float(np.max(np.abs(psi0.data)) ** 2),

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import photonfluid
+from photonfluid import cli
 from photonfluid.cli import main
 from photonfluid.fieldio import read_field
 
@@ -150,6 +152,17 @@ mode_mx = 1
 PIPELINE_MICRO_CFG = PIPELINE_ARRAY_CFG.replace("model = array",
                                                 "model = microcavity")
 
+LATTICE_CFG = """
+[run]
+stage = lattice
+out = {out}
+
+[lattice]
+nx = 8
+ny = 4
+t_final = 1.0
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -245,8 +258,28 @@ def test_pipeline_microcavity_hits_euclidean_gate(tmp_path):
     man = manifest(tmp_path)
     assert man["status"] == "gated"
     assert man["derived"]["signature"]["euclidean"] > 0
+    assert "degenerate" in man["derived"]["signature"]
     assert any("kg stage skipped" in n for n in man["notes"])
     assert "kg_nlse_deviation" not in man["derived"]
+    # the same horizons.json as the metric stage, with no loop traced
+    with open(tmp_path / "out" / "horizons.json") as fh:
+        hz = json.load(fh)
+    assert hz == {"orientation": "superexcitonic region (|v0| > c_ex) on the "
+                                 "left", "loops": []}
+
+
+def test_pipeline_degenerate_metric_hits_the_gate(tmp_path):
+    # density 0 leaves no fluid: every point is degenerate, c_ex is unset
+    # and the crosscheck is skipped rather than run without a sound speed
+    cfg = write_cfg(tmp_path, PIPELINE_ARRAY_CFG.replace("density = 1.0",
+                                                         "density = 0.0"))
+    assert main(["pipeline", "--config", str(cfg)]) == 4
+    man = manifest(tmp_path)
+    assert man["derived"]["signature"] == {"lorentzian": 0, "euclidean": 0,
+                                           "degenerate": 256}
+    assert "c_ex" not in man["derived"]
+    assert any("metric degenerate" in n and "kg stage skipped" in n
+               for n in man["notes"])
 
 
 def test_deterministic_rerun_byte_identical(tmp_path):
@@ -337,6 +370,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
         in capsys.readouterr().err
     man = manifest(tmp_path)
     assert man["status"] == "failed" and man["artifacts"] == []
+    # the pipeline crosschecks a uniform background only
+    gs = write_cfg(tmp_path, PIPELINE_ARRAY_CFG.replace(
+        "density = 1.0", "density = 1.0\nbackground = ground_state"))
+    assert main(["pipeline", "--config", str(gs)]) == 2
+    assert "line 32: nlse.background = ground_state is not supported" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out" / "background.pfld").exists()
     ok = write_cfg(tmp_path, RDR_CFG)
     assert main(["rdr", "--config", str(ok), "--sweep", "bogus:0:1:3"]) == 2
     assert "cannot sweep 'bogus'" in capsys.readouterr().err
@@ -353,6 +393,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
     kg = write_cfg(tmp_path, RDR_CFG + "[kg]\nmode_my = 1\n")
     assert main(["rdr", "--config", str(kg)]) == 2
     assert "line 13: unknown key kg.mode_my" in capsys.readouterr().err
+    # the split step sizes its own thread pool: no key records a count
+    threads = write_cfg(tmp_path, RDR_CFG.replace("stage = rdr",
+                                                  "stage = rdr\nthreads = 4"))
+    assert main(["rdr", "--config", str(threads)]) == 2
+    assert "line 4: unknown key run.threads" in capsys.readouterr().err
 
     # a KG sampling stride that records no trace is refused before anything
     # is evolved
@@ -435,14 +480,14 @@ def test_kernel_params_flag_alias(tmp_path):
     assert (tmp_path / "out" / "kernel.csv").exists()
 
 
-def test_threaded_sweep_is_deterministic(tmp_path):
+def test_sweep_is_deterministic(tmp_path):
     cfg1 = tmp_path / "a.cfg"
     cfg1.write_text(RDR_CFG.format(out=tmp_path / "o1"))
     cfg2 = tmp_path / "b.cfg"
     cfg2.write_text(RDR_CFG.format(out=tmp_path / "o2"))
     assert main(["rdr", "--config", str(cfg1),
                  "--sweep", "omega:0.5:1.5:41"]) == 0
-    assert main(["rdr", "--config", str(cfg2), "--threads", "4",
+    assert main(["rdr", "--config", str(cfg2),
                  "--sweep", "omega:0.5:1.5:41"]) == 0
     assert (tmp_path / "o1" / "rdr_sweep.csv").read_bytes() == \
         (tmp_path / "o2" / "rdr_sweep.csv").read_bytes()
@@ -462,3 +507,49 @@ def test_nlse_ground_state_background(tmp_path):
     # non-interacting (G_kerr = 0) 2D oscillator ground state:
     # E = N·ħΩ·(½ + ½) = 1 with N = m = Ω = 1
     assert man["derived"]["energy"] == pytest.approx(1.0, rel=1e-4)
+
+
+class _Entered(Exception):
+    """Raised by a spy stage runner; `main` catches no such error."""
+
+
+@pytest.mark.parametrize("stage, text", [
+    ("rdr", RDR_CFG), ("kernel", KERNEL_CFG), ("lattice", LATTICE_CFG),
+    ("nlse", NLSE_CFG), ("metric", METRIC_CFG), ("kg", KG_CFG),
+    ("pipeline", PIPELINE_ARRAY_CFG),
+])
+def test_main_enters_the_stage_runner_through_its_module_name(
+        tmp_path, monkeypatch, stage, text):
+    # the benchmark times set-up up to the moment `main` enters the runner,
+    # by replacing `cli.run_<stage>`: `main` must look the name up per call
+    entered = []
+
+    def spy(cfg, art, **kwargs):
+        entered.append(cfg.stage)
+        raise _Entered
+
+    monkeypatch.setattr(cli, f"run_{stage}", spy)
+    with pytest.raises(_Entered):
+        main([stage, "--config", str(write_cfg(tmp_path, text))])
+    assert entered == [stage]
+
+
+def test_pipeline_calls_the_names_the_benchmark_tracer_wraps(tmp_path,
+                                                             monkeypatch):
+    # the tracer wraps functions at the module attributes the package calls
+    # them through; a stage that bypassed one would leave its layer silent
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer(run_id="pipeline")
+    tracer.install()
+    try:
+        code = main(["pipeline", "--config",
+                     str(write_cfg(tmp_path, PIPELINE_ARRAY_CFG))])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span["name"] for span in tracer.spans}
+    assert {"geometry.build_metric", "geometry.find_horizon",
+            "kgwave.crosscheck_kg_vs_nlse", "rdr.rdr_report",
+            "elimination.kerr_coupling", "kgwave.kg_evolve"} <= names

@@ -15,6 +15,7 @@ from photonfluid.kgwave import (
     kg_coefficients,
     kg_energy,
     kg_evolve,
+    sonic_cfl_dt,
 )
 
 
@@ -175,6 +176,28 @@ def _trapping_background(nx=1024, ny=4, dx=0.25, c=1.0,
                                   vx=np.repeat(v[:, None], ny, 1), vy=0.0,
                                   c2=np.full((nx, ny), c * c))
     return f, x, v
+
+
+def test_dalembertian_vanishes_on_the_general_stepper_rhs(monkeypatch):
+    # kg_evolve integrates □δθ = 0: on a curved (tanh1d) metric, the
+    # ∂_t u its general right-hand side returns must zero the operator
+    f, _, _ = _trapping_background(nx=128, dx=0.5, x1=-15.0, x2=15.0, w=3.0)
+    met = build_metric(f)
+    rng = np.random.default_rng(17)
+    th, u = rng.standard_normal((2, met.nx, met.ny))
+    rates = []
+
+    def one_rhs_call(rhs, y, dt, first, last, what):
+        rates.append(rhs(*y)[1])
+        return y
+
+    monkeypatch.setattr(kgwave, "rk4", one_rhs_call)
+    kg_evolve(th, u, met, 0.5 * sonic_cfl_dt(met), 1)
+    (a,) = rates
+    residual = dalembertian(th, met, u, a)
+    scale = np.max(np.abs(dalembertian(th, met, u)))
+    assert scale > 0
+    assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
 def test_superexcitonic_trapping_against_ray_oracle():
