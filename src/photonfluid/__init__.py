@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .elimination import (KernelParams, MicrocavityGeometry, kerr_coupling,
                           memory_kernel, memory_kernel_inf,
                           microcavity_params, validate_elimination)
-from .fluid import (ComplexField2D, FluidParams, bogoliubov_dispersion,
+from .fluid import (ComplexField2D, FluidParams, Grid, bogoliubov_dispersion,
                     evolve, gp_energy, ground_state, linearized_step,
                     measure_dispersion, uniform_background)
 from .geometry import (HydroFields, MetricField, build_metric, find_horizon,

@@ -45,8 +45,8 @@ from .elimination import KernelParams, kerr_coupling, memory_kernel, \
     memory_kernel_inf, validate_elimination
 from .errors import ConfigError, PhotonFluidError, PhysicsGateError
 from .fieldio import write_field
-from .fluid import ComplexField2D, FluidParams, evolve, gp_energy, \
-    ground_state, spectral_d, uniform_background, wavenumbers
+from .fluid import ComplexField2D, FluidParams, Grid, evolve, gp_energy, \
+    ground_state, spectral_d, uniform_background
 from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
     build_metric, find_horizon, healing_length
 from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_evolve, \
@@ -270,15 +270,14 @@ def run_lattice(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     state = step_lattice(state, p, sec["t_final"] / steps, steps=steps,
                          force=force)
 
-    fld = ComplexField2D(p.Nx, p.Ny, p.h, p.h, state.a.copy(),
-                         {"units": "natural"})
+    grid = Grid(p.Nx, p.Ny, p.h, p.h)
+    fld = ComplexField2D(grid, state.a.copy(), {"units": "natural"})
     art.write_field("lattice_final.pfld", fld, sidecar={"t": state.t})
 
     rows = []
     for mode in (1, 2, 4, 8):
         kh = 2 * np.pi * mode / p.Nx
-        psi = ComplexField2D(p.Nx, p.Ny, p.h, p.h,
-                             LatticeState.bloch(p, mode, 0).a)
+        psi = ComplexField2D(grid, LatticeState.bloch(p, mode, 0).a)
         lat0 = LatticeState(psi.data.copy(), np.zeros_like(psi.data))
         # bias the on-site frequency so the k=0 edge sits at zero: a pure
         # Bloch state then only sees its own (small) eigenfrequency
@@ -301,20 +300,19 @@ def _background(cfg: RunConfig, m: float,
                 G_kerr: float) -> tuple[ComplexField2D, FluidParams]:
     """The `[nlse]` background on `[grid]` for a fluid of mass m and Kerr
     coupling G_kerr."""
-    g = cfg["grid"]
+    grid = Grid(**cfg["grid"])
     sec = cfg["nlse"]
-    nx, ny, dx, dy = g["nx"], g["ny"], g["dx"], g["dy"]
     if sec["background"] == "uniform":
-        psi = uniform_background(nx, ny, dx, dy, density=sec["density"],
+        psi = uniform_background(grid, density=sec["density"],
                                  flow_mode=(sec["flow_mx"], sec["flow_my"]))
         p = _from_config(FluidParams, m=m, G_kerr=G_kerr, V=0.0)
     else:
-        probe = ComplexField2D.filled(nx, ny, dx, dy, 1.0)
-        X, Y = probe.xy()
+        X, Y = grid.xy()
         V = 0.5 * m * sec["trap_omega"] ** 2 * (X**2 + Y**2)
         p = _from_config(FluidParams, m=m, G_kerr=G_kerr, V=V)
-        n_total = sec["n_total"] or sec["density"] * nx * dx * ny * dy
-        psi = ground_state(p, n_total, (nx, ny, dx, dy))
+        n_total = sec["n_total"] or \
+            sec["density"] * grid.nx * grid.dx * grid.ny * grid.dy
+        psi = ground_state(p, n_total, grid)
     psi.meta["units"] = "natural"
     return psi, p
 
@@ -327,7 +325,7 @@ def run_nlse(cfg: RunConfig, art: Artifacts,
         raise ConfigError(f"--snapshot-every must be >= 0, got {every}")
     psi, p = _background(cfg, sec["m"], sec["G_kerr"])
     dt = sec["dt"] or 0.08 / max(
-        float(np.max(psi.k_squared())) / (2 * abs(p.m)),
+        float(np.max(psi.grid.k_squared())) / (2 * abs(p.m)),
         abs(p.G_kerr) * float(np.max(np.abs(psi.data)) ** 2) + 1e-12,
     )
     steps = sec["steps"]
@@ -354,39 +352,29 @@ def run_nlse(cfg: RunConfig, art: Artifacts,
 
 def _hydro_fields(cfg: RunConfig) -> HydroFields:
     msec = cfg["metric"]
-    g = cfg["grid"]
     nsec = cfg["nlse"]
-    nx, ny, dx, dy = g["nx"], g["ny"], g["dx"], g["dy"]
     m, G = nsec["m"], nsec["G_kerr"]
     if msec["source"] == "nlse":
         return HydroFields.from_field(*_background(cfg, m, G))
-    x = (np.arange(nx) - nx // 2) * dx
-    y = (np.arange(ny) - ny // 2) * dy
+    grid = Grid(**cfg["grid"])
     if msec["source"] == "uniform":
-        return HydroFields.uniform(nx, ny, dx, dy, m, G,
-                                   density=nsec["density"],
+        return HydroFields.uniform(grid, m, G, density=nsec["density"],
                                    vx=msec["vx"], vy=msec["vy"])
+    c2 = msec["c_ex"] * msec["c_ex"]
     if msec["source"] == "radial_sink":
-        X, Y = np.meshgrid(x, y, indexing="ij")
+        X, Y = grid.xy()
         r = np.hypot(X, Y)
-        r = np.maximum(r, 0.25 * min(dx, dy))
+        r = np.maximum(r, 0.25 * min(grid.dx, grid.dy))
         speed = msec["sink_strength"] / r
-        c = msec["c_ex"]
-        return HydroFields.from_profiles(
-            x, y, m, G, n=np.ones_like(X),
-            vx=-speed * X / r, vy=-speed * Y / r,
-            c2=np.full_like(X, c * c),
-        )
+        return HydroFields.from_profiles(grid, m, G, n=1.0, vx=-speed * X / r,
+                                         vy=-speed * Y / r, c2=c2)
     # tanh1d: leftward flow with a supersonic well between x1 and x2
+    x = grid.x
     prof = 0.5 * (np.tanh((x - msec["x1"]) / msec["width"])
                   - np.tanh((x - msec["x2"]) / msec["width"]))
     v = -(msec["v_out"] + (msec["v_in"] - msec["v_out"]) * prof)
-    c = msec["c_ex"]
-    return HydroFields.from_profiles(
-        x, y, m, G, n=np.ones((nx, ny)),
-        vx=v[:, None] * np.ones((1, ny)), vy=0.0,
-        c2=np.full((nx, ny), c * c),
-    )
+    return HydroFields.from_profiles(grid, m, G, n=1.0, vx=v[:, None], vy=0.0,
+                                     c2=c2)
 
 
 def _metric_census(fields: HydroFields, art: Artifacts):
@@ -411,10 +399,10 @@ def _metric_census(fields: HydroFields, art: Artifacts):
 def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
     fields = _hydro_fields(cfg)
     metric, census, horizons = _metric_census(fields, art)
-    for name, grid in (("c2", fields.c2), ("vx", fields.vx),
-                       ("vy", fields.vy), ("n", fields.n)):
-        fld = ComplexField2D(fields.nx, fields.ny, fields.dx, fields.dy,
-                             grid.astype(complex), {"units": name})
+    for name, values in (("c2", fields.c2), ("vx", fields.vx),
+                         ("vy", fields.vy), ("n", fields.n)):
+        fld = ComplexField2D(fields.grid, values.astype(complex),
+                             {"units": name})
         art.write_field(f"metric_{name}.pfld", fld)
     summary = {"signature": census, "horizon_count": len(horizons),
                "conformal_mean": float(np.nanmean(metric.conformal))}
@@ -430,17 +418,21 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
             "metric is not Lorentzian everywhere; Klein-Gordon stage gated off"
         )
     sec = cfg["kg"]
-    x = metric.x()[:, None]
+    grid = metric.grid
+    x = grid.x[:, None]
     if sec["seed"] == "mode":
-        k = 2 * np.pi * sec["mode_mx"] / (metric.nx * metric.dx)
-        th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, metric.ny))
+        k = 2 * np.pi * sec["mode_mx"] / (grid.nx * grid.dx)
+        th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, grid.ny))
     else:
         th0 = sec["amplitude"] * np.exp(
             -((x - sec["x_center"]) ** 2) / (2 * sec["sigma"] ** 2)
-        ) * np.ones((1, metric.ny))
-    kx, _ = wavenumbers(metric.nx, metric.ny, metric.dx, metric.dy)
+        ) * np.ones((1, grid.ny))
+    kx, _ = grid.k()
     thx = spectral_d(th0, kx)
     u0 = -(fields.vx + np.sqrt(fields.c2)) * thx   # launch on the v+c branch
+    # a seed the grid cannot carry (a mode at Nyquist, a gaussian narrower
+    # than a cell) has no energy, and its trace no centre
+    _from_config(center_of_energy, th0, u0, metric)
 
     dt = sec["dt"] or 0.8 * sonic_cfl_dt(metric)
     steps = max(1, int(np.ceil(sec["t_final"] / dt)))
@@ -451,8 +443,7 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
         cx, cy = center_of_energy(th, u, metric)
         rows.append([t, cx, cy, en])
     art.write_csv("kg_trace.csv", ["t", "x_energy", "y_energy", "energy"], rows)
-    fld = ComplexField2D(metric.nx, metric.ny, metric.dx, metric.dy,
-                         res.dtheta.astype(complex), {"units": "dtheta"})
+    fld = ComplexField2D(grid, res.dtheta.astype(complex), {"units": "dtheta"})
     art.write_field("kg_final.pfld", fld)
     summary = {"t_final": res.t, "energy_drift":
                float(abs(res.energy[-1] - res.energy[0])
@@ -510,9 +501,10 @@ def run_pipeline(cfg: RunConfig, art: Artifacts) -> dict:
         raise _GatedButComplete(derived, notes)
 
     sec = cfg["kg"]
-    x = psi.x()[:, None]
-    k = 2 * np.pi * max(1, sec["mode_mx"]) / (psi.nx * psi.dx)
-    th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, psi.ny))
+    grid = psi.grid
+    k = 2 * np.pi * sec["mode_mx"] / (grid.nx * grid.dx)
+    x = grid.x[:, None]
+    th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, grid.ny))
     rep = crosscheck_kg_vs_nlse(psi, p, th0,
                                 t_final=2 * np.pi / (derived["c_ex"] * k),
                                 kxi_limit=sec["kxi_limit"])

@@ -7,8 +7,9 @@ Grammar (one statement per line):
     # comment            full-line or trailing comments (also ';')
 
 Values are booleans (`true`/`false`), integers, floats, or quoted or
-bare strings.  Parsing is strict: unknown sections or keys, missing
-required keys, type mismatches and unit inconsistencies all fail with the
+bare strings.  Parsing is strict: unknown sections or keys, sections and
+keys the selected stage does not read, missing required keys, type
+mismatches, out-of-range values and unit inconsistencies all fail with the
 offending line number.  Every default is materialized in the parsed
 result, and `echo()` renders the fully resolved configuration in
 canonical form (parse(echo(cfg)) is the identity).
@@ -22,6 +23,7 @@ dimensionless runs must give `n_th` directly.  SI mode is accepted for
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -134,7 +136,7 @@ SCHEMA = {
     },
 }
 
-# sections a stage consumes (beyond [run])
+# sections a stage consumes (beyond [run]); any other is refused
 STAGE_SECTIONS = {
     "rdr": ("rdr",),
     "kernel": ("kernel",),
@@ -142,9 +144,12 @@ STAGE_SECTIONS = {
     "nlse": ("nlse", "grid"),
     "metric": ("metric", "nlse", "grid"),
     "kg": ("metric", "nlse", "grid", "kg"),
-    "pipeline": ("pipeline", "rdr", "kernel", "nlse", "grid", "kg", "lattice",
-                 "metric"),
+    "pipeline": ("pipeline", "rdr", "kernel", "nlse", "grid", "kg", "lattice"),
 }
+# [kg] keys of the kg stage's own launch, which the pipeline's crosscheck
+# seed (a cosine of mode_mx) does not read
+_PIPELINE_UNREAD_KG = ("seed", "dt", "t_final", "sample_every", "x_center",
+                       "sigma")
 
 _RDR_FREQ_KEYS = ("gamma_i", "kappa_prime", "kappa", "G", "Delta_bar",
                   "G0", "eps", "Delta", "omega_eval")
@@ -216,15 +221,14 @@ def _parse_value(tok: str, line: int):
 
 
 def _coerce(section, key, value, typ, choices, line):
-    if typ == "maybe":
-        if value is None:
-            return None
+    if typ == "maybe" and value is None:
+        return None
+    if typ in (float, "maybe"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{section}.{key} must be a number", line)
-        return float(value)
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key} must be a number", line)
+        # `nan`, `inf` and integers past the float range parse too
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{section}.{key} must be a finite number", line)
         return float(value)
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -325,6 +329,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_stage(cfg: RunConfig, lines_of) -> None:
+    # a section or key the stage never reads would be silently ignored
+    for (sec, key), ln in lines_of.items():
+        if sec != "run" and sec not in STAGE_SECTIONS[cfg.stage]:
+            raise ConfigError(
+                f"stage '{cfg.stage}' does not read a [{sec}] section", ln)
+        if cfg.stage == "pipeline" and sec == "kg" \
+                and key in _PIPELINE_UNREAD_KG:
+            raise ConfigError(f"kg.{key} is not read by stage = pipeline", ln)
     # only [rdr] is rescaled by ω_i; any other stage would read its
     # couplings, rates and grid as natural units without saying so
     if cfg.units == "SI" and cfg.stage != "rdr":
@@ -359,24 +371,41 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
         _check_sides(cfg, lines_of, "grid", ("nx", "ny"), ("dx", "dy"))
     if cfg.stage == "lattice":
         _check_sides(cfg, lines_of, "lattice", ("nx", "ny"), ("h",), min_side=4)
+    def require(ok, section, key, rule):
+        if not ok:
+            raise ConfigError(f"{section}.{key} {rule}",
+                              _line(lines_of, section, key))
+
     # the photon mass divides the kinetic term and the conformal factor
     # n/(m c); the array's continuum map m = ħ/(2Jh²) divides by J
     model = cfg["pipeline"]["model"] if cfg.stage == "pipeline" else None
     if cfg.stage in ("nlse", "metric", "kg") or model == "microcavity":
-        _check_nonzero(cfg, lines_of, "nlse", "m")
+        require(cfg["nlse"]["m"] != 0, "nlse", "m", "must be nonzero")
     if cfg.stage == "lattice" or model == "array":
-        _check_nonzero(cfg, lines_of, "lattice", "J")
-    # a negative count would book time and phase for a field never evolved
-    if "nlse" in cfg.sections:
-        for key in ("steps", "snapshot_every"):
-            if cfg.sections["nlse"][key] < 0:
-                raise ConfigError(f"nlse.{key} must be >= 0",
-                                  _line(lines_of, "nlse", key))
-    # the kg stage's trace is its samples: a stride of 0 records none, and
-    # a negative one has no next sample
-    if "kg" in cfg.sections and cfg.sections["kg"]["sample_every"] < 1:
-        raise ConfigError("kg.sample_every must be >= 1",
-                          _line(lines_of, "kg", "sample_every"))
+        require(cfg["lattice"]["J"] != 0, "lattice", "J", "must be nonzero")
+    sec = cfg.sections
+    if "nlse" in sec:
+        # a negative count would book time and phase for a field never
+        # evolved; the uniform background's amplitude is √density
+        for key in ("steps", "snapshot_every", "density"):
+            require(sec["nlse"][key] >= 0, "nlse", key, "must be >= 0")
+    # an unset dt is chosen by the stage; a set one steps forward in time
+    for name in ("nlse", "kg", "lattice", "kernel"):
+        dt = sec.get(name, {}).get("dt")
+        require(dt is None or dt > 0, name, "dt", "must be positive")
+    # the tanh1d profile divides by the width
+    if "metric" in sec:
+        require(sec["metric"]["width"] > 0, "metric", "width",
+                "must be positive")
+    if "kg" in sec:
+        kg = sec["kg"]
+        # the kg stage's trace is its samples: a stride of 0 records none,
+        # and a negative one has no next sample
+        require(kg["sample_every"] >= 1, "kg", "sample_every", "must be >= 1")
+        # a zero seed carries no energy, so its trace has no centre
+        require(kg["amplitude"] != 0, "kg", "amplitude", "must be nonzero")
+        require(kg["seed"] != "mode" or kg["mode_mx"] >= 1, "kg", "mode_mx",
+                "must be >= 1")
     if cfg.stage == "kernel":
         k = cfg.sections["kernel"]
         line = lines_of.get(("kernel", None), 1)
@@ -406,12 +435,6 @@ def _check_sides(cfg: RunConfig, lines_of, section, sides, spacings,
                 f"{section}.{key} must be positive",
                 _line(lines_of, section, key),
             )
-
-
-def _check_nonzero(cfg: RunConfig, lines_of, section, key) -> None:
-    if cfg.sections[section][key] == 0:
-        raise ConfigError(f"{section}.{key} must be nonzero",
-                          _line(lines_of, section, key))
 
 
 def _rdr_to_natural(cfg: RunConfig) -> None:

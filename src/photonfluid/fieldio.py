@@ -31,7 +31,7 @@ import zlib
 import numpy as np
 
 from .errors import FieldFormatError
-from .fluid import ComplexField2D
+from .fluid import ComplexField2D, Grid
 
 __all__ = ["write_field", "read_field", "HEADER_SIZE", "MAGIC"]
 
@@ -52,9 +52,9 @@ def write_field(path, field: ComplexField2D, sidecar: dict | None = None) -> Non
     """
     data = memoryview(np.ascontiguousarray(field.data, dtype="<c16")).cast("B")
     units = str(field.meta.get("units", "natural")).encode()[:8]
+    g = field.grid
     header = struct.pack(
-        _HEADER_FMT, MAGIC, VERSION, ENDIAN_SENTINEL,
-        field.nx, field.ny, field.dx, field.dy,
+        _HEADER_FMT, MAGIC, VERSION, ENDIAN_SENTINEL, g.nx, g.ny, g.dx, g.dy,
         units.ljust(8, b"\x00"), zlib.crc32(data),
     )
     tmp = f"{path}.tmp"
@@ -115,6 +115,7 @@ def read_field(path) -> ComplexField2D:
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise FieldFormatError(f"corrupt sidecar {sidecar}: {exc}") from exc
     try:
-        return ComplexField2D(int(nx), int(ny), float(dx), float(dy), arr, meta)
+        return ComplexField2D(Grid(int(nx), int(ny), float(dx), float(dy)),
+                              arr, meta)
     except ValueError as exc:
         raise FieldFormatError(f"invalid field: {exc}") from exc

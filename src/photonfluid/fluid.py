@@ -16,8 +16,9 @@ whose uniform-background normal modes disperse as
 
 Attractive interactions (𝒢m < 0) make c_ex imaginary: long modes grow
 (modulational instability) and the dispersion is returned with an
-imaginary part.  Grids are FFT-friendly (power-of-two sides) and cell
-coordinates are centered on the box.
+imaginary part.  Fields live on a `Grid`, the one definition of shape,
+spacing, box-centred coordinates and periodic wavenumbers; their sides are
+powers of two (FFT friendly).
 
 The split step of `evolve` and the imaginary-time step of `ground_state`
 share one in-place kinetic kernel.  Each 2-D transform is two per-axis
@@ -39,9 +40,9 @@ Every transform is per row or per column and every kick sees the same
 rows, so the result does not depend on the block count.
 
 The module also holds the numerical kernels every linear stage of the
-package shares: `wavenumbers` builds the periodic k-grid and `spectral_d`
-the spectral derivative of a real field on it; `rk4` is the one classical
-RK4 driver (with a per-step finiteness check) and `rk4_power` its closed
+package shares: `spectral_d` is the spectral derivative of a real field
+along one of `Grid.k()`'s wavenumber grids; `rk4` is the one classical RK4
+integrator (with a per-step finiteness check) and `rk4_power` its closed
 form for constant-coefficient systems.
 """
 
@@ -57,6 +58,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, StepSizeError
 
 __all__ = [
+    "Grid",
     "ComplexField2D",
     "FluidParams",
     "MeasuredMode",
@@ -69,7 +71,6 @@ __all__ = [
     "bogoliubov_dispersion",
     "measure_dispersion",
     "uniform_background",
-    "wavenumbers",
     "spectral_d",
     "rk4",
 ]
@@ -79,17 +80,59 @@ def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
-def wavenumbers(nx: int, ny: int, dx: float, dy: float):
-    """Angular wavenumbers of a periodic nx×ny grid in FFT order: kx as an
-    (nx, 1) column and ky as a (1, ny) row."""
-    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=dx)
-    ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=dy)
-    return kx[:, None], ky[None, :]
+@dataclass(frozen=True)
+class Grid:
+    """Uniform periodic nx×ny grid with spacings dx, dy.
+
+    The one definition of the grid's geometry: coordinates are centered on
+    the box, x = (i − nx//2)·dx and y = (j − ny//2)·dy, and `k()` gives the
+    angular wavenumbers in FFT order.  Nothing field-sized is cached.
+    """
+
+    nx: int
+    ny: int
+    dx: float
+    dy: float
+
+    def __post_init__(self):
+        if not (self.dx > 0 and self.dy > 0):
+            raise ValueError("dx and dy must be positive")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.nx, self.ny)
+
+    @property
+    def x(self) -> np.ndarray:
+        return (np.arange(self.nx) - self.nx // 2) * self.dx
+
+    @property
+    def y(self) -> np.ndarray:
+        return (np.arange(self.ny) - self.ny // 2) * self.dy
+
+    @property
+    def cell_area(self) -> float:
+        return self.dx * self.dy
+
+    def xy(self):
+        """Coordinate arrays X, Y of shape (nx, ny)."""
+        return np.meshgrid(self.x, self.y, indexing="ij")
+
+    def k(self):
+        """Angular wavenumbers of the periodic grid in FFT order: kx as an
+        (nx, 1) column and ky as a (1, ny) row."""
+        kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
+        ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
+        return kx[:, None], ky[None, :]
+
+    def k_squared(self) -> np.ndarray:
+        kx, ky = self.k()
+        return kx**2 + ky**2
 
 
 def spectral_d(f: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Spectral derivative real(ifft2(i·k·fft2 f)) of a real periodic field
-    along the axis of `k`, one of the two `wavenumbers` grids.  Taking the
+    along the axis of `k`, one of the two grids of `Grid.k()`.  Taking the
     real part drops the Nyquist mode of an even side."""
     return np.real(np.fft.ifft2(1j * k * np.fft.fft2(f)))
 
@@ -116,65 +159,35 @@ def rk4(rhs, y: tuple, dt: float, first: int, last: int, what: str) -> tuple:
 
 @dataclass
 class ComplexField2D:
-    """Complex amplitudes on a uniform periodic grid.
+    """Complex amplitudes on a `Grid` with power-of-two sides.
 
-    `data` has shape (nx, ny), C-order (the y index varies fastest), and
-    physical coordinates are centered: x = (ix − nx/2)·dx.
+    `data` has shape `grid.shape`, C-order (the y index varies fastest).
     """
 
-    nx: int
-    ny: int
-    dx: float
-    dy: float
+    grid: Grid
     data: np.ndarray
     meta: dict = _field(default_factory=dict)
 
     def __post_init__(self):
-        if not (_is_pow2(self.nx) and _is_pow2(self.ny)):
+        if not (_is_pow2(self.grid.nx) and _is_pow2(self.grid.ny)):
             raise ValueError("nx and ny must be powers of two (FFT-friendly)")
-        if not (self.dx > 0 and self.dy > 0):
-            raise ValueError("dx and dy must be positive")
         self.data = np.ascontiguousarray(self.data, dtype=np.complex128)
-        if self.data.shape != (self.nx, self.ny):
-            raise ValueError(f"data shape {self.data.shape} != ({self.nx}, {self.ny})")
+        if self.data.shape != self.grid.shape:
+            raise ValueError(f"data shape {self.data.shape} != {self.grid.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("field contains non-finite entries")
 
-    # -- geometry helpers ---------------------------------------------------
-    def x(self) -> np.ndarray:
-        return (np.arange(self.nx) - self.nx // 2) * self.dx
-
-    def y(self) -> np.ndarray:
-        return (np.arange(self.ny) - self.ny // 2) * self.dy
-
-    def xy(self):
-        return np.meshgrid(self.x(), self.y(), indexing="ij")
-
-    def kx(self) -> np.ndarray:
-        return wavenumbers(self.nx, self.ny, self.dx, self.dy)[0].ravel()
-
-    def ky(self) -> np.ndarray:
-        return wavenumbers(self.nx, self.ny, self.dx, self.dy)[1].ravel()
-
-    def k_squared(self) -> np.ndarray:
-        kx, ky = wavenumbers(self.nx, self.ny, self.dx, self.dy)
-        return kx**2 + ky**2
-
-    def cell_area(self) -> float:
-        return self.dx * self.dy
-
     def norm_sq(self) -> float:
         """∫|Ψ|² dx dy on the grid."""
-        return float(np.sum(np.abs(self.data) ** 2) * self.cell_area())
+        return float(np.sum(np.abs(self.data) ** 2) * self.grid.cell_area)
 
     def copy(self) -> "ComplexField2D":
-        return ComplexField2D(self.nx, self.ny, self.dx, self.dy,
-                              self.data.copy(), dict(self.meta))
+        return ComplexField2D(self.grid, self.data.copy(), dict(self.meta))
 
     @classmethod
-    def filled(cls, nx, ny, dx, dy, value=0.0, meta=None):
-        data = np.full((nx, ny), value, dtype=np.complex128)
-        return cls(nx, ny, dx, dy, data, meta or {})
+    def filled(cls, grid: Grid, value=0.0, meta=None):
+        return cls(grid, np.full(grid.shape, value, dtype=np.complex128),
+                   meta or {})
 
 
 @dataclass
@@ -197,8 +210,8 @@ class FluidParams:
     def potential_grid(self, psi: ComplexField2D) -> np.ndarray:
         V = np.asarray(self.V, dtype=float)
         if V.ndim == 0:
-            return np.full((psi.nx, psi.ny), float(V))
-        if V.shape != (psi.nx, psi.ny):
+            return np.full(psi.grid.shape, float(V))
+        if V.shape != psi.grid.shape:
             raise ValueError("potential grid does not match the field grid")
         return V
 
@@ -289,7 +302,7 @@ def split_step_cfl(psi: ComplexField2D, p: FluidParams, dt: float) -> float:
     nmax = float(np.max(np.abs(psi.data) ** 2))
     rate = max(
         float(np.max(np.abs(V))) + abs(p.G_kerr) * nmax,
-        float(np.max(psi.k_squared())) / (2.0 * abs(p.m)),
+        float(np.max(psi.grid.k_squared())) / (2.0 * abs(p.m)),
     )
     return dt * rate
 
@@ -343,7 +356,7 @@ def evolve(
     v_mean = float(np.mean(p.V))
     # a scalar V is a global phase only: no grid for it
     Vc = p.potential_grid(psi) - v_mean if np.ndim(p.V) else None
-    kin = np.exp(-1j * dt * psi.k_squared() / (2.0 * p.m))
+    kin = np.exp(-1j * dt * psi.grid.k_squared() / (2.0 * p.m))
     np.conjugate(kin, out=kin)
     kin *= 1.0 / kin.size
     G = p.G_kerr
@@ -391,7 +404,7 @@ def evolve(
 
     def field(f, step):
         meta = dict(psi.meta, phase_offset=offset + v_mean * dt * step)
-        return ComplexField2D(psi.nx, psi.ny, psi.dx, psi.dy, f, meta)
+        return ComplexField2D(psi.grid, f, meta)
 
     pool = None
     if nb > 1:
@@ -425,12 +438,12 @@ def evolve(
 def gp_energy(psi: ComplexField2D, p: FluidParams) -> float:
     """Gross-Pitaevskii energy ∫ [ |∇Ψ|²/2m + V|Ψ|² + (𝒢/2)|Ψ|⁴ ] dx dy."""
     fk = np.fft.fft2(psi.data)
-    kin = np.sum(psi.k_squared() * np.abs(fk) ** 2) / (psi.nx * psi.ny) / (2.0 * p.m)
+    kin = np.sum(psi.grid.k_squared() * np.abs(fk) ** 2) / fk.size / (2.0 * p.m)
     n = np.abs(psi.data) ** 2
     V = p.potential_grid(psi)
     pot = np.sum(V * n)
     inter = 0.5 * p.G_kerr * np.sum(n * n)
-    return float((kin + pot + inter) * psi.cell_area())
+    return float((kin + pot + inter) * psi.grid.cell_area)
 
 
 def _normalize(data: np.ndarray, target: float, area: float) -> np.ndarray:
@@ -451,7 +464,7 @@ class CollapseError(ConvergenceError):
 def ground_state(
     p: FluidParams,
     n_total: float,
-    grid: tuple,
+    grid: Grid,
     dtau: float | None = None,
     tol: float = 1e-10,
     max_iter: int = 200_000,
@@ -465,7 +478,6 @@ def ground_state(
     piling up until the local healing length falls below the grid) raises
     instead of silently returning garbage.
     """
-    nx, ny, dx, dy = grid
     if p.m < 0:
         Vneg = -np.asarray(p.V) if isinstance(p.V, np.ndarray) else -p.V
         conj = FluidParams(m=-p.m, G_kerr=-p.G_kerr, V=Vneg)
@@ -473,19 +485,20 @@ def ground_state(
         gs.data = np.conj(gs.data)
         return gs
 
-    psi = ComplexField2D.filled(nx, ny, dx, dy, 1.0)
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    psi = ComplexField2D.filled(grid, 1.0)
     V = p.potential_grid(psi)
     if np.ptp(V) > 0:
         # trapped start: isotropic gaussian at the potential minimum
-        X, Y = psi.xy()
+        X, Y = grid.xy()
         i0 = np.unravel_index(np.argmin(V), V.shape)
         w = max(4 * max(dx, dy), 0.5 * min(nx * dx, ny * dy) / 8)
         psi.data = np.exp(-(((X - X[i0]) ** 2 + (Y - Y[i0]) ** 2) / (2 * w * w)))
     # complex even for the real trapped start: the kinetic step is in place
     psi.data = _normalize(np.asarray(psi.data, dtype=np.complex128), n_total,
-                          psi.cell_area())
+                          grid.cell_area)
 
-    k2 = psi.k_squared()
+    k2 = grid.k_squared()
     if dtau is None:
         dtau = 0.25 / max(float(np.max(k2)) / (2 * p.m), abs(p.G_kerr) * n_total
                           / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
@@ -501,7 +514,7 @@ def ground_state(
         f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
         _kinetic_step(f, kin)
         f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
-        f = _normalize(f, n_total, psi.cell_area())
+        f = _normalize(f, n_total, grid.cell_area)
         if attractive and it % 2 == 0:
             peak = float(np.max(f.real**2 + f.imag**2))
             if not np.isfinite(peak):
@@ -607,8 +620,9 @@ def linearized_step(
             "background amplitude has (near-)zeros; use the geometry module's "
             "masked-region handling for fields with nodes or vortex cores"
         )
-    kx, ky = wavenumbers(psi0.nx, psi0.ny, psi0.dx, psi0.dy)
-    k2 = psi0.k_squared()
+    grid = psi0.grid
+    kx, ky = grid.k()
+    k2 = grid.k_squared()
     f0k = np.fft.fft2(psi0.data)
     gx = np.fft.ifft2(1j * kx * f0k) / psi0.data
     gy = np.fft.ifft2(1j * ky * f0k) / psi0.data
@@ -623,8 +637,8 @@ def linearized_step(
         kmul = 1j * (inv2m * (-k2) + invm * (gx.flat[0] * 1j * kx
                                              + gy.flat[0] * 1j * ky))
         c = nG.flat[0]
-        neg = (-np.arange(psi0.nx) % psi0.nx)[:, None], \
-            (-np.arange(psi0.ny) % psi0.ny)[None, :]
+        neg = (-np.arange(grid.nx) % grid.nx)[:, None], \
+            (-np.arange(grid.ny) % grid.ny)[None, :]
         zc = dt * 1j * c
         p00, p01, _, _ = rk4_power(
             (dt * kmul - zc, -zc, zc, dt * np.conj(kmul[neg]) + zc), steps)
@@ -661,18 +675,18 @@ def bogoliubov_dispersion(k, n: float, p: FluidParams):
     return complex(out) if out.ndim == 0 else out
 
 
-def uniform_background(nx, ny, dx, dy, density=1.0, flow_mode=(0, 0)) -> ComplexField2D:
+def uniform_background(grid: Grid, density=1.0, flow_mode=(0, 0)) -> ComplexField2D:
     """Uniform density √n with an optional quantized flow phase e^{i k₀·r}.
 
     `flow_mode` counts reciprocal-lattice quanta, so the state is exactly
     periodic; the flow velocity is ħk₀/m for the consumer's mass.
     """
-    psi = ComplexField2D.filled(nx, ny, dx, dy, np.sqrt(density))
+    psi = ComplexField2D.filled(grid, np.sqrt(density))
     mx, my = flow_mode
     if mx or my:
-        X, Y = psi.xy()
-        k0x = 2.0 * np.pi * mx / (nx * dx)
-        k0y = 2.0 * np.pi * my / (ny * dy)
+        X, Y = grid.xy()
+        k0x = 2.0 * np.pi * mx / (grid.nx * grid.dx)
+        k0y = 2.0 * np.pi * my / (grid.ny * grid.dy)
         psi.data = psi.data * np.exp(1j * (k0x * X + k0y * Y))
         psi.meta["flow_k"] = (k0x, k0y)
     return psi
@@ -719,12 +733,12 @@ def measure_dispersion(
     (modulational instability of attractive backgrounds).
     """
     n = float(np.mean(np.abs(psi0.data) ** 2))
-    x = psi0.x()
-    area = psi0.nx * psi0.ny
+    x = psi0.grid.x
+    area = psi0.data.size
     if dt is None:
         # spectral-radius bound of the linearized operator; RK4 is stable to
         # |λ|dt ≈ 2.8 and the seeded mode itself sits far below the bound
-        lam = float(np.max(psi0.k_squared())) / (2 * abs(p.m)) \
+        lam = float(np.max(psi0.grid.k_squared())) / (2 * abs(p.m)) \
             + 2.0 * abs(n * p.G_kerr)
         dt = 1.0 / lam
     results = []
@@ -741,8 +755,8 @@ def measure_dispersion(
         stride = max(1, int(round(sample_dt / dt))) or 1
         n_samples = max(16, int(np.ceil(T / (stride * dt))))
 
-        phi = ComplexField2D.filled(psi0.nx, psi0.ny, psi0.dx, psi0.dy, 0.0)
-        phi.data = amplitude * np.repeat(np.cos(k * x)[:, None], psi0.ny, axis=1)
+        phi = ComplexField2D.filled(psi0.grid, 0.0)
+        phi.data = amplitude * np.repeat(np.cos(k * x)[:, None], psi0.grid.ny, axis=1)
         carrier = np.exp(-1j * k * x)[:, None]
 
         series = np.empty(n_samples, dtype=complex)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .errors import NumericalError, PhysicsGateError
-from .fluid import (ComplexField2D, FluidParams, is_uniform, rk4, rk4_power,
-                    spectral_d, wavenumbers)
+from .fluid import (ComplexField2D, FluidParams, Grid, is_uniform, rk4,
+                    rk4_power, spectral_d)
 from .unwrap import unwrap_least_squares
 
 __all__ = [
@@ -77,8 +77,8 @@ def madelung(psi: ComplexField2D, floor_rel: float = 1e-8) -> MadelungResult:
     vortices = [(int(i), int(j), int(res[i, j]))
                 for i, j in zip(*np.nonzero(res))]
     for (i, j, _) in vortices:
-        i0, i1 = max(0, i - 1), min(psi.nx, i + 3)
-        j0, j1 = max(0, j - 1), min(psi.ny, j + 3)
+        i0, i1 = max(0, i - 1), min(psi.grid.nx, i + 3)
+        j0, j1 = max(0, j - 1), min(psi.grid.ny, j + 3)
         mask[i0:i1, j0:j1] = False
     return MadelungResult(n=n, theta=theta, vortices=vortices, mask=mask)
 
@@ -91,14 +91,12 @@ def healing_length(m, c2):
 
 @dataclass
 class HydroFields:
-    """Hydrodynamic background on a grid: density n, phase θ (optional for
-    imposed flows), flow velocity (vx, vy), squared excitation speed c2
-    and healing length xi; `mask` marks trusted points."""
+    """Hydrodynamic background on a `Grid` (any side lengths): density n,
+    phase θ (optional for imposed flows), flow velocity (vx, vy), squared
+    excitation speed c2 and healing length xi; `mask` marks trusted
+    points."""
 
-    nx: int
-    ny: int
-    dx: float
-    dy: float
+    grid: Grid
     m: float
     G: float
     n: np.ndarray
@@ -108,60 +106,41 @@ class HydroFields:
     xi: np.ndarray
     theta: np.ndarray | None = None
     mask: np.ndarray | None = None
-    x0: float = 0.0
-    y0: float = 0.0
     meta: dict = _field(default_factory=dict)
 
     def __post_init__(self):
         if self.mask is None:
-            self.mask = np.ones((self.nx, self.ny), dtype=bool)
-
-    def x(self) -> np.ndarray:
-        return self.x0 + np.arange(self.nx) * self.dx
-
-    def y(self) -> np.ndarray:
-        return self.y0 + np.arange(self.ny) * self.dy
+            self.mask = np.ones(self.grid.shape, dtype=bool)
 
     @classmethod
     def from_field(cls, psi: ComplexField2D, p: FluidParams) -> "HydroFields":
         """Madelung-decompose a mean field; v₀ = ∇θ/m by finite differences
         of the unwrapped phase."""
         md = madelung(psi)
-        gx, gy = np.gradient(md.theta, psi.dx, psi.dy)
+        gx, gy = np.gradient(md.theta, psi.grid.dx, psi.grid.dy)
         c2 = md.n * p.G_kerr / p.m
         return cls(
-            nx=psi.nx, ny=psi.ny, dx=psi.dx, dy=psi.dy, m=p.m, G=p.G_kerr,
+            grid=psi.grid, m=p.m, G=p.G_kerr,
             n=md.n, vx=gx / p.m, vy=gy / p.m, c2=c2,
             xi=healing_length(p.m, c2), theta=md.theta, mask=md.mask,
-            x0=float(psi.x()[0]), y0=float(psi.y()[0]),
             meta={"vortices": md.vortices},
         )
 
     @classmethod
-    def uniform(cls, nx, ny, dx, dy, m, G, density=1.0, vx=0.0, vy=0.0):
-        n = np.full((nx, ny), float(density))
-        c2 = n * G / m
-        return cls(nx=nx, ny=ny, dx=dx, dy=dy, m=m, G=G, n=n,
-                   vx=np.full((nx, ny), float(vx)),
-                   vy=np.full((nx, ny), float(vy)),
-                   c2=c2, xi=healing_length(m, c2),
-                   x0=-(nx // 2) * dx, y0=-(ny // 2) * dy)
+    def uniform(cls, grid: Grid, m, G, density=1.0, vx=0.0, vy=0.0):
+        return cls.from_profiles(grid, m, G, n=density, vx=vx, vy=vy)
 
     @classmethod
-    def from_profiles(cls, x, y, m, G, n, vx, vy, c2=None):
-        """Imposed analytic background: broadcastable arrays over (x, y)."""
-        nx, ny = len(x), len(y)
-        shape = (nx, ny)
-        n = np.broadcast_to(np.asarray(n, float), shape).copy()
-        vx = np.broadcast_to(np.asarray(vx, float), shape).copy()
-        vy = np.broadcast_to(np.asarray(vy, float), shape).copy()
-        if c2 is None:
-            c2 = n * G / m
-        else:
-            c2 = np.broadcast_to(np.asarray(c2, float), shape).copy()
-        return cls(nx=nx, ny=ny, dx=float(x[1] - x[0]), dy=float(y[1] - y[0]),
-                   m=m, G=G, n=n, vx=vx, vy=vy, c2=c2,
-                   xi=healing_length(m, c2), x0=float(x[0]), y0=float(y[0]))
+    def from_profiles(cls, grid: Grid, m, G, n, vx, vy, c2=None):
+        """Imposed analytic background: arrays (or scalars) broadcastable
+        to the grid; c2 defaults to n𝒢/m."""
+        def full(a):
+            return np.broadcast_to(np.asarray(a, float), grid.shape).copy()
+
+        n, vx, vy = full(n), full(vx), full(vy)
+        c2 = n * G / m if c2 is None else full(c2)
+        return cls(grid=grid, m=m, G=G, n=n, vx=vx, vy=vy, c2=c2,
+                   xi=healing_length(m, c2))
 
 
 def hydro_linear_step(
@@ -191,7 +170,8 @@ def hydro_linear_step(
     if fields.mask is not None and not np.all(fields.mask):
         raise PhysicsGateError("background has masked points; hydro step needs "
                                "a clean (residue-free) region")
-    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
+    grid = fields.grid
+    kx, ky = grid.k()
     n, vx, vy, m = fields.n, fields.vx, fields.vy, fields.m
     # local mc²/n = 𝒢, kept pointwise for generality
     mc2_over_n = np.where(n > 0, m * fields.c2 / n, 0.0)
@@ -200,10 +180,10 @@ def hydro_linear_step(
             and is_uniform(mc2_over_n):
         # ∂ of a real field is i·k with the Nyquist row/column dropped
         kx, ky = kx.copy(), ky.copy()
-        if fields.nx % 2 == 0:
-            kx[fields.nx // 2] = 0.0
-        if fields.ny % 2 == 0:
-            ky[:, fields.ny // 2] = 0.0
+        if grid.nx % 2 == 0:
+            kx[grid.nx // 2] = 0.0
+        if grid.ny % 2 == 0:
+            ky[:, grid.ny // 2] = 0.0
         k2 = kx * kx + ky * ky
         n0, g = n.flat[0], mc2_over_n.flat[0]
         q = 0.25 / (m * n0) if quantum_pressure else 0.0
@@ -246,7 +226,7 @@ def estimate_density_fluctuation(
     """
     if np.any(fields.c2 <= 0):
         raise PhysicsGateError("c_ex² <= 0 somewhere: no hydrodynamic regime")
-    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
+    kx, ky = fields.grid.k()
     adv = fields.vx * spectral_d(dtheta, kx) + fields.vy * spectral_d(dtheta, ky)
     return -(fields.n / (fields.m * fields.c2)) * (adv + dtheta_t)
 
@@ -269,12 +249,7 @@ class MetricField:
     Lorentzian.
     """
 
-    nx: int
-    ny: int
-    dx: float
-    dy: float
-    x0: float
-    y0: float
+    grid: Grid
     m: float
     n: np.ndarray
     c2: np.ndarray
@@ -287,18 +262,12 @@ class MetricField:
     def lorentzian(self) -> np.ndarray:
         return self.signature == LORENTZIAN
 
-    def x(self) -> np.ndarray:
-        return self.x0 + np.arange(self.nx) * self.dx
-
-    def y(self) -> np.ndarray:
-        return self.y0 + np.arange(self.ny) * self.dy
-
     @property
     def g(self) -> np.ndarray:
         """g₀₀ = −Ω(c² − v·v), g₀ᵢ = −Ωvᵢ, gᵢⱼ = Ωδᵢⱼ."""
         conformal, vx, vy = self.conformal, self.vx, self.vy
         v2 = vx * vx + vy * vy
-        g = np.full((self.nx, self.ny, 3, 3), np.nan)
+        g = np.full(self.grid.shape + (3, 3), np.nan)
         g[..., 0, 0] = -conformal * (self.c2 - v2)
         g[..., 0, 1] = g[..., 1, 0] = -conformal * vx
         g[..., 0, 2] = g[..., 2, 0] = -conformal * vy
@@ -312,7 +281,7 @@ class MetricField:
     def g_inv(self) -> np.ndarray:
         """g⁰⁰ = −1/(Ωc²), g⁰ⁱ = −vᵢ/(Ωc²), gⁱʲ = (δᵢⱼ − vᵢvⱼ/c²)/Ω."""
         conformal, c2, vx, vy = self.conformal, self.c2, self.vx, self.vy
-        g_inv = np.full((self.nx, self.ny, 3, 3), np.nan)
+        g_inv = np.full(self.grid.shape + (3, 3), np.nan)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_oc2 = 1.0 / (conformal * c2)
             g_inv[..., 0, 0] = -inv_oc2
@@ -343,9 +312,8 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
     vanishing density marks a point Degenerate.
     """
     n, c2, vx, vy, m = fields.n, fields.c2, fields.vx, fields.vy, fields.m
-    nx, ny = fields.nx, fields.ny
 
-    signature = np.full((nx, ny), DEGENERATE, dtype=np.uint8)
+    signature = np.full(fields.grid.shape, DEGENERATE, dtype=np.uint8)
     signature[c2 > 0] = LORENTZIAN
     signature[c2 < 0] = EUCLIDEAN
     signature[n <= n_floor] = DEGENERATE
@@ -366,9 +334,9 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
         np.sqrt(sqrt_mg, out=sqrt_mg)
 
     return MetricField(
-        nx=nx, ny=ny, dx=fields.dx, dy=fields.dy, x0=fields.x0, y0=fields.y0,
-        m=m, n=n.copy(), c2=c2.copy(), vx=vx.copy(), vy=vy.copy(),
-        conformal=conformal, sqrt_minus_g=sqrt_mg, signature=signature,
+        grid=fields.grid, m=m, n=n.copy(), c2=c2.copy(), vx=vx.copy(),
+        vy=vy.copy(), conformal=conformal, sqrt_minus_g=sqrt_mg,
+        signature=signature,
     )
 
 
@@ -510,4 +478,4 @@ def find_horizon(fields: HydroFields) -> list:
     if np.any(fields.c2 <= 0):
         raise PhysicsGateError("horizon analysis requires c_ex² > 0 on the grid")
     F = fields.vx**2 + fields.vy**2 - fields.c2
-    return marching_squares(F, fields.x(), fields.y(), level=0.0)
+    return marching_squares(F, fields.grid.x, fields.grid.y, level=0.0)

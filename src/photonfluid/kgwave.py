@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NumericalError, PhysicsGateError, StepSizeError
 from .fluid import (ComplexField2D, FluidParams, is_uniform, linearized_step,
-                    rk4, rk4_power, spectral_d, wavenumbers)
+                    rk4, rk4_power, spectral_d)
 from .geometry import LORENTZIAN, HydroFields, MetricField, build_metric
 
 __all__ = [
@@ -83,12 +83,13 @@ def kg_coefficients(metric: MetricField):
 def sonic_cfl_dt(metric: MetricField) -> float:
     """Sonic CFL bound ½ min(dx,dy)/max(c_ex + |v₀|) of the RK4 stepper."""
     speed = float(np.max(np.sqrt(metric.c2) + np.hypot(metric.vx, metric.vy)))
-    return 0.5 * min(metric.dx, metric.dy) / speed
+    return 0.5 * min(metric.grid.dx, metric.grid.dy) / speed
 
 
-def _flux(th, u, coeffs, dx, dy):
+def _flux(th, u, coeffs, grid):
     """Bˣ∂ₓu + Bʸ∂ᵧu + ∂ₓ(Bˣu) + ∂ᵧ(Bʸu) + ∂ᵢ(C^{ij}∂ⱼδθ), centred."""
     _, Bx, By, Cxx, Cxy, Cyy = coeffs
+    dx, dy = grid.dx, grid.dy
     thx, thy = _dx_c(th, dx), _dy_c(th, dy)
     return (Bx * _dx_c(u, dx) + By * _dy_c(u, dy)
             + _dx_c(Bx * u, dx) + _dy_c(By * u, dy)
@@ -96,12 +97,12 @@ def _flux(th, u, coeffs, dx, dy):
             + _dy_c(Cxy * thx + Cyy * thy, dy))
 
 
-def _energy(th, u, coeffs, dx, dy) -> float:
+def _energy(th, u, coeffs, grid) -> float:
     A, _, _, Cxx, Cxy, Cyy = coeffs
-    thx, thy = _dx_c(th, dx), _dy_c(th, dy)
+    thx, thy = _dx_c(th, grid.dx), _dy_c(th, grid.dy)
     dens = -0.5 * A * np.asarray(u) ** 2 \
         + 0.5 * (Cxx * thx**2 + 2 * Cxy * thx * thy + Cyy * thy**2)
-    return float(np.sum(dens) * dx * dy)
+    return float(np.sum(dens) * grid.cell_area)
 
 
 def dalembertian(
@@ -115,12 +116,12 @@ def dalembertian(
     Missing time derivatives are treated as zero (static field).  Output
     is NaN wherever the centred stencil touches a non-Lorentzian point.
     """
-    nx, ny = metric.nx, metric.ny
+    shape = metric.grid.shape
     coeffs = kg_coefficients(metric)
     th = np.asarray(dtheta, float)
-    u = np.zeros((nx, ny)) if dtheta_dot is None else np.asarray(dtheta_dot, float)
-    udot = np.zeros((nx, ny)) if dtheta_ddot is None else np.asarray(dtheta_ddot, float)
-    out = (coeffs[0] * udot + _flux(th, u, coeffs, metric.dx, metric.dy)) \
+    u = np.zeros(shape) if dtheta_dot is None else np.asarray(dtheta_dot, float)
+    udot = np.zeros(shape) if dtheta_ddot is None else np.asarray(dtheta_ddot, float)
+    out = (coeffs[0] * udot + _flux(th, u, coeffs, metric.grid)) \
         / metric.sqrt_minus_g
 
     good = metric.lorentzian()
@@ -148,13 +149,12 @@ def kg_energy(dtheta, dtheta_dot, metric: MetricField) -> float:
     Conserved on static backgrounds; positive definite only where the
     flow is subcritical (C is indefinite inside a superexcitonic region).
     """
-    return _energy(dtheta, dtheta_dot, kg_coefficients(metric),
-                   metric.dx, metric.dy)
+    return _energy(dtheta, dtheta_dot, kg_coefficients(metric), metric.grid)
 
 
 def _energy_density(dtheta, dtheta_dot, metric: MetricField) -> np.ndarray:
-    thx = _dx_c(dtheta, metric.dx)
-    thy = _dy_c(dtheta, metric.dy)
+    thx = _dx_c(dtheta, metric.grid.dx)
+    thy = _dy_c(dtheta, metric.grid.dy)
     # positive tracking density: fluid-frame kinetic + gradient energy
     comoving = np.asarray(dtheta_dot) + metric.vx * thx + metric.vy * thy
     with np.errstate(invalid="ignore"):
@@ -168,8 +168,8 @@ def center_of_energy(dtheta, dtheta_dot, metric: MetricField):
     tot = float(np.sum(dens))
     if tot <= 0:
         raise ValueError("zero field: center of energy undefined")
-    X = metric.x()[:, None]
-    Y = metric.y()[None, :]
+    X = metric.grid.x[:, None]
+    Y = metric.grid.y[None, :]
     return float(np.sum(X * dens) / tot), float(np.sum(Y * dens) / tot)
 
 
@@ -208,7 +208,7 @@ def kg_evolve(
         raise StepSizeError(f"CFL violation: dt = {dt:.3g} > {dt_max:.3g}")
 
     coeffs = kg_coefficients(metric)
-    dx, dy = metric.dx, metric.dy
+    grid = metric.grid
     if steps > 0 and dt <= dt_max and is_uniform(*coeffs):
         advance = _kg_mode_propagator(metric, dt,
                                       *(f.flat[0] for f in coeffs))
@@ -216,7 +216,7 @@ def kg_evolve(
         inv_negA = 1.0 / (-coeffs[0])
 
         def rhs(th, u):
-            return u, inv_negA * _flux(th, u, coeffs, dx, dy)
+            return u, inv_negA * _flux(th, u, coeffs, grid)
 
         def advance(th, u, first, last):
             return rk4(rhs, (th, u), dt, first, last, "Klein-Gordon field")
@@ -227,7 +227,7 @@ def kg_evolve(
     if sample_every:
         times.append(0.0)
         snaps.append((th.copy(), u.copy()))
-        energies.append(_energy(th, u, coeffs, dx, dy))
+        energies.append(_energy(th, u, coeffs, grid))
 
     # one stretch per sample: every `sample_every` steps and the last step
     step = 0
@@ -238,7 +238,7 @@ def kg_evolve(
         if sample_every:
             times.append(step * dt)
             snaps.append((th.copy(), u.copy()))
-            energies.append(_energy(th, u, coeffs, dx, dy))
+            energies.append(_energy(th, u, coeffs, grid))
 
     return KGResult(
         dtheta=th, dtheta_dot=u, t=steps * dt,
@@ -257,8 +257,9 @@ def _kg_mode_propagator(metric: MetricField, dt, A, Bx, By, Cxx, Cxy, Cyy):
     by one 2×2 amplification matrix.  Returns `advance(θ, u, first, last)`,
     which applies steps first+1 … last as that matrix's power.
     """
-    sx = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(metric.nx))[:, None] / metric.dx
-    sy = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(metric.ny))[None, :] / metric.dy
+    grid = metric.grid
+    sx = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(grid.nx))[:, None] / grid.dx
+    sy = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(grid.ny))[None, :] / grid.dy
     z = (0.0, dt,
          (dt / -A) * (Cxx * sx * sx + 2.0 * Cxy * sx * sy + Cyy * sy * sy),
          (2.0 * dt / -A) * (Bx * sx + By * sy))
@@ -293,8 +294,7 @@ def _seed_kxi(seed: np.ndarray, fields: HydroFields) -> float:
     peak = float(np.max(spec))
     if peak == 0.0:
         return 0.0
-    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
-    kk = np.sqrt(kx**2 + ky**2)
+    kk = np.sqrt(fields.grid.k_squared())
     live = spec > 1e-10 * peak
     xi = float(np.nanmean(fields.xi))
     return float(np.max(kk[live]) * xi)
@@ -326,21 +326,20 @@ def crosscheck_kg_vs_nlse(
         )
     metric = build_metric(fields)
 
-    kx, ky = wavenumbers(fields.nx, fields.ny, fields.dx, fields.dy)
+    kx, ky = fields.grid.k()
     thx = spectral_d(dtheta0, kx)
     thy = spectral_d(dtheta0, ky)
     u0 = -(fields.vx * thx + fields.vy * thy)
 
     dt_kg = 0.5 * sonic_cfl_dt(metric)
     dt_nl = 0.08 / max(
-        float(np.max(psi0.k_squared())) / (2 * abs(p.m)),
+        float(np.max(psi0.grid.k_squared())) / (2 * abs(p.m)),
         2.0 * abs(p.G_kerr) * float(np.max(np.abs(psi0.data)) ** 2),
     )
 
     t_s = t_final / n_samples
     th, u = np.asarray(dtheta0, float).copy(), u0
-    phi = ComplexField2D(psi0.nx, psi0.ny, psi0.dx, psi0.dy,
-                         1j * np.asarray(dtheta0, float))
+    phi = ComplexField2D(psi0.grid, 1j * np.asarray(dtheta0, float))
     times = np.zeros(n_samples + 1)
     errs = np.zeros(n_samples + 1)
     num = den = 0.0

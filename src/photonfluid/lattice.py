@@ -221,10 +221,9 @@ def continuum_error(
     uniform offset Ṽ = ω_c + 4J, and, for g′ ≠ 0, the eliminated contact
     coupling with the kernel written in this module's damping convention.
     """
-    if (lattice.a.shape != (p.Nx, p.Ny)
-            or (nlse_field.nx, nlse_field.ny) != (p.Nx, p.Ny)
-            or not np.isclose(nlse_field.dx, p.h)
-            or not np.isclose(nlse_field.dy, p.h)):
+    grid = nlse_field.grid
+    if (lattice.a.shape != (p.Nx, p.Ny) or grid.shape != (p.Nx, p.Ny)
+            or not np.isclose(grid.dx, p.h) or not np.isclose(grid.dy, p.h)):
         raise ValueError("incompatible grids between lattice and continuum field")
     # refuses J = 0 before any stepping; ω(k) curves as −Jh²k², so the
     # dynamically matched mass is the map's mass with the sign flipped
@@ -249,7 +248,7 @@ def continuum_error(
     else:
         if dt_nlse is None:
             dt_nlse = 0.05 / max(
-                float(np.max(nlse_field.k_squared())) / (2 * abs(m_dyn)),
+                float(np.max(grid.k_squared())) / (2 * abs(m_dyn)),
                 abs(v_tilde) + abs(G_eff) * float(np.max(np.abs(nlse_field.data)) ** 2),
                 1e-12,
             )

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from photonfluid.elimination import (KernelParams, memory_kernel,
                                      memory_kernel_inf, validate_elimination)
-from photonfluid.fluid import (ComplexField2D, FluidParams,
+from photonfluid.fluid import (ComplexField2D, FluidParams, Grid,
                                bogoliubov_dispersion, evolve, gp_energy,
                                measure_dispersion, uniform_background)
 from photonfluid.geometry import (EUCLIDEAN, LORENTZIAN, HydroFields,
@@ -113,9 +113,9 @@ def test_criterion_05_nlse_solver_properties():
     nx, dx = 128, 0.5
     base = np.ones((nx, nx), complex) + 0.05 * (
         rng.standard_normal((nx, nx)) + 1j * rng.standard_normal((nx, nx)))
-    psi = ComplexField2D(nx, nx, dx, dx, base)
+    psi = ComplexField2D(Grid(nx, nx, dx, dx), base)
     psi.data = np.fft.ifft2(np.fft.fft2(psi.data)
-                            * np.exp(-psi.k_squared() / 2))
+                            * np.exp(-psi.grid.k_squared() / 2))
     p = FluidParams(m=1.0, G_kerr=1.0)
     n0, e0 = psi.norm_sq(), gp_energy(psi, p)
     out = evolve(psi, p, 0.002, 1000)
@@ -124,8 +124,8 @@ def test_criterion_05_nlse_solver_properties():
 
     # Strang order: error against a dt/16 reference
     nx2, dx2 = 64, 0.25
-    psi2 = ComplexField2D.filled(nx2, nx2, dx2, dx2, 0.0)
-    X, Y = psi2.xy()
+    psi2 = ComplexField2D.filled(Grid(nx2, nx2, dx2, dx2), 0.0)
+    X, Y = psi2.grid.xy()
     psi2.data = np.exp(-(X**2 + Y**2) / 2).astype(complex) * np.exp(0.3j * X)
     psi2.data /= np.sqrt(psi2.norm_sq())
     p2 = FluidParams(m=1.0, G_kerr=1.5, V=0.5 * (X**2 + Y**2))
@@ -149,7 +149,7 @@ def test_criterion_05_nlse_solver_properties():
 def test_criterion_06_bogoliubov_dispersion():
     nx = 64
     L = 20 * np.pi
-    psi0 = uniform_background(nx, 4, L / nx, L / nx, density=1.0)
+    psi0 = uniform_background(Grid(nx, 4, L / nx, L / nx), density=1.0)
     p = FluidParams(m=1.0, G_kerr=1.0)          # c_ex = 1, xi = 1
     ks = [0.1, 0.3, 0.6, 1.0]
     res = measure_dispersion(psi0, p, ks, periods=16)
@@ -175,7 +175,7 @@ def test_criterion_07_lattice_continuum_limit():
     for mode in (1, 2, 4, 8):
         kh = 2 * np.pi * mode / Nx
         st_ = LatticeState.bloch(p, mode, 0)
-        fld = ComplexField2D(Nx, 4, h, h, st_.a.copy())
+        fld = ComplexField2D(Grid(Nx, 4, h, h), st_.a.copy())
         T = 2 * np.pi / (abs(J) * kh * kh)
         w_k = abs(lattice_dispersion(kh, 0.0, -4 * J, J))
         errs.append(continuum_error(
@@ -193,7 +193,7 @@ def test_criterion_08_metric_identities():
     rng = np.random.default_rng(8)
     nx = ny = 128                                  # 16384 > 1e4 points
     m = 1.7
-    f = HydroFields.uniform(nx, ny, 1.0, 1.0, m=m, G=1.0)
+    f = HydroFields.uniform(Grid(nx, ny, 1.0, 1.0), m=m, G=1.0)
     f.n = rng.uniform(0.1, 10.0, (nx, ny))
     f.c2 = rng.uniform(0.05, 4.0, (nx, ny))
     f.vx = rng.uniform(-3, 3, (nx, ny))
@@ -206,9 +206,9 @@ def test_criterion_08_metric_identities():
     prod = np.einsum("xyij,xyjk->xyik", met.g, met.g_inv)
     id_dev = float(np.max(np.abs(prod - np.eye(3))))
 
-    lor = build_metric(HydroFields.uniform(8, 8, 1, 1, m=-2.0, G=-1.0))
-    euc = build_metric(HydroFields.uniform(8, 8, 1, 1, m=2.0, G=-1.0))
-    euc2 = build_metric(HydroFields.uniform(8, 8, 1, 1, m=-2.0, G=1.0))
+    lor = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=-2.0, G=-1.0))
+    euc = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=2.0, G=-1.0))
+    euc2 = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=-2.0, G=1.0))
     sig_ok = (np.all(lor.signature == LORENTZIAN)
               and np.all(euc.signature == EUCLIDEAN)
               and np.all(euc2.signature == EUCLIDEAN))
@@ -225,8 +225,8 @@ def test_criterion_09_horizon_detection():
     X, Y = np.meshgrid(x, x, indexing="ij")
     r = np.maximum(np.hypot(X, Y), 0.25 * dx)
     D, c = 1.0, 0.5
-    f = HydroFields.from_profiles(x, x, 1.0, 1.0, n=np.ones_like(X),
-                                  vx=-D * X / r**2, vy=-D * Y / r**2,
+    f = HydroFields.from_profiles(Grid(nx, nx, dx, dx), 1.0, 1.0,
+                                  n=np.ones_like(X), vx=-D * X / r**2, vy=-D * Y / r**2,
                                   c2=np.full_like(X, c * c))
     loops = find_horizon(f)
     main = max(loops, key=lambda l: np.max(np.hypot(l[:, 0], l[:, 1])))
@@ -241,7 +241,7 @@ def test_criterion_09_horizon_detection():
         prof = 0.5 * (np.tanh((xx + 20.3) / 3.0) - np.tanh((xx - 19.4) / 3.0))
         return -(0.5 + 1.0 * prof)
 
-    f2 = HydroFields.from_profiles(x2, y2, 1.0, 1.0, n=np.ones((nx2, 4)),
+    f2 = HydroFields.from_profiles(Grid(nx2, 4, dx2, dx2), 1.0, 1.0, n=np.ones((nx2, 4)),
                                    vx=np.repeat(v(x2)[:, None], 4, 1), vy=0.0,
                                    c2=np.ones((nx2, 4)))
     found = sorted(float(np.mean(l[:, 0])) for l in find_horizon(f2))
@@ -260,16 +260,16 @@ def test_criterion_10_kg_nlse_equivalence():
     x = None
     devs = {}
     for label, flow in (("uniform", (0, 0)), ("flow", (3, 0))):
-        psi0 = uniform_background(nx, 4, 1.0, 1.0, flow_mode=flow)
-        x = psi0.x()[:, None]
+        psi0 = uniform_background(Grid(nx, 4, 1.0, 1.0), flow_mode=flow)
+        x = psi0.grid.x[:, None]
         k = 2 * np.pi * 1 / nx                    # k*xi ~ 0.098
         seed = 1e-3 * np.cos(k * x) * np.ones((1, 4))
         rep = crosscheck_kg_vs_nlse(psi0, p, seed, t_final=2 * np.pi / k)
         devs[label] = rep.deviation
     ok_small = all(d <= 0.05 for d in devs.values())
 
-    psi0 = uniform_background(128, 4, 0.5, 0.5)
-    x = psi0.x()[:, None]
+    psi0 = uniform_background(Grid(128, 4, 0.5, 0.5))
+    x = psi0.grid.x[:, None]
     lad = []
     for mode, lim in ((1, 0.3), (3, 0.3), (6, 0.6)):
         k = 2 * np.pi * mode / 64.0
@@ -291,7 +291,7 @@ def test_criterion_11_horizon_trapping():
     x1, x2, w = -60.0, 60.0, 4.0
     prof = 0.5 * (np.tanh((x - x1) / w) - np.tanh((x - x2) / w))
     v = -(0.5 + 1.0 * prof)
-    f = HydroFields.from_profiles(x, y, 1.0, 1.0, n=np.ones((nx, 4)),
+    f = HydroFields.from_profiles(Grid(nx, 4, dx, dx), 1.0, 1.0, n=np.ones((nx, 4)),
                                   vx=np.repeat(v[:, None], 4, 1), vy=0.0,
                                   c2=np.full((nx, 4), c * c))
     met = build_metric(f)

@@ -5,14 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import photonfluid
+from hypothesis import example, given, settings, strategies as st
+
 from photonfluid import cli
 from photonfluid.cli import main
+from photonfluid.config import SCHEMA, STAGE_SECTIONS
 from photonfluid.fieldio import read_field
 
 RDR_CFG = """
@@ -152,6 +156,8 @@ mode_mx = 1
 PIPELINE_MICRO_CFG = PIPELINE_ARRAY_CFG.replace("model = array",
                                                 "model = microcavity")
 
+METRIC_TANH_CFG = KG_CFG.split("[kg]")[0].replace("stage = kg", "stage = metric")
+
 LATTICE_CFG = """
 [run]
 stage = lattice
@@ -209,7 +215,7 @@ def test_nlse_stage_snapshots(tmp_path):
     assert "nlse_final.pfld" in names
     assert "nlse_000020.pfld" in names and "nlse_000040.pfld" in names
     fld = read_field(tmp_path / "out" / "nlse_final.pfld")
-    assert fld.nx == 32
+    assert fld.grid.nx == 32
     assert fld.norm_sq() == pytest.approx(32 * 32 * 0.25, rel=1e-9)
 
 
@@ -407,6 +413,125 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert main(["kg", "--config", str(kg)]) == 2
         assert "line 30: kg.sample_every must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "kg_trace.csv").exists()
+
+    # values that ended in a traceback (a zero KG seed, a negative density,
+    # a zero tanh width, a number that is not finite) or stepped backwards
+    # in time (a dt <= 0) are refused at their lines
+    kg_mode = KG_CFG.replace("seed = gaussian", "seed = mode")
+    for stage, text, old, new, msg in (
+        ("kg", kg_mode, "x_center = 15.0", "mode_mx = 0",
+         "line 28: kg.mode_mx must be >= 1"),
+        ("kg", KG_CFG, "sigma = 4.0", "amplitude = 0.0",
+         "line 29: kg.amplitude must be nonzero"),
+        ("nlse", NLSE_CFG, "density = 1.0", "density = -1.0",
+         "line 15: nlse.density must be >= 0"),
+        ("metric", METRIC_TANH_CFG, "width = 3.0", "width = 0.0",
+         "line 23: metric.width must be positive"),
+        ("kg", KG_CFG, "t_final = 12.0", "t_final = nan",
+         "line 26: kg.t_final must be a finite number"),
+        ("nlse", NLSE_CFG, "density = 1.0", "density = inf",
+         "line 15: nlse.density must be a finite number"),
+        ("nlse", NLSE_CFG, "dt = 0.002", "dt = -0.1",
+         "line 16: nlse.dt must be positive"),
+        ("nlse", NLSE_CFG, "dt = 0.002", "dt = 0.0",
+         "line 16: nlse.dt must be positive"),
+        ("kg", KG_CFG, "x_center = 15.0", "dt = -0.1",
+         "line 28: kg.dt must be positive"),
+        ("lattice", LATTICE_CFG, "t_final = 1.0", "t_final = 1.0\ndt = -0.1",
+         "line 10: lattice.dt must be positive"),
+        ("kernel", KERNEL_CFG, "t_final = 60.0", "t_final = 60.0\ndt = 0.0",
+         "line 11: kernel.dt must be positive"),
+    ):
+        bad = write_cfg(tmp_path, text.replace(old, new))
+        assert main([stage, "--config", str(bad)]) == 2
+        assert msg in capsys.readouterr().err
+        assert manifest(tmp_path)["status"] == "failed"
+
+    # a section or key the stage never reads is refused, not ignored
+    for stage, text, msg in (
+        ("nlse", NLSE_CFG + "[metric]\nsource = uniform\n",
+         "line 19: stage 'nlse' does not read a [metric] section"),
+        ("pipeline", PIPELINE_ARRAY_CFG + "[metric]\nsource = radial_sink\n",
+         "line 35: stage 'pipeline' does not read a [metric] section"),
+        ("pipeline", PIPELINE_ARRAY_CFG.replace("mode_mx = 1",
+                                                "mode_mx = 1\nseed = gaussian"),
+         "line 35: kg.seed is not read by stage = pipeline"),
+    ):
+        bad = write_cfg(tmp_path, text)
+        assert main([stage, "--config", str(bad)]) == 2
+        assert msg in capsys.readouterr().err
+
+
+def test_metric_writes_the_configured_spacing(tmp_path):
+    # a spacing taken back from the coordinates as x[1] − x[0] was written
+    # as 0.09999999999999964 on this 256-point grid
+    cfg = write_cfg(tmp_path, METRIC_TANH_CFG.replace("dx = 0.5", "dx = 0.1"))
+    assert main(["metric", "--config", str(cfg)]) == 0
+    assert read_field(tmp_path / "out" / "metric_vx.pfld").grid.dx == 0.1
+
+
+# tiny runs of the field stages for the property test below; `metric` puts
+# the tanh edge x1 on a grid point and `kg-mode`/`kg-gaussian` launch each
+# seed.  ground_state backgrounds are left out only for their run time.
+_TINY_GRID = {"nx": 16, "ny": 4, "dx": 1.0, "dy": 1.0}
+_TANH = {"source": "tanh1d", "c_ex": 1.0, "x1": -4.0, "x2": 4.0, "width": 1.0}
+_TINY_RUNS = {
+    "nlse": ("nlse", {"grid": {**_TINY_GRID, "ny": 8, "dx": 0.5, "dy": 0.5},
+                      "nlse": {"flow_mx": 1, "steps": 4,
+                               "snapshot_every": 2}}),
+    "metric": ("metric", {"grid": _TINY_GRID, "metric": _TANH}),
+    "kg-mode": ("kg", {"grid": _TINY_GRID,
+                       "metric": {"source": "uniform", "vx": 0.3},
+                       "kg": {"t_final": 2.0, "sample_every": 4}}),
+    "kg-gaussian": ("kg", {"grid": _TINY_GRID, "metric": _TANH,
+                           "kg": {"seed": "gaussian", "x_center": 0.5,
+                                  "sigma": 1.0, "t_final": 2.0,
+                                  "sample_every": 4}}),
+}
+
+
+@st.composite
+def _edited_runs(draw):
+    """A tiny run and up to three of its numeric keys set to -1, 0, 0.5 or
+    2 (an integer key given 0.5 is a type error)."""
+    name = draw(st.sampled_from(sorted(_TINY_RUNS)))
+    stage = _TINY_RUNS[name][0]
+    keys = [(sec, key) for sec in STAGE_SECTIONS[stage]
+            for key, (_, typ, _) in SCHEMA[sec].items()
+            if typ in (int, float, "maybe")]
+    edits = draw(st.lists(st.tuples(st.sampled_from(keys),
+                                    st.sampled_from((-1, 0, 0.5, 2))),
+                          max_size=3))
+    return name, edits
+
+
+@given(_edited_runs())
+# each of these ended in a traceback, exit 1 and no manifest
+@example(("kg-mode", [(("kg", "mode_mx"), 0)]))
+@example(("kg-mode", [(("kg", "amplitude"), 0)]))
+@example(("nlse", [(("nlse", "density"), -1)]))
+@example(("metric", [(("metric", "width"), 0)]))
+@example(("kg-mode", [(("grid", "nx"), 2)]))      # mode 1 is Nyquist
+@example(("kg-gaussian", [(("kg", "sigma"), 0)]))  # no seed on the grid
+@example(("kg-mode", [(("kg", "t_final"), "nan")]))
+@settings(max_examples=60)
+def test_main_ends_with_a_documented_exit_code_and_a_manifest(run):
+    name, edits = run
+    stage, base = _TINY_RUNS[name]
+    sections = {sec: dict(kv) for sec, kv in base.items()}
+    for (sec, key), value in edits:
+        sections.setdefault(sec, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        text = f"[run]\nstage = {stage}\n" + "".join(
+            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+            for sec, kv in sections.items())
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        # with --out, a config that fails to parse also leaves a manifest
+        assert main([stage, "--config", path, "--out", out]) in (0, 2, 3, 4)
+        assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_config_error_writes_failed_manifest(tmp_path, capsys):

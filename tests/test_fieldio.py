@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from photonfluid.errors import FieldFormatError
 from photonfluid.fieldio import HEADER_SIZE, read_field, write_field
-from photonfluid.fluid import ComplexField2D
+from photonfluid.fluid import ComplexField2D, Grid
 
 
 def random_field(rng, nx=16, ny=8, dx=0.5, dy=0.25):
     data = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
-    return ComplexField2D(nx, ny, dx, dy, data, {"units": "natural"})
+    return ComplexField2D(Grid(nx, ny, dx, dy), data, {"units": "natural"})
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -24,8 +24,8 @@ def test_round_trip_bitwise(tmp_path):
     path = tmp_path / "f.pfld"
     write_field(path, f, sidecar={"note": "round trip"})
     g = read_field(path)
-    assert g.nx == f.nx and g.ny == f.ny
-    assert g.dx == f.dx and g.dy == f.dy
+    assert g.grid.nx == f.grid.nx and g.grid.ny == f.grid.ny
+    assert g.grid.dx == f.grid.dx and g.grid.dy == f.grid.dy
     assert g.data.tobytes() == f.data.tobytes()
     assert g.meta["units"] == "natural"
     assert g.meta["sidecar"] == {"note": "round trip"}
@@ -58,7 +58,7 @@ def test_write_makes_no_copy_of_the_data(tmp_path):
 
 
 def test_file_size_arithmetic(tmp_path):
-    f = ComplexField2D(128, 128, 0.5, 0.5, np.zeros((128, 128), complex))
+    f = ComplexField2D(Grid(128, 128, 0.5, 0.5), np.zeros((128, 128), complex))
     path = tmp_path / "grid.pfld"
     write_field(path, f)
     assert path.stat().st_size == HEADER_SIZE + 128 * 128 * 16
@@ -192,5 +192,5 @@ def test_forged_headers_raise_only_field_format_error(
         field = read_field(path)
     except FieldFormatError:
         return
-    assert (field.nx, field.ny) == (nx, ny)
+    assert (field.grid.nx, field.grid.ny) == (nx, ny)
     assert field.data.shape == (nx, ny)

@@ -16,6 +16,7 @@ from photonfluid.fluid import (
     CollapseError,
     ComplexField2D,
     FluidParams,
+    Grid,
     _kinetic_step,
     bogoliubov_dispersion,
     evolve,
@@ -26,7 +27,6 @@ from photonfluid.fluid import (
     rk4_power,
     spectral_d,
     uniform_background,
-    wavenumbers,
 )
 from photonfluid.geometry import HydroFields, build_metric, hydro_linear_step
 from photonfluid.kgwave import kg_evolve
@@ -34,8 +34,8 @@ from photonfluid.lattice import LatticeParams, LatticeState, step_lattice
 
 
 def gaussian_field(nx, dx, width, k0=0.0):
-    psi = ComplexField2D.filled(nx, nx, dx, dx, 0.0)
-    X, Y = psi.xy()
+    psi = ComplexField2D.filled(Grid(nx, nx, dx, dx), 0.0)
+    X, Y = psi.grid.xy()
     psi.data = np.exp(-(X**2 + Y**2) / (2 * width**2)).astype(complex) \
         * np.exp(1j * k0 * X)
     psi.data /= np.sqrt(psi.norm_sq())
@@ -47,18 +47,40 @@ def gaussian_field(nx, dx, width, k0=0.0):
 
 def test_field_validation():
     with pytest.raises(ValueError):
-        ComplexField2D(48, 32, 0.5, 0.5, np.zeros((48, 32), complex))
+        ComplexField2D(Grid(48, 32, 0.5, 0.5), np.zeros((48, 32), complex))
     with pytest.raises(ValueError):
-        ComplexField2D(32, 32, 0.5, 0.5, np.zeros((16, 32), complex))
+        ComplexField2D(Grid(32, 32, 0.5, 0.5), np.zeros((16, 32), complex))
     with pytest.raises(ValueError):
-        ComplexField2D(8, 8, 0.5, 0.5, np.full((8, 8), np.nan, complex))
+        ComplexField2D(Grid(8, 8, 0.5, 0.5), np.full((8, 8), np.nan, complex))
+
+
+@pytest.mark.parametrize("nx, ny, dx, dy", [
+    (8, 4, 0.5, 0.25), (7, 5, 0.1, 0.3), (64, 16, 1 / 3, 0.7),
+])
+def test_grid_defines_coordinates_and_wavenumbers(nx, ny, dx, dy):
+    # bit for bit the centred coordinates and FFT-order wavenumbers every
+    # field of the package is laid out on, odd sides included
+    g = Grid(nx, ny, dx, dy)
+    assert g.shape == (nx, ny) and g.cell_area == dx * dy
+    assert np.array_equal(g.x, (np.arange(nx) - nx // 2) * dx)
+    assert np.array_equal(g.y, (np.arange(ny) - ny // 2) * dy)
+    X, Y = g.xy()
+    assert np.array_equal(X, np.repeat(g.x[:, None], ny, 1))
+    assert np.array_equal(Y, np.repeat(g.y[None, :], nx, 0))
+    kx, ky = g.k()
+    assert np.array_equal(kx, 2 * np.pi * np.fft.fftfreq(nx, dx)[:, None])
+    assert np.array_equal(ky, 2 * np.pi * np.fft.fftfreq(ny, dy)[None, :])
+    assert np.array_equal(g.k_squared(), kx**2 + ky**2)
+    for bad in ((nx, ny, 0.0, dy), (nx, ny, dx, -dy), (nx, ny, np.nan, dy)):
+        with pytest.raises(ValueError):
+            Grid(*bad)
 
 
 # ---------------------------------------------------------------------------
 # split-step evolution
 
 def test_plane_wave_is_exact():
-    psi = uniform_background(64, 64, 0.5, 0.5, flow_mode=(3, 0))
+    psi = uniform_background(Grid(64, 64, 0.5, 0.5), flow_mode=(3, 0))
     p = FluidParams(m=1.0, G_kerr=0.0)
     out = evolve(psi, p, 0.0025, 2000)
     k0 = psi.meta["flow_k"][0]
@@ -68,7 +90,7 @@ def test_plane_wave_is_exact():
 
 
 def test_uniform_kerr_phase_is_exact():
-    psi = uniform_background(32, 32, 0.5, 0.5, density=2.0)
+    psi = uniform_background(Grid(32, 32, 0.5, 0.5), density=2.0)
     p = FluidParams(m=1.0, G_kerr=0.7)
     out = evolve(psi, p, 0.0025, 1200)
     ratio = out.data / psi.data * np.exp(1j * 0.7 * 2.0 * 3.0)
@@ -76,7 +98,7 @@ def test_uniform_kerr_phase_is_exact():
 
 
 def test_step_size_refusal():
-    psi = uniform_background(64, 64, 0.25, 0.25)
+    psi = uniform_background(Grid(64, 64, 0.25, 0.25))
     with pytest.raises(StepSizeError):
         evolve(psi, FluidParams(m=1.0, G_kerr=0.0), 0.01, 10)
     evolve(psi, FluidParams(m=1.0, G_kerr=0.0), 0.01, 10, force=True)
@@ -84,7 +106,7 @@ def test_step_size_refusal():
 
 def test_evolve_rejects_negative_steps():
     # a scalar V books v̄·dt·steps of global phase; a negative count must not
-    psi = uniform_background(8, 8, 0.5, 0.5)
+    psi = uniform_background(Grid(8, 8, 0.5, 0.5))
     p = FluidParams(m=1.0, G_kerr=1.0, V=2.0)
     with pytest.raises(ValueError, match="steps must be >= 0, got -3"):
         evolve(psi, p, 1e-3, -3)
@@ -98,10 +120,10 @@ def test_trap_evolution_matches_crank_nicolson_oracle():
     # Hamiltonian; a breathing Gaussian in a harmonic trap
     nx, dx = 64, 0.25
     psi = gaussian_field(nx, dx, width=1.3)
-    X, Y = psi.xy()
+    X, Y = psi.grid.xy()
     V = 0.5 * (X**2 + Y**2)
     p = FluidParams(m=1.0, G_kerr=0.0, V=V)
-    k2 = psi.k_squared()
+    k2 = psi.grid.k_squared()
 
     def H(v):
         return np.fft.ifft2(k2 / 2 * np.fft.fft2(v)) + V * v
@@ -122,7 +144,7 @@ def test_trap_evolution_matches_crank_nicolson_oracle():
 def test_trap_width_breathes_at_twice_trap_frequency():
     nx, dx = 64, 0.25
     psi = gaussian_field(nx, dx, width=1.3)
-    X, Y = psi.xy()
+    X, Y = psi.grid.xy()
     p = FluidParams(m=1.0, G_kerr=0.0, V=0.5 * (X**2 + Y**2))
     widths = []
     cur = psi
@@ -142,8 +164,8 @@ def test_norm_and_energy_conservation():
     nx, dx = 64, 0.5
     base = np.ones((nx, nx), complex) + 0.05 * (
         rng.standard_normal((nx, nx)) + 1j * rng.standard_normal((nx, nx)))
-    psi = ComplexField2D(nx, nx, dx, dx, base)
-    k2 = psi.k_squared()
+    psi = ComplexField2D(Grid(nx, nx, dx, dx), base)
+    k2 = psi.grid.k_squared()
     psi.data = np.fft.ifft2(np.fft.fft2(psi.data) * np.exp(-k2 / 2))
     p = FluidParams(m=1.0, G_kerr=1.0)
     n0, e0 = psi.norm_sq(), gp_energy(psi, p)
@@ -155,7 +177,7 @@ def test_norm_and_energy_conservation():
 def test_strang_splitting_second_order():
     nx, dx = 64, 0.25
     psi = gaussian_field(nx, dx, width=1.0, k0=0.3)
-    X, Y = psi.xy()
+    X, Y = psi.grid.xy()
     p = FluidParams(m=1.0, G_kerr=1.5, V=0.5 * (X**2 + Y**2))
     T = 0.8
     ref_steps = int(T / 1.25e-4)
@@ -177,7 +199,7 @@ def _unfused_strang(psi, p, dt, steps):
     state after each step (index 0 is the start)."""
     V = p.potential_grid(psi)
     Vc = V - np.mean(V)
-    kin = np.exp(-1j * dt * psi.k_squared() / (2.0 * p.m))
+    kin = np.exp(-1j * dt * psi.grid.k_squared() / (2.0 * p.m))
     f = psi.data.copy()
     states = [f.copy()]
     for _ in range(steps):
@@ -191,8 +213,8 @@ def _unfused_strang(psi, p, dt, steps):
 def _trapped_packet():
     # non-square grid, moving Gaussian in an off-center trap with a nonzero
     # mean (so the bookkept phase grows), repulsive 𝒢 for negative m
-    psi = ComplexField2D.filled(32, 16, 0.5, 0.5, 0.0)
-    X, Y = psi.xy()
+    psi = ComplexField2D.filled(Grid(32, 16, 0.5, 0.5), 0.0)
+    X, Y = psi.grid.xy()
     psi.data = 2.0 * np.exp(-((X - 1.0) ** 2 + Y**2) / 4.0 + 0.8j * X + 0.3j * Y)
     psi.meta["phase_offset"] = 0.25
     p = FluidParams(m=-0.8, G_kerr=-1.5, V=0.7 + 0.05 * (X**2 + 2 * (Y - 0.5) ** 2))
@@ -260,7 +282,7 @@ def _allocating_evolve(psi, p, dt, steps, every):
     recorded step and at the last one."""
     v_mean = float(np.mean(p.V))
     Vc = p.potential_grid(psi) - v_mean
-    kin = np.exp(-1j * dt * psi.k_squared() / (2.0 * p.m))
+    kin = np.exp(-1j * dt * psi.grid.k_squared() / (2.0 * p.m))
     offset = psi.meta.get("phase_offset", 0.0)
 
     def kick(f, tau):
@@ -282,8 +304,8 @@ def _allocating_evolve(psi, p, dt, steps, every):
 
 
 def _moving_packet(nx, ny):
-    psi = ComplexField2D.filled(nx, ny, 0.5, 0.5, 0.0)
-    X, Y = psi.xy()
+    psi = ComplexField2D.filled(Grid(nx, ny, 0.5, 0.5), 0.0)
+    X, Y = psi.grid.xy()
     psi.data = 2.0 * np.exp(-((X - 0.5) ** 2 + Y**2) / 4.0 + 0.8j * X + 0.3j * Y)
     psi.meta["phase_offset"] = 0.25
     p = FluidParams(m=-0.8, G_kerr=-1.5, V=0.7 + 0.05 * (X**2 + 2 * Y**2))
@@ -312,11 +334,11 @@ def test_evolve_matches_allocating_split_step(shape):
 def _allocating_ground_state(p, n_total, grid, tol=1e-10):
     """The imaginary-time loop of `ground_state` with a new array per
     transform, kick and normalization (m > 0, no collapse check)."""
-    nx, ny, dx, dy = grid
-    psi = ComplexField2D.filled(nx, ny, dx, dy, 1.0)
+    nx, ny, dx, dy = grid.nx, grid.ny, grid.dx, grid.dy
+    psi = ComplexField2D.filled(grid, 1.0)
     V = p.potential_grid(psi)
     if np.ptp(V) > 0:
-        X, Y = psi.xy()
+        X, Y = psi.grid.xy()
         i0 = np.unravel_index(np.argmin(V), V.shape)
         w = max(4 * max(dx, dy), 0.5 * min(nx * dx, ny * dy) / 8)
         psi.data = np.exp(-(((X - X[i0]) ** 2 + (Y - Y[i0]) ** 2) / (2 * w * w)))
@@ -324,7 +346,7 @@ def _allocating_ground_state(p, n_total, grid, tol=1e-10):
     def normalize(f):
         return f * np.sqrt(n_total / (np.sum(np.abs(f) ** 2) * dx * dy))
 
-    k2 = psi.k_squared()
+    k2 = psi.grid.k_squared()
     dtau = 0.25 / max(float(np.max(k2)) / (2 * p.m), abs(p.G_kerr) * n_total
                       / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
     kin = np.exp(-dtau * k2 / (2.0 * p.m))
@@ -352,11 +374,11 @@ def _allocating_ground_state(p, n_total, grid, tol=1e-10):
     (64, 64, 0.25, -1.0, True),   # attractive, below collapse
 ])
 def test_ground_state_matches_allocating_loop(nx, ny, dx, G, trap):
-    probe = ComplexField2D.filled(nx, ny, dx, dx, 1.0)
-    X, Y = probe.xy()
+    probe = ComplexField2D.filled(Grid(nx, ny, dx, dx), 1.0)
+    X, Y = probe.grid.xy()
     p = FluidParams(m=1.0, G_kerr=G, V=0.5 * (X**2 + Y**2) if trap else 0.0)
-    gs = ground_state(p, 1.0, (nx, ny, dx, dx))
-    ref = _allocating_ground_state(p, 1.0, (nx, ny, dx, dx))
+    gs = ground_state(p, 1.0, Grid(nx, ny, dx, dx))
+    ref = _allocating_ground_state(p, 1.0, Grid(nx, ny, dx, dx))
     assert np.max(np.abs(gs.data - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -366,7 +388,7 @@ def test_evolve_peak_memory():
     # the input copy across each FFT; 5.506 for the fused one, whose kick
     # reuses one real and one complex buffer; 3.682 since the kinetic step
     # transforms in place (the peak is now set while building kin)
-    psi = uniform_background(256, 256, 0.25, 0.25, flow_mode=(2, 0))
+    psi = uniform_background(Grid(256, 256, 0.25, 0.25), flow_mode=(2, 0))
     p = FluidParams(m=1.0, G_kerr=1.0)
     tracemalloc.start()
     try:
@@ -465,7 +487,8 @@ def test_small_grids_and_cli_import_start_no_thread():
         "from photonfluid import fluid\n"
         "assert 'concurrent.futures' not in sys.modules\n"
         "fluid._workers = lambda: 8\n"
-        "psi = fluid.uniform_background(64, 16, 0.5, 0.5, flow_mode=(1, 0))\n"
+        "psi = fluid.uniform_background(fluid.Grid(64, 16, 0.5, 0.5),\n"
+        "                               flow_mode=(1, 0))\n"
         "started = []\n"
         "threading.Thread.start = lambda self: started.append(self)\n"
         "fluid.evolve(psi, fluid.FluidParams(m=1.0, G_kerr=1.0), 1e-3, 4)\n"
@@ -482,10 +505,10 @@ def test_small_grids_and_cli_import_start_no_thread():
 
 def test_oscillator_ground_state():
     nx, dx = 128, 0.15
-    probe = ComplexField2D.filled(nx, nx, dx, dx, 1.0)
-    X, Y = probe.xy()
+    probe = ComplexField2D.filled(Grid(nx, nx, dx, dx), 1.0)
+    X, Y = probe.grid.xy()
     p = FluidParams(m=1.0, G_kerr=0.0, V=0.5 * (X**2 + Y**2))
-    gs = ground_state(p, 1.0, (nx, nx, dx, dx))
+    gs = ground_state(p, 1.0, Grid(nx, nx, dx, dx))
     assert gp_energy(gs, p) == pytest.approx(1.0, rel=1e-6)
     n = np.abs(gs.data) ** 2
     assert np.sum((X**2 + Y**2) * n) / np.sum(n) == pytest.approx(1.0, rel=1e-3)
@@ -494,7 +517,7 @@ def test_oscillator_ground_state():
 def test_uniform_box_ground_state():
     nx, dx = 32, 0.5
     p = FluidParams(m=1.0, G_kerr=2.0, V=0.0)
-    gs = ground_state(p, 3.0, (nx, nx, dx, dx))
+    gs = ground_state(p, 3.0, Grid(nx, nx, dx, dx))
     n = np.abs(gs.data) ** 2
     area = (nx * dx) ** 2
     assert np.max(np.abs(n - 3.0 / area)) < 1e-10 * 3.0 / area
@@ -502,25 +525,25 @@ def test_uniform_box_ground_state():
 
 def test_thomas_fermi_chemical_potential():
     nx, dx = 128, 0.125
-    probe = ComplexField2D.filled(nx, nx, dx, dx, 1.0)
-    X, Y = probe.xy()
+    probe = ComplexField2D.filled(Grid(nx, nx, dx, dx), 1.0)
+    X, Y = probe.grid.xy()
     G, N = 500.0, 1.0
     V = 0.5 * (X**2 + Y**2)
     p = FluidParams(m=1.0, G_kerr=G, V=V)
-    gs = ground_state(p, N, (nx, nx, dx, dx))
+    gs = ground_state(p, N, Grid(nx, nx, dx, dx))
     n = np.abs(gs.data) ** 2
     fk = np.fft.fft2(gs.data)
-    kin = np.sum(probe.k_squared() * np.abs(fk) ** 2) / nx**2 / 2
+    kin = np.sum(probe.grid.k_squared() * np.abs(fk) ** 2) / nx**2 / 2
     mu = float((kin + np.sum((V + G * n) * n)) * dx * dx / N)
     assert mu == pytest.approx(np.sqrt(G * N / np.pi), rel=5e-2)
 
 
 def test_ground_state_is_stationary():
     nx, dx = 64, 0.25
-    probe = ComplexField2D.filled(nx, nx, dx, dx, 1.0)
-    X, Y = probe.xy()
+    probe = ComplexField2D.filled(Grid(nx, nx, dx, dx), 1.0)
+    X, Y = probe.grid.xy()
     p = FluidParams(m=1.0, G_kerr=0.0, V=0.5 * (X**2 + Y**2))
-    gs = ground_state(p, 1.0, (nx, nx, dx, dx))
+    gs = ground_state(p, 1.0, Grid(nx, nx, dx, dx))
     out = evolve(gs, p, 5e-4, 1)
     dn = np.abs(np.abs(out.data) ** 2 - np.abs(gs.data) ** 2)
     assert np.max(dn) < 1e-8 * np.max(np.abs(gs.data) ** 2)
@@ -528,18 +551,18 @@ def test_ground_state_is_stationary():
 
 def test_attractive_collapse_is_detected():
     nx, dx = 64, 0.25
-    probe = ComplexField2D.filled(nx, nx, dx, dx, 1.0)
-    X, Y = probe.xy()
+    probe = ComplexField2D.filled(Grid(nx, nx, dx, dx), 1.0)
+    X, Y = probe.grid.xy()
     p = FluidParams(m=1.0, G_kerr=-10.0, V=0.5 * (X**2 + Y**2))
     with pytest.raises(CollapseError):
-        ground_state(p, 40.0, (nx, nx, dx, dx))
+        ground_state(p, 40.0, Grid(nx, nx, dx, dx))
 
 
 def test_negative_mass_conjugate_ground_state():
     # (m<0, G<0) maps to the repulsive positive-mass problem by conjugation
     nx, dx = 32, 0.5
     p = FluidParams(m=-1.0, G_kerr=-2.0, V=0.0)
-    gs = ground_state(p, 3.0, (nx, nx, dx, dx))
+    gs = ground_state(p, 3.0, Grid(nx, nx, dx, dx))
     area = (nx * dx) ** 2
     assert np.max(np.abs(np.abs(gs.data) ** 2 - 3.0 / area)) < 1e-9 / area
 
@@ -548,9 +571,9 @@ def test_negative_mass_conjugate_ground_state():
 # linearized dynamics and dispersion
 
 def test_linearized_zero_seed_stays_zero():
-    psi0 = uniform_background(32, 4, 1.0, 1.0)
+    psi0 = uniform_background(Grid(32, 4, 1.0, 1.0))
     p = FluidParams(m=1.0, G_kerr=1.0)
-    phi = ComplexField2D.filled(32, 4, 1.0, 1.0, 0.0)
+    phi = ComplexField2D.filled(Grid(32, 4, 1.0, 1.0), 0.0)
     out = linearized_step(phi, psi0, p, 0.01, steps=50)
     assert np.all(out.data == 0)
 
@@ -559,16 +582,16 @@ def test_linearized_free_plane_wave_frequency():
     # G = 0: phi modes rotate at the free-particle rate
     nx = 64
     L = 20 * np.pi
-    psi0 = uniform_background(nx, 4, L / nx, L / nx)
+    psi0 = uniform_background(Grid(nx, 4, L / nx, L / nx))
     p = FluidParams(m=1.0, G_kerr=0.0)
     res = measure_dispersion(psi0, p, [0.3], periods=12)
     assert res[0].omega.real == pytest.approx(0.3**2 / 2, rel=1e-2)
 
 
 def test_linearized_rejects_background_with_nodes():
-    psi0 = uniform_background(32, 4, 1.0, 1.0)
+    psi0 = uniform_background(Grid(32, 4, 1.0, 1.0))
     psi0.data[5, 2] = 0.0
-    phi = ComplexField2D.filled(32, 4, 1.0, 1.0, 1e-3)
+    phi = ComplexField2D.filled(Grid(32, 4, 1.0, 1.0), 1e-3)
     with pytest.raises(ValueError, match="masked-region"):
         linearized_step(phi, psi0, FluidParams(m=1.0, G_kerr=1.0), 0.01)
 
@@ -587,7 +610,7 @@ def test_bogoliubov_dispersion_closed_form_points():
 def test_measured_dispersion_matches_formula():
     nx = 64
     L = 20 * np.pi
-    psi0 = uniform_background(nx, 4, L / nx, L / nx)
+    psi0 = uniform_background(Grid(nx, 4, L / nx, L / nx))
     p = FluidParams(m=1.0, G_kerr=1.0)
     res = measure_dispersion(psi0, p, [0.3], periods=16)
     expected = bogoliubov_dispersion(0.3, 1.0, p).real
@@ -598,7 +621,7 @@ def test_measured_dispersion_matches_formula():
 def test_modulational_instability_growth_rate():
     nx = 64
     L = 20 * np.pi
-    psi0 = uniform_background(nx, 4, L / nx, L / nx)
+    psi0 = uniform_background(Grid(nx, 4, L / nx, L / nx))
     p = FluidParams(m=1.0, G_kerr=-1.0)
     res = measure_dispersion(psi0, p, [0.3], periods=8)
     expected = bogoliubov_dispersion(0.3, 1.0, p).imag
@@ -609,7 +632,7 @@ def test_modulational_instability_growth_rate():
 def test_galilean_boost_shifts_frequencies():
     nx = 64
     L = 20 * np.pi
-    psi0 = uniform_background(nx, 4, L / nx, L / nx, flow_mode=(2, 0))
+    psi0 = uniform_background(Grid(nx, 4, L / nx, L / nx), flow_mode=(2, 0))
     p = FluidParams(m=1.0, G_kerr=1.0)
     v = psi0.meta["flow_k"][0] / p.m
     k = 2 * np.pi * 3 / L
@@ -622,9 +645,9 @@ def _rk4_oracle(phi, psi0, p, dt, steps):
     """Step-by-step RK4 of the uniform-background linearized equation."""
     n = float(np.mean(np.abs(psi0.data) ** 2))
     k0x, k0y = psi0.meta.get("flow_k", (0.0, 0.0))
-    kx, ky = psi0.kx()[:, None], psi0.ky()[None, :]
+    kx, ky = psi0.grid.k()
     # i[∇²/2m + (ik₀)·∇/m] in k-space
-    kmul = 1j * (-psi0.k_squared() / (2 * p.m) - (k0x * kx + k0y * ky) / p.m)
+    kmul = 1j * (-psi0.grid.k_squared() / (2 * p.m) - (k0x * kx + k0y * ky) / p.m)
 
     def rhs(f):
         return np.fft.ifft2(kmul * np.fft.fft2(f)) \
@@ -652,13 +675,13 @@ def test_uniform_background_propagator_matches_rk4_steps(flow, G, m, steps):
     # full-spectrum complex seed: every ±k pair and the Nyquist rows carry
     # independent amplitudes
     nx, ny, dx, dy, density = 32, 8, 0.7, 0.9, 1.3
-    psi0 = uniform_background(nx, ny, dx, dy, density=density, flow_mode=flow)
+    psi0 = uniform_background(Grid(nx, ny, dx, dy), density=density, flow_mode=flow)
     p = FluidParams(m=m, G_kerr=G)
     rng = np.random.default_rng(steps + 7)
     seed = 1e-3 * (rng.standard_normal((nx, ny))
                    + 1j * rng.standard_normal((nx, ny)))
-    phi = ComplexField2D(nx, ny, dx, dy, seed)
-    dt = 0.2 / (float(np.max(psi0.k_squared())) / (2 * abs(m))
+    phi = ComplexField2D(Grid(nx, ny, dx, dy), seed)
+    dt = 0.2 / (float(np.max(psi0.grid.k_squared())) / (2 * abs(m))
                 + 2 * density * abs(G))
     out = linearized_step(phi, psi0, p, dt, steps=steps)
     ref = _rk4_oracle(seed, psi0, p, dt, steps)
@@ -700,18 +723,18 @@ def _unstable_runs():
     """Each stepped stage on a step far past its stability bound, as
     `steps -> arrays`, with the name its error message carries."""
     rng = np.random.default_rng(3)
-    psi0 = uniform_background(16, 16, 0.5, 0.5)
-    psi0.data = psi0.data * (1.0 + 0.1 * np.cos(psi0.x()))[:, None]
-    phi = ComplexField2D(16, 16, 0.5, 0.5,
+    psi0 = uniform_background(Grid(16, 16, 0.5, 0.5))
+    psi0.data = psi0.data * (1.0 + 0.1 * np.cos(psi0.grid.x))[:, None]
+    phi = ComplexField2D(Grid(16, 16, 0.5, 0.5),
                          1e-3 * rng.standard_normal((16, 16)))
     fp = FluidParams(m=1.0, G_kerr=1.0)
 
-    hydro = HydroFields.uniform(32, 8, 1.0, 1.0, m=1.0, G=1.0, vx=0.3)
+    hydro = HydroFields.uniform(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
     hydro.vx[5, 3] += 0.05
     dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
 
-    met = build_metric(HydroFields.uniform(64, 4, 0.5, 0.5, m=1.0, G=1.0))
-    kg0 = 1e-2 * np.cos(2 * np.pi * met.x() / 32.0)[:, None] \
+    met = build_metric(HydroFields.uniform(Grid(64, 4, 0.5, 0.5), m=1.0, G=1.0))
+    kg0 = 1e-2 * np.cos(2 * np.pi * met.grid.x / 32.0)[:, None] \
         + 1e-6 * rng.standard_normal((64, 4))
 
     lp = LatticeParams(Nx=8, Ny=8, h=1.0, omega_c=0.0, omega_m=1.0,
@@ -769,23 +792,23 @@ def test_spectral_stages_reach_numpy_fft(monkeypatch):
 
     rng = np.random.default_rng(11)
     f = rng.standard_normal((16, 8))
-    kx, _ = wavenumbers(16, 8, 0.5, 0.5)
+    kx, _ = Grid(16, 8, 0.5, 0.5).k()
     assert calls(lambda: spectral_d(f, kx)) == (1, 1)
 
     # one general step: four stages of ∂ₓδθ, ∂ᵧδθ, the two flux
     # derivatives and the four quantum-pressure derivatives
-    hydro = HydroFields.uniform(16, 8, 0.5, 0.5, m=1.0, G=1.0, vx=0.3)
+    hydro = HydroFields.uniform(Grid(16, 8, 0.5, 0.5), m=1.0, G=1.0, vx=0.3)
     hydro.vx[5, 3] += 0.05
     assert calls(lambda: hydro_linear_step(f, f, hydro, 1e-3)) == (32, 32)
 
     # closed form: one fft2 and one ifft2 per component
-    met = build_metric(HydroFields.uniform(16, 8, 0.5, 0.5, m=1.0, G=1.0))
+    met = build_metric(HydroFields.uniform(Grid(16, 8, 0.5, 0.5), m=1.0, G=1.0))
     assert calls(lambda: kg_evolve(f, f, met, 1e-2, 5)) == (2, 2)
 
     # the split step's in-place inverse is a second fft2, never an ifft2;
     # each transform is a row and a column fft2 call, here on one block
-    psi = uniform_background(16, 8, 0.5, 0.5, flow_mode=(1, 0))
+    psi = uniform_background(Grid(16, 8, 0.5, 0.5), flow_mode=(1, 0))
     p = FluidParams(m=1.0, G_kerr=1.0)
     assert calls(lambda: evolve(psi, p, 1e-3, 1)) == (4, 0)
-    n_fft2, n_ifft2 = calls(lambda: ground_state(p, 3.0, (8, 8, 0.5, 0.5)))
+    n_fft2, n_ifft2 = calls(lambda: ground_state(p, 3.0, Grid(8, 8, 0.5, 0.5)))
     assert n_fft2 >= 3 and n_ifft2 == 0

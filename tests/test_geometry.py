@@ -13,6 +13,7 @@ from photonfluid.errors import NumericalError, PhysicsGateError
 from photonfluid.fluid import (
     ComplexField2D,
     FluidParams,
+    Grid,
     bogoliubov_dispersion,
     linearized_step,
     uniform_background,
@@ -39,7 +40,7 @@ from photonfluid.unwrap import (dctn, idctn, phase_residues,
 # Madelung decomposition and unwrapping
 
 def test_madelung_uniform_field():
-    psi = ComplexField2D.filled(16, 16, 1.0, 1.0, np.sqrt(2) * np.exp(1j * np.pi / 4))
+    psi = ComplexField2D.filled(Grid(16, 16, 1.0, 1.0), np.sqrt(2) * np.exp(1j * np.pi / 4))
     n, theta = madelung(psi)
     assert np.allclose(n, 2.0)
     assert np.allclose(theta, np.pi / 4)
@@ -48,21 +49,22 @@ def test_madelung_uniform_field():
 def test_madelung_plane_wave_ramp():
     # theta = k x recovered beyond the wrapped range; v0 = k/m uniform
     nx, dx = 64, 0.5
-    psi = uniform_background(nx, 8, dx, dx, flow_mode=(5, 0))
+    psi = uniform_background(Grid(nx, 8, dx, dx), flow_mode=(5, 0))
     k0 = psi.meta["flow_k"][0]
     md = madelung(psi)
-    X = psi.x()[:, None]
+    X = psi.grid.x[:, None]
     assert np.max(np.abs(md.theta - (md.theta[0, 0] + k0 * (X - X[0])))) < 1e-9
     assert md.vortices == []
     f = HydroFields.from_field(psi, FluidParams(m=2.0, G_kerr=1.0))
+    assert f.grid == psi.grid
     assert np.allclose(f.vx, k0 / 2.0, atol=1e-9)
     assert np.allclose(f.vy, 0.0, atol=1e-12)
 
 
 def test_vortex_residue_and_circulation():
     nx, dx = 64, 0.3
-    psi = ComplexField2D.filled(nx, nx, dx, dx, 0.0)
-    X, Y = psi.xy()
+    psi = ComplexField2D.filled(Grid(nx, nx, dx, dx), 0.0)
+    X, Y = psi.grid.xy()
     xc, yc = 0.12 * dx, 0.07 * dx     # off-grid core
     r = np.hypot(X - xc, Y - yc)
     psi.data = np.tanh(r) * np.exp(1j * np.arctan2(Y - yc, X - xc))
@@ -124,7 +126,7 @@ def test_dct_matches_scipy_orthonormal_type_two():
 # linearized hydrodynamics
 
 def _uniform_fields(nx=64, ny=4, dx=1.0, m=1.0, G=1.0, n=1.0, vx=0.0):
-    return HydroFields.uniform(nx, ny, dx, dx, m=m, G=G, density=n, vx=vx)
+    return HydroFields.uniform(Grid(nx, ny, dx, dx), m=m, G=G, density=n, vx=vx)
 
 
 def test_hydro_zero_stays_zero():
@@ -137,7 +139,7 @@ def test_hydro_zero_stays_zero():
 def test_hydro_mode_frequencies_with_and_without_quantum_pressure():
     f = _uniform_fields()
     k = 2 * np.pi * 1 / 64.0          # k*xi ~ 0.1
-    x = f.x()[:, None]
+    x = f.grid.x[:, None]
     th0 = 1e-3 * np.cos(k * x) * np.ones((1, 4))
     zero = np.zeros_like(th0)
 
@@ -159,7 +161,7 @@ def test_hydro_quantum_pressure_holds_to_unit_kxi():
     # mode at k*xi ~ 1 returns after one full Bogoliubov period
     f = _uniform_fields()
     k = 2 * np.pi * 10 / 64.0
-    x = f.x()[:, None]
+    x = f.grid.x[:, None]
     th0 = 1e-3 * np.cos(k * x) * np.ones((1, 4))
     wB = bogoliubov_dispersion(k, 1.0, FluidParams(m=1.0, G_kerr=1.0)).real
     T = 2 * np.pi / wB
@@ -174,10 +176,10 @@ def test_hydro_matches_linearized_field_evolution():
     # field phi = dn/2n + i dtheta; Madelung projection agrees to 1e-3
     nx, ny = 64, 4
     f = _uniform_fields(nx=nx, ny=ny)
-    psi0 = uniform_background(nx, ny, 1.0, 1.0)
+    psi0 = uniform_background(Grid(nx, ny, 1.0, 1.0))
     p = FluidParams(m=1.0, G_kerr=1.0)
     k = 2 * np.pi * 3 / nx           # k*xi ~ 0.3
-    x = f.x()[:, None]
+    x = f.grid.x[:, None]
     th0 = 1e-3 * np.cos(k * x) * np.ones((1, ny))
     zero = np.zeros_like(th0)
 
@@ -185,7 +187,7 @@ def test_hydro_matches_linearized_field_evolution():
     steps = int(round(T / 0.005))
     dn_h, th_h = hydro_linear_step(zero, th0, f, T / steps, steps=steps)
 
-    phi = ComplexField2D(nx, ny, 1.0, 1.0, 1j * th0)
+    phi = ComplexField2D(Grid(nx, ny, 1.0, 1.0), 1j * th0)
     phi = linearized_step(phi, psi0, p, T / steps, steps=steps)
     th_f = np.imag(phi.data)
     dn_f = 2.0 * np.real(phi.data)    # n = 1
@@ -205,7 +207,7 @@ def test_density_estimate_trivial_and_plane_wave():
     # w~ the comoving frequency entering through dtheta_t
     fv = _uniform_fields(vx=0.4)
     k = 2 * np.pi * 2 / 64.0
-    x = fv.x()[:, None]
+    x = fv.grid.x[:, None]
     w_lab = 0.9
     th = 1e-3 * np.cos(k * x) * np.ones((1, 4))
     th_t = 1e-3 * w_lab * np.sin(k * x) * np.ones((1, 4))
@@ -219,7 +221,7 @@ def test_density_estimate_trivial_and_plane_wave():
 def test_density_estimate_against_hydro_solver():
     f = _uniform_fields()
     k = 2 * np.pi * 1 / 64.0          # k*xi ~ 0.1
-    x = f.x()[:, None]
+    x = f.grid.x[:, None]
     th0 = 1e-3 * np.cos(k * x) * np.ones((1, 4))
     zero = np.zeros_like(th0)
     dt = 0.01
@@ -235,7 +237,7 @@ def test_density_estimate_against_hydro_solver():
 
 
 def test_density_estimate_requires_hydrodynamic_regime():
-    f = HydroFields.uniform(16, 4, 1.0, 1.0, m=1.0, G=-1.0)
+    f = HydroFields.uniform(Grid(16, 4, 1.0, 1.0), m=1.0, G=-1.0)
     with pytest.raises(PhysicsGateError):
         estimate_density_fluctuation(np.zeros((16, 4)), np.zeros((16, 4)), f)
 
@@ -244,7 +246,7 @@ def test_density_estimate_requires_hydrodynamic_regime():
 # metric
 
 def test_metric_static_conformally_flat():
-    f = HydroFields.uniform(8, 8, 1.0, 1.0, m=2.0, G=3.0, density=1.5)
+    f = HydroFields.uniform(Grid(8, 8, 1.0, 1.0), m=2.0, G=3.0, density=1.5)
     met = build_metric(f)
     c2 = 1.5 * 3.0 / 2.0
     Om = 1.5 / (2.0 * np.sqrt(c2))
@@ -258,7 +260,7 @@ def test_metric_static_conformally_flat():
 @given(st.floats(0.1, 10.0), st.floats(0.05, 4.0), st.floats(-3.0, 3.0),
        st.floats(-3.0, 3.0), st.floats(0.2, 3.0))
 def test_metric_identities_random_points(n, c2, vx, vy, m):
-    f = HydroFields.uniform(4, 4, 1.0, 1.0, m=m, G=1.0, density=n,
+    f = HydroFields.uniform(Grid(4, 4, 1.0, 1.0), m=m, G=1.0, density=n,
                             vx=vx, vy=vy)
     f.c2 = np.full((4, 4), c2)       # impose the speed independently
     met = build_metric(f)
@@ -276,8 +278,8 @@ def test_build_metric_peak_memory():
     nx = 256
     x = (np.arange(nx) - nx // 2) * 0.25
     X, Y = np.meshgrid(x, x, indexing="ij")
-    f = HydroFields.from_profiles(x, x, 1.0, 1.0, n=np.ones_like(X),
-                                  vx=0.1 * X, vy=0.1 * Y,
+    f = HydroFields.from_profiles(Grid(nx, nx, 0.25, 0.25), 1.0, 1.0,
+                                  n=np.ones_like(X), vx=0.1 * X, vy=0.1 * Y,
                                   c2=np.full_like(X, 0.25))
     tracemalloc.start()
     try:
@@ -292,17 +294,17 @@ def test_build_metric_peak_memory():
 
 
 def test_signature_classification_follows_interaction_sign():
-    lor = build_metric(HydroFields.uniform(8, 8, 1, 1, m=-1.0, G=-2.0))
+    lor = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=-1.0, G=-2.0))
     assert np.all(lor.signature == LORENTZIAN)
-    euc = build_metric(HydroFields.uniform(8, 8, 1, 1, m=1.0, G=-2.0))
+    euc = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=1.0, G=-2.0))
     assert np.all(euc.signature == EUCLIDEAN)
     assert np.all(np.isnan(euc.g))
-    deg = build_metric(HydroFields.uniform(8, 8, 1, 1, m=1.0, G=0.0))
+    deg = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=1.0, G=0.0))
     assert np.all(deg.signature == DEGENERATE)
 
 
 def test_line_element_special_observers():
-    f = HydroFields.uniform(8, 8, 1.0, 1.0, m=1.0, G=1.0, density=1.0,
+    f = HydroFields.uniform(Grid(8, 8, 1.0, 1.0), m=1.0, G=1.0, density=1.0,
                             vx=0.3, vy=-0.1)
     met = build_metric(f)
     Om = met.conformal[3, 3]
@@ -325,7 +327,7 @@ def test_line_element_special_observers():
 # horizons
 
 def test_no_horizon_in_subcritical_flow():
-    f = HydroFields.uniform(32, 32, 0.5, 0.5, m=1.0, G=1.0, vx=0.3)
+    f = HydroFields.uniform(Grid(32, 32, 0.5, 0.5), m=1.0, G=1.0, vx=0.3)
     assert find_horizon(f) == []
 
 
@@ -336,8 +338,8 @@ def test_radial_sink_horizon_circle():
     X, Y = np.meshgrid(x, x, indexing="ij")
     r = np.maximum(np.hypot(X, Y), 0.25 * dx)
     D, c = 1.0, 0.5
-    f = HydroFields.from_profiles(x, x, 1.0, 1.0, n=np.ones_like(X),
-                                  vx=-D * X / r**2, vy=-D * Y / r**2,
+    f = HydroFields.from_profiles(Grid(nx, nx, dx, dx), 1.0, 1.0,
+                                  n=np.ones_like(X), vx=-D * X / r**2, vy=-D * Y / r**2,
                                   c2=np.full_like(X, c * c))
     loops = find_horizon(f)
     main = max(loops, key=lambda l: np.max(np.hypot(l[:, 0], l[:, 1])))
@@ -357,8 +359,8 @@ def test_orientation_flips_with_outside_supercriticality():
     X, Y = np.meshgrid(x, x, indexing="ij")
     r = np.hypot(X, Y)
     v = np.where(r < 2.0, 0.2, 0.9)
-    f = HydroFields.from_profiles(x, x, 1.0, 1.0, n=np.ones_like(X),
-                                  vx=v, vy=0.0 * X, c2=np.full_like(X, 0.25))
+    f = HydroFields.from_profiles(Grid(nx, nx, dx, dx), 1.0, 1.0,
+                                  n=np.ones_like(X), vx=v, vy=0.0 * X, c2=np.full_like(X, 0.25))
     loops = find_horizon(f)
     main = max(loops, key=len)
     area = 0.5 * np.sum(main[:-1, 0] * main[1:, 1] - main[1:, 0] * main[:-1, 1])
@@ -375,7 +377,7 @@ def test_tanh_profile_crossings_match_root_finder():
         prof = 0.5 * (np.tanh((xx + 20.3) / w) - np.tanh((xx - 19.4) / w))
         return -(0.5 + 1.0 * prof)
 
-    f = HydroFields.from_profiles(x, y, 1.0, 1.0, n=np.ones((nx, ny)),
+    f = HydroFields.from_profiles(Grid(nx, ny, dx, dx), 1.0, 1.0, n=np.ones((nx, ny)),
                                   vx=np.repeat(v(x)[:, None], ny, 1), vy=0.0,
                                   c2=np.ones((nx, ny)))
     loops = find_horizon(f)
@@ -388,7 +390,7 @@ def test_tanh_profile_crossings_match_root_finder():
 
 
 def test_horizon_requires_lorentzian_background():
-    f = HydroFields.uniform(16, 16, 1.0, 1.0, m=1.0, G=-1.0)
+    f = HydroFields.uniform(Grid(16, 16, 1.0, 1.0), m=1.0, G=-1.0)
     with pytest.raises(PhysicsGateError):
         find_horizon(f)
 
@@ -497,8 +499,8 @@ def test_saddle_cell_pairings(F, expected):
 def _hydro_rk4_oracle(dn, th, f, dt, steps, quantum_pressure):
     """Step-by-step RK4 of the pointwise right-hand side with spectral
     derivatives of real fields, real(ifft2(ik·fft2 g))."""
-    kx = 2 * np.pi * np.fft.fftfreq(f.nx, f.dx)[:, None]
-    ky = 2 * np.pi * np.fft.fftfreq(f.ny, f.dy)[None, :]
+    kx = 2 * np.pi * np.fft.fftfreq(f.grid.nx, f.grid.dx)[:, None]
+    ky = 2 * np.pi * np.fft.fftfreq(f.grid.ny, f.grid.dy)[None, :]
 
     def d(g, k):
         return np.real(np.fft.ifft2(1j * k * np.fft.fft2(g)))
@@ -535,7 +537,7 @@ def _hydro_rk4_oracle(dn, th, f, dt, steps, quantum_pressure):
 def test_hydro_uniform_closed_form_matches_rk4_steps(case, quantum_pressure,
                                                      steps, monkeypatch):
     nx, ny, dx, dy, m, G, n, vx, vy = case
-    f = HydroFields.uniform(nx, ny, dx, dy, m=m, G=G, density=n, vx=vx, vy=vy)
+    f = HydroFields.uniform(Grid(nx, ny, dx, dy), m=m, G=G, density=n, vx=vx, vy=vy)
     k2max = (np.pi / dx) ** 2 + (np.pi / dy) ** 2
     q = 0.25 / abs(m * n) if quantum_pressure else 0.0
     rate = np.hypot(vx, vy) * np.sqrt(k2max) \
@@ -560,7 +562,7 @@ def test_hydro_nonuniform_background_steps_like_the_oracle(quantum_pressure,
                                                            monkeypatch):
     # one perturbed flow point and one perturbed density point: no closed
     # form, so the general RK4 loop runs
-    f = HydroFields.uniform(32, 8, 0.7, 0.9, m=1.0, G=1.0, density=1.3,
+    f = HydroFields.uniform(Grid(32, 8, 0.7, 0.9), m=1.0, G=1.0, density=1.3,
                             vx=0.4, vy=-0.3)
     f.vx[5, 3] += 0.05
     f.n[20, 6] *= 1.02
@@ -582,7 +584,7 @@ def test_hydro_unstable_step_raises(perturbed, steps):
     # dt = 5 is far past the stability bound of the fastest modes: the
     # closed form (uniform) and the loop (one perturbed flow point) must
     # both refuse their non-finite result
-    f = HydroFields.uniform(32, 8, 1.0, 1.0, m=1.0, G=1.0, vx=0.3)
+    f = HydroFields.uniform(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
     if perturbed:
         f.vx[5, 3] += 0.05
     rng = np.random.default_rng(4)

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from photonfluid.errors import NumericalError, PhysicsGateError, StepSizeError
-from photonfluid.fluid import ComplexField2D, FluidParams, uniform_background
+from photonfluid.fluid import (ComplexField2D, FluidParams, Grid,
+                               uniform_background)
 from photonfluid.geometry import HydroFields, build_metric
 from photonfluid import kgwave
 from photonfluid.kgwave import (
@@ -21,13 +22,13 @@ from photonfluid.kgwave import (
 
 def uniform_metric(nx=128, ny=4, dx=0.5, m=1.0, G=1.0, n=1.0, vx=0.0):
     return build_metric(
-        HydroFields.uniform(nx, ny, dx, dx, m=m, G=G, density=n, vx=vx))
+        HydroFields.uniform(Grid(nx, ny, dx, dx), m=m, G=G, density=n, vx=vx))
 
 
 def mode_seed(metric, mode, amp=1e-2):
-    k = 2 * np.pi * mode / (metric.nx * metric.dx)
-    x = metric.x()[:, None]
-    return k, amp * np.cos(k * x) * np.ones((1, metric.ny))
+    k = 2 * np.pi * mode / (metric.grid.nx * metric.grid.dx)
+    x = metric.grid.x[:, None]
+    return k, amp * np.cos(k * x) * np.ones((1, metric.grid.ny))
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +36,7 @@ def mode_seed(metric, mode, amp=1e-2):
 
 def test_dalembertian_constant_field():
     met = uniform_metric()
-    out = dalembertian(np.ones((met.nx, met.ny)), met)
+    out = dalembertian(np.ones((met.grid.nx, met.grid.ny)), met)
     assert np.max(np.abs(out)) < 1e-14
 
 
@@ -50,7 +51,7 @@ def test_dalembertian_conformally_flat_reduction():
     out = dalembertian(th, met, dtheta_dot=None, dtheta_ddot=thddot)
     # spatial part: nested centered first-derivatives act on cos(kx) as
     # -k_eff^2 with k_eff = sin(k dx)/dx
-    keff2 = (np.sin(k * met.dx) / met.dx) ** 2
+    keff2 = (np.sin(k * met.grid.dx) / met.grid.dx) ** 2
     expected = (w * w / c2 - keff2) * th / Om
     assert np.max(np.abs(out - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -62,9 +63,9 @@ def test_dalembertian_null_mode_residual_refines_at_second_order():
         met = uniform_metric(nx=nx, dx=dx, vx=0.4)
         k = 2 * np.pi * 4 / 64.0
         w = 0.4 * k + 1.0 * k            # v+c branch
-        x = met.x()[:, None]
-        th = np.cos(k * x) * np.ones((1, met.ny))
-        out = dalembertian(th, met, dtheta_dot=w * np.sin(k * x) * np.ones((1, met.ny)),
+        x = met.grid.x[:, None]
+        th = np.cos(k * x) * np.ones((1, met.grid.ny))
+        out = dalembertian(th, met, dtheta_dot=w * np.sin(k * x) * np.ones((1, met.grid.ny)),
                            dtheta_ddot=-w * w * th)
         errs.append(np.sqrt(np.mean(out**2)))
         hs.append(dx)
@@ -73,7 +74,7 @@ def test_dalembertian_null_mode_residual_refines_at_second_order():
 
 
 def test_dalembertian_masks_stencils_touching_bad_points():
-    f = HydroFields.uniform(16, 16, 1.0, 1.0, m=1.0, G=1.0)
+    f = HydroFields.uniform(Grid(16, 16, 1.0, 1.0), m=1.0, G=1.0)
     f.c2[5, 5] = -1.0                   # one Euclidean point
     met = build_metric(f)
     out = dalembertian(np.ones((16, 16)), met)
@@ -86,7 +87,7 @@ def test_dalembertian_masks_stencils_touching_bad_points():
 
 def test_kg_zero_data_stays_zero():
     met = uniform_metric()
-    z = np.zeros((met.nx, met.ny))
+    z = np.zeros((met.grid.nx, met.grid.ny))
     res = kg_evolve(z, z, met, 0.1, 50)
     assert np.all(res.dtheta == 0) and np.all(res.dtheta_dot == 0)
 
@@ -102,7 +103,7 @@ def test_kg_standing_wave_period():
 
 def test_kg_cfl_refusal():
     met = uniform_metric()
-    z = np.zeros((met.nx, met.ny))
+    z = np.zeros((met.grid.nx, met.grid.ny))
     with pytest.raises(StepSizeError):
         kg_evolve(z, z, met, 1.0, 1)
 
@@ -120,7 +121,7 @@ def test_kg_forced_cfl_violation_aborts_at_blow_up():
 
 
 def test_kg_rejects_euclidean_metric():
-    f = HydroFields.uniform(16, 16, 1.0, 1.0, m=1.0, G=-1.0)
+    f = HydroFields.uniform(Grid(16, 16, 1.0, 1.0), m=1.0, G=-1.0)
     met = build_metric(f)
     z = np.zeros((16, 16))
     with pytest.raises(PhysicsGateError):
@@ -130,7 +131,7 @@ def test_kg_rejects_euclidean_metric():
 def test_kg_energy_conservation():
     met = uniform_metric(nx=128, dx=0.5, vx=0.3)
     k, th0 = mode_seed(met, 3)
-    u0 = -(0.3 + 1.0) * np.gradient(th0, met.dx, axis=0)
+    u0 = -(0.3 + 1.0) * np.gradient(th0, met.grid.dx, axis=0)
     res = kg_evolve(th0, u0, met, 0.12, 1000, sample_every=100)
     en = res.energy
     assert abs(en[-1] - en[0]) / abs(en[0]) < 1e-6
@@ -148,7 +149,7 @@ def test_kg_doppler_shift_on_uniform_flow():
 
     dt = 0.1
     n_samp = 4096
-    xs = met.x()
+    xs = met.grid.x
     proj = np.empty(n_samp, complex)
     th, u = th0, u0
     stride = 2
@@ -172,7 +173,7 @@ def _trapping_background(nx=1024, ny=4, dx=0.25, c=1.0,
     y = (np.arange(ny) - ny // 2) * dx
     prof = 0.5 * (np.tanh((x - x1) / w) - np.tanh((x - x2) / w))
     v = -(0.5 + 1.0 * prof)            # -0.5c outside, -1.5c inside
-    f = HydroFields.from_profiles(x, y, 1.0, 1.0, n=np.ones((nx, ny)),
+    f = HydroFields.from_profiles(Grid(nx, ny, dx, dx), 1.0, 1.0, n=np.ones((nx, ny)),
                                   vx=np.repeat(v[:, None], ny, 1), vy=0.0,
                                   c2=np.full((nx, ny), c * c))
     return f, x, v
@@ -184,7 +185,7 @@ def test_dalembertian_vanishes_on_the_general_stepper_rhs(monkeypatch):
     f, _, _ = _trapping_background(nx=128, dx=0.5, x1=-15.0, x2=15.0, w=3.0)
     met = build_metric(f)
     rng = np.random.default_rng(17)
-    th, u = rng.standard_normal((2, met.nx, met.ny))
+    th, u = rng.standard_normal((2, met.grid.nx, met.grid.ny))
     rates = []
 
     def one_rhs_call(rhs, y, dt, first, last, what):
@@ -235,16 +236,16 @@ def test_superexcitonic_trapping_against_ray_oracle():
 # crosscheck against the linearized fluid
 
 def test_crosscheck_zero_seed():
-    psi0 = uniform_background(64, 4, 1.0, 1.0)
+    psi0 = uniform_background(Grid(64, 4, 1.0, 1.0))
     p = FluidParams(m=1.0, G_kerr=1.0)
     rep = crosscheck_kg_vs_nlse(psi0, p, np.zeros((64, 4)), t_final=5.0)
     assert rep.deviation == 0.0
 
 
 def test_crosscheck_refuses_short_wavelength_seed():
-    psi0 = uniform_background(64, 4, 1.0, 1.0)
+    psi0 = uniform_background(Grid(64, 4, 1.0, 1.0))
     p = FluidParams(m=1.0, G_kerr=1.0)
-    x = psi0.x()[:, None]
+    x = psi0.grid.x[:, None]
     k = 2 * np.pi * 8 / 64.0            # k*xi ~ 0.79
     seed = 1e-3 * np.cos(k * x) * np.ones((1, 4))
     with pytest.raises(PhysicsGateError, match="hydrodynamic"):
@@ -252,9 +253,9 @@ def test_crosscheck_refuses_short_wavelength_seed():
 
 
 def test_crosscheck_uniform_background_one_period():
-    psi0 = uniform_background(64, 4, 1.0, 1.0)
+    psi0 = uniform_background(Grid(64, 4, 1.0, 1.0))
     p = FluidParams(m=1.0, G_kerr=1.0)
-    x = psi0.x()[:, None]
+    x = psi0.grid.x[:, None]
     k = 2 * np.pi * 1 / 64.0
     seed = 1e-3 * np.cos(k * x) * np.ones((1, 4))
     rep = crosscheck_kg_vs_nlse(psi0, p, seed, t_final=2 * np.pi / k)
@@ -263,9 +264,9 @@ def test_crosscheck_uniform_background_one_period():
 
 
 def test_crosscheck_deviation_grows_with_kxi():
-    psi0 = uniform_background(128, 4, 0.5, 0.5)
+    psi0 = uniform_background(Grid(128, 4, 0.5, 0.5))
     p = FluidParams(m=1.0, G_kerr=1.0)
-    x = psi0.x()[:, None]
+    x = psi0.grid.x[:, None]
     devs = []
     for mode, limit in ((1, 0.3), (3, 0.3), (6, 0.6)):
         k = 2 * np.pi * mode / 64.0
@@ -288,11 +289,11 @@ def _kg_rk4_oracle(th, u, metric, dt, steps, sample_every=0):
         return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2 * h)
 
     def rhs(th, u):
-        thx, thy = d(th, 0, metric.dx), d(th, 1, metric.dy)
-        flux = (Bx * d(u, 0, metric.dx) + By * d(u, 1, metric.dy)
-                + d(Bx * u, 0, metric.dx) + d(By * u, 1, metric.dy)
-                + d(Cxx * thx + Cxy * thy, 0, metric.dx)
-                + d(Cxy * thx + Cyy * thy, 1, metric.dy))
+        thx, thy = d(th, 0, metric.grid.dx), d(th, 1, metric.grid.dy)
+        flux = (Bx * d(u, 0, metric.grid.dx) + By * d(u, 1, metric.grid.dy)
+                + d(Bx * u, 0, metric.grid.dx) + d(By * u, 1, metric.grid.dy)
+                + d(Cxx * thx + Cxy * thy, 0, metric.grid.dx)
+                + d(Cxy * thx + Cyy * thy, 1, metric.grid.dy))
         return u, flux / (-A)
 
     records = [(0, th, u)] if sample_every else []
@@ -309,7 +310,7 @@ def _kg_rk4_oracle(th, u, metric, dt, steps, sample_every=0):
 
 
 def _uniform_kg_case(nx, ny, dx, dy, m, G, n, vx, vy, seed):
-    met = build_metric(HydroFields.uniform(nx, ny, dx, dy, m=m, G=G,
+    met = build_metric(HydroFields.uniform(Grid(nx, ny, dx, dy), m=m, G=G,
                                            density=n, vx=vx, vy=vy))
     dt = 0.9 * 0.5 * min(dx, dy) / (np.sqrt(n * G / m) + np.hypot(vx, vy))
     rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from photonfluid.errors import StepSizeError
-from photonfluid.fluid import ComplexField2D
+from photonfluid.fluid import ComplexField2D, Grid
 from photonfluid.lattice import (
     LatticeParams,
     LatticeState,
@@ -195,7 +195,7 @@ def test_continuum_error_uniform_field_is_exact():
     p = make_params(Nx=16, Ny=16, omega_c=1.0, J=-0.25)
     a = np.ones((16, 16), complex)
     s = LatticeState(a.copy(), np.zeros_like(a))
-    fld = ComplexField2D(16, 16, 1.0, 1.0, a.copy())
+    fld = ComplexField2D(Grid(16, 16, 1.0, 1.0), a.copy())
     err = continuum_error(s, fld, p, t_final=5.0)
     assert err < 1e-9
 
@@ -203,7 +203,7 @@ def test_continuum_error_uniform_field_is_exact():
 def test_continuum_error_rejects_grid_mismatch():
     p = make_params(Nx=16, Ny=16)
     s = LatticeState.zeros(p)
-    fld = ComplexField2D(16, 16, 0.5, 0.5, np.ones((16, 16), complex))
+    fld = ComplexField2D(Grid(16, 16, 0.5, 0.5), np.ones((16, 16), complex))
     with pytest.raises(ValueError, match="incompatible"):
         continuum_error(s, fld, p, 1.0)
 
@@ -211,7 +211,7 @@ def test_continuum_error_rejects_grid_mismatch():
 def test_continuum_error_refuses_zero_hopping():
     p = make_params(Nx=8, Ny=8, J=0.0)
     s = LatticeState(np.ones((8, 8), complex), np.zeros((8, 8), complex))
-    fld = ComplexField2D(8, 8, 1.0, 1.0, np.ones((8, 8), complex))
+    fld = ComplexField2D(Grid(8, 8, 1.0, 1.0), np.ones((8, 8), complex))
     with pytest.raises(ValueError, match="J = 0"):
         continuum_error(s, fld, p, 1.0)
 
@@ -226,7 +226,7 @@ def test_continuum_error_taylor_scaling():
     for mode in (1, 2, 4, 8):
         kh = 2 * np.pi * mode / Nx
         st_ = LatticeState.bloch(p, mode, 0)
-        fld = ComplexField2D(Nx, 4, 1.0, 1.0, st_.a.copy())
+        fld = ComplexField2D(Grid(Nx, 4, 1.0, 1.0), st_.a.copy())
         T = 2 * np.pi / (abs(J) * kh * kh)
         w_k = abs(lattice_dispersion(kh, 0.0, -4 * J, J))
         # a pure Bloch state only sees its own eigenfrequency, so the
@@ -251,7 +251,7 @@ def test_continuum_error_gaussian_packet_regression():
     env = np.exp(-x**2 / (2 * 40.0**2))
     a0 = (env * np.exp(1j * kh * x))[:, None] * np.ones((1, 4))
     s = LatticeState(a0.astype(complex), np.zeros_like(a0, dtype=complex))
-    fld = ComplexField2D(Nx, 4, 1.0, 1.0, a0.copy())
+    fld = ComplexField2D(Grid(Nx, 4, 1.0, 1.0), a0.copy())
     T = 2 * np.pi / (abs(J) * kh * kh)
     err = continuum_error(s, fld, p, T, dt_lattice=0.1, force=True)
     assert err < 1e-2
