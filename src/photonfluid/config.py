@@ -10,9 +10,9 @@ Values are booleans (`true`/`false`), integers, floats, or quoted or
 bare strings.  Parsing is strict: unknown sections or keys, sections and
 keys the selected stage does not read, missing required keys, type
 mismatches, out-of-range values and unit inconsistencies all fail with the
-offending line number.  Every default is materialized in the parsed
-result, and `echo()` renders the fully resolved configuration in
-canonical form (parse(echo(cfg)) is the identity).
+offending line number.  Every default of a key the stage reads is
+materialized in the parsed result, and `echo()` renders it in canonical
+form (parse(echo(cfg)) is the identity).
 
 Frequencies in SI mode (`units = SI`, rad/s) are rescaled by ω_i into the
 internal natural units; `T` (kelvin) is only meaningful there, while
@@ -146,8 +146,8 @@ STAGE_SECTIONS = {
     "kg": ("metric", "nlse", "grid", "kg"),
     "pipeline": ("pipeline", "rdr", "kernel", "nlse", "grid", "kg", "lattice"),
 }
-# [kg] keys of the kg stage's own launch, which the pipeline's crosscheck
-# seed (a cosine of mode_mx) does not read
+# [kg] keys the pipeline's crosscheck seed (a cosine of mode_mx) never reads:
+# refused in its text, left out of its resolved [kg] section and its echo
 _PIPELINE_UNREAD_KG = ("seed", "dt", "t_final", "sample_every", "x_center",
                        "sigma")
 
@@ -172,15 +172,15 @@ class RunConfig:
         return hashlib.sha256(self.echo().encode()).hexdigest()
 
     def echo(self) -> str:
-        """Canonical rendering with every default materialized."""
+        """Canonical rendering of every key the stage reads."""
         lines = []
         for sec in ("run",) + tuple(s for s in SCHEMA if s != "run"):
             if sec not in self.sections:
                 continue
             lines.append(f"[{sec}]")
             for key in SCHEMA[sec]:
-                val = self.sections[sec].get(key)
-                lines.append(f"{key} = {_render(val)}")
+                if key in self.sections[sec]:
+                    lines.append(f"{key} = {_render(self.sections[sec][key])}")
             lines.append("")
         return "\n".join(lines)
 
@@ -323,6 +323,9 @@ def parse_config(text: str) -> RunConfig:
             sections[sec] = {k: spec[0] for k, spec in SCHEMA[sec].items()}
 
     _validate_stage(cfg, lines_of)
+    if cfg.stage == "pipeline":
+        for key in _PIPELINE_UNREAD_KG:
+            del sections["kg"][key]
     if cfg.units == "SI" and "rdr" in sections:
         _rdr_to_natural(cfg)
     return cfg
@@ -349,8 +352,9 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
         raise ConfigError(
             "nlse.background = ground_state is not supported for stage = "
             "pipeline", _line(lines_of, "nlse", "background"))
-    if "rdr" in cfg.sections and cfg.stage in ("rdr", "pipeline"):
-        r = cfg.sections["rdr"]
+    sec = cfg.sections
+    if "rdr" in sec:
+        r = sec["rdr"]
         line = lines_of.get(("rdr", None), 1)
         direct = r["G"] is not None and r["Delta_bar"] is not None
         driven = all(r[k] is not None for k in ("G0", "eps", "Delta"))
@@ -367,7 +371,7 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
             )
     # FFT grids need power-of-two sides; a lattice also needs at least four
     # sites per side for its nearest-neighbour stencil
-    if cfg.stage in ("nlse", "metric", "kg", "pipeline"):
+    if "grid" in sec:
         _check_sides(cfg, lines_of, "grid", ("nx", "ny"), ("dx", "dy"))
     if cfg.stage == "lattice":
         _check_sides(cfg, lines_of, "lattice", ("nx", "ny"), ("h",), min_side=4)
@@ -383,7 +387,6 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
         require(cfg["nlse"]["m"] != 0, "nlse", "m", "must be nonzero")
     if cfg.stage == "lattice" or model == "array":
         require(cfg["lattice"]["J"] != 0, "lattice", "J", "must be nonzero")
-    sec = cfg.sections
     if "nlse" in sec:
         # a negative count would book time and phase for a field never
         # evolved; the uniform background's amplitude is √density

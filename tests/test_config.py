@@ -214,6 +214,21 @@ _VALID = {
     for stage in STAGES}
 
 
+@pytest.mark.parametrize("stage", STAGES)
+def test_echo_round_trip_every_stage(stage):
+    # the echo a manifest records is a config that runs the same way
+    cfg = parse_config("\n".join(_VALID[stage]))
+    again = parse_config(cfg.echo())
+    assert again.sections == cfg.sections
+    assert again.echo() == cfg.echo()
+
+
+def test_pipeline_echo_leaves_out_the_kg_keys_it_never_reads():
+    echo = "\n".join(_VALID["pipeline"])
+    assert "mode_mx = 1" in echo and "kxi_limit = 0.3" in echo
+    assert "sample_every" not in echo and "sigma" not in echo
+
+
 @st.composite
 def _config_texts(draw):
     # a valid text with up to four edits: a value replaced by anything, a
