@@ -9,6 +9,8 @@ Subcommands mirror the pipeline stages:
     metric    acoustic metric, signature census, horizon polylines
     kg        wave propagation on the extracted metric
     pipeline  rdr → kernel → background → metric → horizon → kg crosscheck
+              (of `[kernel]` it takes only g: ω_m and γ come from the rdr
+              report)
 
 Every run writes its artifacts plus a `manifest.json` (config hash, tool
 version, timestamps, artifact checksums, derived quantities).  Exit codes:
@@ -160,7 +162,9 @@ def _rdr_params(cfg: RunConfig) -> tuple[OptomechParams, complex | None, float |
 
 def run_rdr(cfg: RunConfig, art: Artifacts, sweep: str | None = None) -> dict:
     p, G, Delta_bar = _rdr_params(cfg)
-    omega = cfg["rdr"]["omega_eval"] or p.omega_i
+    omega = cfg["rdr"]["omega_eval"]
+    if omega is None:
+        omega = p.omega_i
     rep = rdr_report(p, omega=omega, G=G, Delta_bar=Delta_bar)
 
     summary = {
@@ -187,7 +191,7 @@ def run_rdr(cfg: RunConfig, art: Artifacts, sweep: str | None = None) -> dict:
                 kw[param] = v
             else:
                 pp = _from_config(OptomechParams, **{**_asdict(p), param: v})
-            r = rdr_report(pp, **kw)
+            r = _from_config(rdr_report, pp, **kw)
             return [kw["omega"] if param == "omega" else v,
                     r.gamma_opt, r.omega_opt, r.n_f, int(r.stable)]
 
@@ -212,22 +216,10 @@ def _parse_sweep(spec: str):
         raise ConfigError(f"bad sweep spec {spec!r}; want param:min:max:steps") from exc
 
 
-def _kernel_params(cfg: RunConfig, derived: dict | None = None) -> KernelParams:
-    k = cfg["kernel"]
-    omega_m = k["omega_m"]
-    gamma = k["gamma"]
-    if derived is not None:
-        omega_m = derived.get("omega_m", omega_m)
-        gamma = derived.get("gamma_total", gamma)
-    if omega_m is None or gamma is None:
-        raise ConfigError("kernel stage needs omega_m and gamma")
-    return KernelParams(omega_m=omega_m, gamma=gamma, g=k["g"])
-
-
 def run_kernel(cfg: RunConfig, art: Artifacts,
                sweep_gamma: str | None = None) -> dict:
-    kp = _kernel_params(cfg)
     sec = cfg["kernel"]
+    kp = KernelParams(sec["omega_m"], sec["gamma"], sec["g"])
     t_max = sec["t_table"] or 40.0 / kp.gamma
     ts = np.linspace(0.0, t_max, 400)
     art.write_csv("kernel.csv", ["t", "T"],
@@ -239,7 +231,8 @@ def run_kernel(cfg: RunConfig, art: Artifacts,
         _, gammas = _parse_sweep(f"gamma:{sweep_gamma}")
         rows = []
         for gam in gammas:
-            chk = validate_elimination(
+            chk = _from_config(
+                validate_elimination,
                 KernelParams(kp.omega_m, float(gam), kp.g),
                 n_photon=sec["n_photon"], t_final=sec["t_final"],
                 dt=sec["dt"],
@@ -467,8 +460,8 @@ def run_pipeline(cfg: RunConfig, art: Artifacts) -> dict:
         raise PhysicsGateError("operating point linearly unstable; "
                                "pipeline gated at the rdr stage")
 
-    kp = _kernel_params(cfg, derived)
-    G_kerr = kerr_coupling(kp)
+    G_kerr = kerr_coupling(
+        KernelParams(rsum["omega_m"], rsum["gamma_total"], cfg["kernel"]["g"]))
     derived["G_kerr"] = G_kerr
 
     if cfg["pipeline"]["model"] == "array":

@@ -10,9 +10,16 @@ Values are booleans (`true`/`false`), integers, floats, or quoted or
 bare strings.  Parsing is strict: unknown sections or keys, sections and
 keys the selected stage does not read, missing required keys, type
 mismatches, out-of-range values and unit inconsistencies all fail with the
-offending line number.  Every default of a key the stage reads is
-materialized in the parsed result, and `echo()` renders it in canonical
-form (parse(echo(cfg)) is the identity).
+offending line number.
+
+`READS` is the one table of what each stage's runner reads (stage →
+section → keys; `[run]` is read by every stage).  A stage accepts exactly
+those keys: every other key is refused at its line, every other section
+at its header, and REQUIRED applies to read keys only.  Each `SCHEMA` row
+names the rule its value obeys (`positive`, `nonzero`, `>= 0`, `>= 1`),
+checked for every read key that is set.  Every default of a read key is
+materialized in the parsed result, and `echo()` renders exactly the read
+keys in canonical form (parse(echo(cfg)) is the identity).
 
 Frequencies in SI mode (`units = SI`, rad/s) are rescaled by ω_i into the
 internal natural units; `T` (kelvin) is only meaningful there, while
@@ -24,11 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "parse_config", "REQUIRED", "SCHEMA", "STAGES"]
+__all__ = ["RunConfig", "parse_config", "READS", "REQUIRED", "SCHEMA",
+           "STAGES"]
 
 
 class _Required:
@@ -39,117 +48,147 @@ class _Required:
 REQUIRED = _Required()
 STAGES = ("rdr", "kernel", "lattice", "nlse", "metric", "kg", "pipeline")
 
-# (default, type, choices); type "number" accepts int-or-float, "maybe"
-# floats that may stay unset (None)
+# a key's default, its type (float takes integers too, "maybe" is a float
+# that may stay unset), the choices of a string and the rule a number obeys
+Key = namedtuple("Key", "default type choices rule", defaults=(None, None))
+_RULES = {"positive": lambda v: v > 0, "nonzero": lambda v: v != 0,
+          ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+
 SCHEMA = {
     "run": {
-        "stage": (REQUIRED, str, STAGES),
-        "units": ("natural", str, ("natural", "SI")),
-        "seed": (0, int, None),
-        "out": ("runs/out", str, None),
+        "stage": Key(REQUIRED, str, STAGES),
+        "units": Key("natural", str, ("natural", "SI")),
+        "seed": Key(0, int),
+        "out": Key("runs/out", str),
     },
     "rdr": {
-        "omega_i": (1.0, float, None),
-        "gamma_i": (REQUIRED, float, None),
-        "kappa_prime": (REQUIRED, float, None),
-        "kappa": (0.0, float, None),
-        "G": (None, "maybe", None),
-        "Delta_bar": (None, "maybe", None),
-        "G0": (None, "maybe", None),
-        "eps": (None, "maybe", None),
-        "Delta": (None, "maybe", None),
-        "n_th": (None, "maybe", None),
-        "T": (None, "maybe", None),
-        "omega_eval": (None, "maybe", None),
+        "omega_i": Key(1.0, float),
+        "gamma_i": Key(REQUIRED, float),
+        "kappa_prime": Key(REQUIRED, float),
+        "kappa": Key(0.0, float),
+        "G": Key(None, "maybe"),
+        "Delta_bar": Key(None, "maybe"),
+        "G0": Key(None, "maybe"),
+        "eps": Key(None, "maybe"),
+        "Delta": Key(None, "maybe"),
+        "n_th": Key(None, "maybe"),
+        "T": Key(None, "maybe"),
+        # the optical damping carries a 1/ω prefactor
+        "omega_eval": Key(None, "maybe", rule="nonzero"),
     },
     "kernel": {
-        "omega_m": (None, "maybe", None),
-        "gamma": (None, "maybe", None),
-        "g": (REQUIRED, float, None),
-        "n_photon": (1.0, float, None),
-        "t_final": (100.0, float, None),
-        "dt": (None, "maybe", None),
-        "t_table": (0.0, float, None),
+        "omega_m": Key(None, "maybe"),
+        # the elimination needs a damped mode; the table spans 40/γ
+        "gamma": Key(None, "maybe", rule="positive"),
+        "g": Key(REQUIRED, float),
+        "n_photon": Key(1.0, float),
+        "t_final": Key(100.0, float, rule="positive"),
+        "dt": Key(None, "maybe", rule="positive"),
+        "t_table": Key(0.0, float, rule=">= 0"),
     },
     "lattice": {
-        "nx": (32, int, None),
-        "ny": (32, int, None),
-        "h": (1.0, float, None),
-        "omega_c": (0.0, float, None),
-        "omega_m": (1.0, float, None),
-        "gamma": (1.0, float, None),
-        "kappa": (0.0, float, None),
-        "g_prime": (0.0, float, None),
-        "J": (-0.25, float, None),
-        "dt": (None, "maybe", None),
-        "t_final": (10.0, float, None),
-        "init": ("bloch", str, ("bloch", "uniform")),
-        "mode_i": (1, int, None),
-        "mode_j": (0, int, None),
-        "amplitude": (1.0, float, None),
-        "damping": ("literal", str, ("literal", "half")),
+        "nx": Key(32, int),
+        "ny": Key(32, int),
+        "h": Key(1.0, float, rule="positive"),
+        "omega_c": Key(0.0, float),
+        "omega_m": Key(1.0, float),
+        "gamma": Key(1.0, float),
+        "kappa": Key(0.0, float),
+        "g_prime": Key(0.0, float),
+        # the continuum map m = ħ/(2Jh²) divides by J and h
+        "J": Key(-0.25, float, rule="nonzero"),
+        "dt": Key(None, "maybe", rule="positive"),
+        "t_final": Key(10.0, float, rule="positive"),
+        "init": Key("bloch", str, ("bloch", "uniform")),
+        "mode_i": Key(1, int),
+        "mode_j": Key(0, int),
+        "amplitude": Key(1.0, float),
+        "damping": Key("literal", str, ("literal", "half")),
     },
     "grid": {
-        "nx": (128, int, None),
-        "ny": (128, int, None),
-        "dx": (0.5, float, None),
-        "dy": (0.5, float, None),
+        "nx": Key(128, int),
+        "ny": Key(128, int),
+        "dx": Key(0.5, float, rule="positive"),
+        "dy": Key(0.5, float, rule="positive"),
     },
     "nlse": {
-        "m": (1.0, float, None),
-        "G_kerr": (1.0, float, None),
-        "density": (1.0, float, None),
-        "background": ("uniform", str, ("uniform", "ground_state")),
-        "trap_omega": (0.0, float, None),
-        "n_total": (0.0, float, None),
-        "flow_mx": (0, int, None),
-        "flow_my": (0, int, None),
-        "dt": (None, "maybe", None),
-        "steps": (0, int, None),
-        "snapshot_every": (0, int, None),
+        # the photon mass divides the kinetic term and the conformal factor
+        "m": Key(1.0, float, rule="nonzero"),
+        "G_kerr": Key(1.0, float),
+        # the uniform background's amplitude is √density
+        "density": Key(1.0, float, rule=">= 0"),
+        "background": Key("uniform", str, ("uniform", "ground_state")),
+        "trap_omega": Key(0.0, float),
+        "n_total": Key(0.0, float),
+        "flow_mx": Key(0, int),
+        "flow_my": Key(0, int),
+        "dt": Key(None, "maybe", rule="positive"),
+        # a negative count would book time and phase for a field never
+        # evolved
+        "steps": Key(0, int, rule=">= 0"),
+        "snapshot_every": Key(0, int, rule=">= 0"),
     },
     "metric": {
-        "source": ("nlse", str, ("nlse", "radial_sink", "tanh1d", "uniform")),
-        "sink_strength": (1.0, float, None),
-        "c_ex": (0.5, float, None),
-        "v_out": (0.5, float, None),
-        "v_in": (1.5, float, None),
-        "x1": (-20.0, float, None),
-        "x2": (20.0, float, None),
-        "width": (2.0, float, None),
-        "vx": (0.0, float, None),
-        "vy": (0.0, float, None),
+        "source": Key("nlse", str, ("nlse", "radial_sink", "tanh1d",
+                                    "uniform")),
+        "sink_strength": Key(1.0, float),
+        "c_ex": Key(0.5, float),
+        "v_out": Key(0.5, float),
+        "v_in": Key(1.5, float),
+        "x1": Key(-20.0, float),
+        "x2": Key(20.0, float),
+        # the tanh1d profile divides by the width
+        "width": Key(2.0, float, rule="positive"),
+        "vx": Key(0.0, float),
+        "vy": Key(0.0, float),
     },
     "kg": {
-        "dt": (None, "maybe", None),
-        "t_final": (10.0, float, None),
-        "seed": ("mode", str, ("mode", "gaussian")),
-        "mode_mx": (1, int, None),
-        "amplitude": (1e-3, float, None),
-        "x_center": (0.0, float, None),
-        "sigma": (5.0, float, None),
-        "sample_every": (8, int, None),
-        "kxi_limit": (0.3, float, None),
+        "dt": Key(None, "maybe", rule="positive"),
+        "t_final": Key(10.0, float, rule="positive"),
+        "seed": Key("mode", str, ("mode", "gaussian")),
+        "mode_mx": Key(1, int, rule=">= 1"),
+        # a zero seed carries no energy, so its trace has no centre
+        "amplitude": Key(1e-3, float, rule="nonzero"),
+        "x_center": Key(0.0, float),
+        "sigma": Key(5.0, float),
+        # the trace is the samples: a stride below 1 records none
+        "sample_every": Key(8, int, rule=">= 1"),
+        "kxi_limit": Key(0.3, float),
     },
     "pipeline": {
-        "model": ("microcavity", str, ("microcavity", "array")),
+        "model": Key("microcavity", str, ("microcavity", "array")),
     },
 }
 
-# sections a stage consumes (beyond [run]); any other is refused
-STAGE_SECTIONS = {
-    "rdr": ("rdr",),
-    "kernel": ("kernel",),
-    "lattice": ("lattice",),
-    "nlse": ("nlse", "grid"),
-    "metric": ("metric", "nlse", "grid"),
-    "kg": ("metric", "nlse", "grid", "kg"),
-    "pipeline": ("pipeline", "rdr", "kernel", "nlse", "grid", "kg", "lattice"),
+
+def _all(section, but=()):
+    return tuple(key for key in SCHEMA[section] if key not in but)
+
+
+# what each stage's runner reads, section by section ([run] is read by every
+# stage); a stage accepts exactly these keys and refuses any other at its line
+_FLUID = {"grid": _all("grid"),
+          "nlse": _all("nlse", but=("dt", "steps", "snapshot_every"))}
+READS = {
+    "rdr": {"rdr": _all("rdr")},
+    "kernel": {"kernel": _all("kernel")},
+    "lattice": {"lattice": _all("lattice")},
+    "nlse": {"grid": _all("grid"), "nlse": _all("nlse")},
+    "metric": {**_FLUID, "metric": _all("metric")},
+    "kg": {**_FLUID, "metric": _all("metric"),
+           "kg": _all("kg", but=("kxi_limit",))},
+    # T needs units = SI, which only the rdr stage takes; ω_m and γ come
+    # from the rdr report and 𝒢 from the kernel; the mass is nlse.m
+    # (microcavity) or the array's continuum map; the background is uniform
+    # and the crosscheck seed a cosine of mode_mx
+    "pipeline": {
+        "pipeline": ("model",), "rdr": _all("rdr", but=("T",)),
+        "kernel": ("g",),
+        "lattice": ("J", "h", "omega_c"), "grid": _all("grid"),
+        "nlse": ("m", "density", "background", "flow_mx", "flow_my"),
+        "kg": ("mode_mx", "amplitude", "kxi_limit"),
+    },
 }
-# [kg] keys the pipeline's crosscheck seed (a cosine of mode_mx) never reads:
-# refused in its text, left out of its resolved [kg] section and its echo
-_PIPELINE_UNREAD_KG = ("seed", "dt", "t_final", "sample_every", "x_center",
-                       "sigma")
 
 _RDR_FREQ_KEYS = ("gamma_i", "kappa_prime", "kappa", "G", "Delta_bar",
                   "G0", "eps", "Delta", "omega_eval")
@@ -285,61 +324,53 @@ def parse_config(text: str) -> RunConfig:
     if "run" not in raw or "stage" not in raw["run"]:
         raise ConfigError("stage required: set [run] stage = <stage>",
                           lines_of.get(("run", None), 1))
-
-    sections: dict[str, dict] = {}
-    for sec, keys in SCHEMA.items():
-        if sec != "run" and sec not in raw:
+    run = _resolve("run", SCHEMA["run"], raw["run"], lines_of)
+    stage = run["stage"]
+    # a section or key the stage never reads would be silently ignored
+    for (sec, key), ln in lines_of.items():
+        if sec == "run":
             continue
-        resolved = {}
-        for key, (default, typ, choices) in keys.items():
-            if key in raw.get(sec, {}):
-                resolved[key] = _coerce(sec, key, raw[sec][key], typ, choices,
-                                        lines_of[(sec, key)])
-            else:
-                if default is REQUIRED:
-                    raise ConfigError(
-                        f"missing required key {sec}.{key}",
-                        lines_of.get((sec, None), 1),
-                    )
-                resolved[key] = default
-        sections[sec] = resolved
+        if sec not in READS[stage]:
+            raise ConfigError(
+                f"stage '{stage}' does not read a [{sec}] section", ln)
+        if key is not None and key not in READS[stage][sec]:
+            raise ConfigError(f"{sec}.{key} is not read by stage = {stage}",
+                              ln)
+    sections = {"run": run}
+    for sec, keys in READS[stage].items():
+        if sec not in raw and any(SCHEMA[sec][k].default is REQUIRED
+                                  for k in keys):
+            raise ConfigError(f"stage '{stage}' requires a [{sec}] section", 1)
+        sections[sec] = _resolve(sec, keys, raw.get(sec, {}), lines_of)
 
-    run = sections["run"]
-    cfg = RunConfig(
-        stage=run["stage"], units=run["units"], seed=run["seed"],
-        out=run["out"], sections=sections, source_text=text,
-    )
-
-    # the selected stage must have all the sections it consumes
-    for sec in STAGE_SECTIONS[cfg.stage]:
-        needs_required = any(
-            spec[0] is REQUIRED for spec in SCHEMA[sec].values()
-        )
-        if sec not in sections:
-            if needs_required:
-                raise ConfigError(
-                    f"stage '{cfg.stage}' requires a [{sec}] section", 1
-                )
-            sections[sec] = {k: spec[0] for k, spec in SCHEMA[sec].items()}
-
+    cfg = RunConfig(stage=stage, units=run["units"], seed=run["seed"],
+                    out=run["out"], sections=sections, source_text=text)
     _validate_stage(cfg, lines_of)
-    if cfg.stage == "pipeline":
-        for key in _PIPELINE_UNREAD_KG:
-            del sections["kg"][key]
-    if cfg.units == "SI" and "rdr" in sections:
+    if cfg.units == "SI":
         _rdr_to_natural(cfg)
     return cfg
 
 
+def _resolve(sec, keys, given, lines_of) -> dict:
+    """The given or default value of each of `keys` in `sec`, coerced to its
+    type and held to its rule (an unset `maybe` value has none to keep)."""
+    resolved = {}
+    for key in keys:
+        default, typ, choices, rule = SCHEMA[sec][key]
+        line = _line(lines_of, sec, key)
+        if key in given:
+            value = _coerce(sec, key, given[key], typ, choices, line)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key {sec}.{key}", line)
+        else:
+            value = default
+        if rule and value is not None and not _RULES[rule](value):
+            raise ConfigError(f"{sec}.{key} must be {rule}", line)
+        resolved[key] = value
+    return resolved
+
+
 def _validate_stage(cfg: RunConfig, lines_of) -> None:
-    # a section or key the stage never reads would be silently ignored
-    for (sec, key), ln in lines_of.items():
-        if sec != "run" and sec not in STAGE_SECTIONS[cfg.stage]:
-            raise ConfigError(
-                f"stage '{cfg.stage}' does not read a [{sec}] section", ln)
-        if cfg.stage == "pipeline" and sec == "kg" \
-                and key in _PIPELINE_UNREAD_KG:
-            raise ConfigError(f"kg.{key} is not read by stage = pipeline", ln)
     # only [rdr] is rescaled by ω_i; any other stage would read its
     # couplings, rates and grid as natural units without saying so
     if cfg.units == "SI" and cfg.stage != "rdr":
@@ -362,53 +393,22 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
             raise ConfigError(
                 "rdr needs either (G, Delta_bar) or (G0, eps, Delta)", line
             )
-        if r["n_th"] is None and r["T"] is None:
+        if r["n_th"] is None and r.get("T") is None:
             raise ConfigError("rdr needs n_th (natural) or T (SI)", line)
-        if r["T"] is not None and cfg.units != "SI":
+        if r.get("T") is not None and cfg.units != "SI":
             raise ConfigError(
                 "T (kelvin) requires units = SI; give n_th directly in "
                 "natural units", lines_of.get(("rdr", "T"), line)
             )
     # FFT grids need power-of-two sides; a lattice also needs at least four
     # sites per side for its nearest-neighbour stencil
-    if "grid" in sec:
-        _check_sides(cfg, lines_of, "grid", ("nx", "ny"), ("dx", "dy"))
-    if cfg.stage == "lattice":
-        _check_sides(cfg, lines_of, "lattice", ("nx", "ny"), ("h",), min_side=4)
-    def require(ok, section, key, rule):
-        if not ok:
-            raise ConfigError(f"{section}.{key} {rule}",
-                              _line(lines_of, section, key))
-
-    # the photon mass divides the kinetic term and the conformal factor
-    # n/(m c); the array's continuum map m = ħ/(2Jh²) divides by J
-    model = cfg["pipeline"]["model"] if cfg.stage == "pipeline" else None
-    if cfg.stage in ("nlse", "metric", "kg") or model == "microcavity":
-        require(cfg["nlse"]["m"] != 0, "nlse", "m", "must be nonzero")
-    if cfg.stage == "lattice" or model == "array":
-        require(cfg["lattice"]["J"] != 0, "lattice", "J", "must be nonzero")
-    if "nlse" in sec:
-        # a negative count would book time and phase for a field never
-        # evolved; the uniform background's amplitude is √density
-        for key in ("steps", "snapshot_every", "density"):
-            require(sec["nlse"][key] >= 0, "nlse", key, "must be >= 0")
-    # an unset dt is chosen by the stage; a set one steps forward in time
-    for name in ("nlse", "kg", "lattice", "kernel"):
-        dt = sec.get(name, {}).get("dt")
-        require(dt is None or dt > 0, name, "dt", "must be positive")
-    # the tanh1d profile divides by the width
-    if "metric" in sec:
-        require(sec["metric"]["width"] > 0, "metric", "width",
-                "must be positive")
-    if "kg" in sec:
-        kg = sec["kg"]
-        # the kg stage's trace is its samples: a stride of 0 records none,
-        # and a negative one has no next sample
-        require(kg["sample_every"] >= 1, "kg", "sample_every", "must be >= 1")
-        # a zero seed carries no energy, so its trace has no centre
-        require(kg["amplitude"] != 0, "kg", "amplitude", "must be nonzero")
-        require(kg["seed"] != "mode" or kg["mode_mx"] >= 1, "kg", "mode_mx",
-                "must be >= 1")
+    for name, least in (("grid", 2), ("lattice", 4)):
+        for key in ("nx", "ny"):
+            n = sec.get(name, {}).get(key)
+            if n is not None and (n < least or n & (n - 1)):
+                raise ConfigError(
+                    f"{name}.{key} = {n} must be a power of two >= {least}",
+                    _line(lines_of, name, key))
     if cfg.stage == "kernel":
         k = cfg.sections["kernel"]
         line = lines_of.get(("kernel", None), 1)
@@ -420,24 +420,6 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
 
 def _line(lines_of, section, key) -> int:
     return lines_of.get((section, key), lines_of.get((section, None), 1))
-
-
-def _check_sides(cfg: RunConfig, lines_of, section, sides, spacings,
-                 min_side=2) -> None:
-    sec = cfg.sections[section]
-    for key in sides:
-        n = sec[key]
-        if n < min_side or n & (n - 1):
-            raise ConfigError(
-                f"{section}.{key} = {n} must be a power of two >= {min_side}",
-                _line(lines_of, section, key),
-            )
-    for key in spacings:
-        if not sec[key] > 0:
-            raise ConfigError(
-                f"{section}.{key} must be positive",
-                _line(lines_of, section, key),
-            )
 
 
 def _rdr_to_natural(cfg: RunConfig) -> None:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from photonfluid import cli
 from photonfluid.cli import main
-from photonfluid.config import SCHEMA, STAGE_SECTIONS
+from photonfluid.config import READS, SCHEMA
 from photonfluid.fieldio import read_field
 
 RDR_CFG = """
@@ -386,6 +387,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ok = write_cfg(tmp_path, RDR_CFG)
     assert main(["rdr", "--config", str(ok), "--sweep", "bogus:0:1:3"]) == 2
     assert "cannot sweep 'bogus'" in capsys.readouterr().err
+    # sweep points the formulas refuse ended in tracebacks
+    assert main(["rdr", "--config", str(ok), "--sweep", "omega:0:1:3"]) == 2
+    assert "omega = 0: the 1/omega prefactor is singular" \
+        in capsys.readouterr().err
+    assert manifest(tmp_path)["status"] == "failed"
+    ok = write_cfg(tmp_path, KERNEL_CFG)
+    assert main(["kernel", "--config", str(ok), "--sweep-gamma=0:5:3"]) == 2
+    assert "gamma must be positive for elimination" in capsys.readouterr().err
+    assert manifest(tmp_path)["status"] == "failed"
 
     # a config path that exists but cannot be read, and a key nothing reads
     unreadable = tmp_path / "undecodable.cfg"
@@ -441,6 +451,35 @@ def test_config_errors_exit_two(tmp_path, capsys):
          "line 10: lattice.dt must be positive"),
         ("kernel", KERNEL_CFG, "t_final = 60.0", "t_final = 60.0\ndt = 0.0",
          "line 11: kernel.dt must be positive"),
+        # a zero damping divided the table's span, a negative one or a
+        # negative span tabled t < 0
+        ("kernel", KERNEL_CFG, "gamma = 10.0", "gamma = 0.0",
+         "line 9: kernel.gamma must be positive"),
+        ("kernel", KERNEL_CFG, "gamma = 10.0", "gamma = -1.0",
+         "line 9: kernel.gamma must be positive"),
+        ("kernel", KERNEL_CFG, "t_final = 60.0",
+         "t_final = 60.0\nt_table = -1.0",
+         "line 11: kernel.t_table must be >= 0"),
+        # a negative t_final ran backwards in time
+        ("kernel", KERNEL_CFG, "t_final = 60.0", "t_final = -1.0",
+         "line 10: kernel.t_final must be positive"),
+        ("lattice", LATTICE_CFG, "t_final = 1.0", "t_final = -1.0",
+         "line 9: lattice.t_final must be positive"),
+        ("kg", KG_CFG, "t_final = 12.0", "t_final = -1.0",
+         "line 26: kg.t_final must be positive"),
+        # omega_eval = 0 was silently evaluated at omega_i
+        ("rdr", RDR_CFG, "n_th = 6.3e5", "n_th = 6.3e5\nomega_eval = 0.0",
+         "line 12: rdr.omega_eval must be nonzero"),
+        # the continuum map divided by h; each read key keeps its rule in
+        # every branch of the stage
+        ("pipeline", PIPELINE_ARRAY_CFG, "h = 1.0", "h = 0.0",
+         "line 22: lattice.h must be positive"),
+        ("pipeline", PIPELINE_ARRAY_CFG, "density = 1.0",
+         "density = 1.0\nm = 0.0", "line 32: nlse.m must be nonzero"),
+        ("pipeline", PIPELINE_MICRO_CFG, "J = -0.25", "J = 0.0",
+         "line 21: lattice.J must be nonzero"),
+        ("kg", KG_CFG, "sigma = 4.0", "sigma = 4.0\nmode_mx = 0",
+         "line 30: kg.mode_mx must be >= 1"),
     ):
         bad = write_cfg(tmp_path, text.replace(old, new))
         assert main([stage, "--config", str(bad)]) == 2
@@ -462,6 +501,42 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert msg in capsys.readouterr().err
 
 
+# the settable values each stage accepted and never read: 6 of the
+# pipeline's [kernel], 13 of its [lattice], 6 of its [nlse], the [nlse]
+# stepping of metric and kg, kg's kxi_limit, and the pipeline's rdr.T (it
+# needs the units = SI that only the rdr stage takes)
+_UNREAD = (
+    [("pipeline", PIPELINE_ARRAY_CFG, "kernel", key) for key in
+     ("omega_m", "gamma", "n_photon", "t_final", "dt", "t_table")]
+    + [("pipeline", PIPELINE_ARRAY_CFG, "lattice", key)
+       for key in SCHEMA["lattice"] if key not in ("J", "h", "omega_c")]
+    + [("pipeline", PIPELINE_ARRAY_CFG, "nlse", key) for key in
+       ("G_kerr", "trap_omega", "n_total", "dt", "steps", "snapshot_every")]
+    + [(stage, text, "nlse", key)
+       for stage, text in (("metric", METRIC_CFG), ("kg", KG_CFG))
+       for key in ("dt", "steps", "snapshot_every")]
+    + [("kg", KG_CFG, "kg", "kxi_limit"),
+       ("pipeline", PIPELINE_ARRAY_CFG, "rdr", "T")])
+
+
+@pytest.mark.parametrize("stage, text, sec, key", _UNREAD,
+                         ids=[f"{u[0]}-{u[2]}.{u[3]}" for u in _UNREAD])
+def test_a_key_the_stage_never_reads_is_refused_at_its_line(
+        tmp_path, capsys, stage, text, sec, key):
+    default = SCHEMA[sec][key].default
+    value = 1 if default is None else \
+        f'"{default}"' if isinstance(default, str) else default
+    before, head, after = text.partition(f"[{sec}]\n")
+    cfg = write_cfg(tmp_path, f"{before}{head}{key} = {value}\n{after}")
+    assert main([stage, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    line = before.count("\n") + 2
+    assert f"line {line}: {sec}.{key} is not read by stage = {stage}" \
+        in capsys.readouterr().err
+    man = manifest(tmp_path)
+    assert man["status"] == "failed" and man["artifacts"] == []
+
+
 def test_metric_writes_the_configured_spacing(tmp_path):
     # a spacing taken back from the coordinates as x[1] − x[0] was written
     # as 0.09999999999999964 on this 256-point grid
@@ -470,35 +545,54 @@ def test_metric_writes_the_configured_spacing(tmp_path):
     assert read_field(tmp_path / "out" / "metric_vx.pfld").grid.dx == 0.1
 
 
-# tiny runs of the field stages for the property test below; `metric` puts
-# the tanh edge x1 on a grid point and `kg-mode`/`kg-gaussian` launch each
-# seed.  ground_state backgrounds are left out only for their run time.
+# tiny runs of every stage (with the flags that make a stage read the keys
+# only its sweeps use) for the property test below; `metric` puts the tanh
+# edge x1 on a grid point and `kg-mode`/`kg-gaussian` launch each seed.
+# ground_state backgrounds are left out only for their run time.
 _TINY_GRID = {"nx": 16, "ny": 4, "dx": 1.0, "dy": 1.0}
 _TANH = {"source": "tanh1d", "c_ex": 1.0, "x1": -4.0, "x2": 4.0, "width": 1.0}
+_TINY_RDR = {"gamma_i": 1e-5, "kappa_prime": 0.2, "G": 0.08,
+             "Delta_bar": -1.0, "n_th": 10.0}
 _TINY_RUNS = {
+    "rdr": ("rdr", {"rdr": _TINY_RDR}, ["--sweep", "omega:0.5:1.5:3"]),
+    "kernel": ("kernel", {"kernel": {"g": 0.1, "omega_m": 1.0, "gamma": 10.0,
+                                     "t_final": 6.0}},
+               ["--sweep-gamma", "5:40:2"]),
+    "lattice": ("lattice", {"lattice": {"nx": 8, "ny": 4, "t_final": 1.0}},
+                []),
     "nlse": ("nlse", {"grid": {**_TINY_GRID, "ny": 8, "dx": 0.5, "dy": 0.5},
                       "nlse": {"flow_mx": 1, "steps": 4,
-                               "snapshot_every": 2}}),
-    "metric": ("metric", {"grid": _TINY_GRID, "metric": _TANH}),
+                               "snapshot_every": 2}}, []),
+    "metric": ("metric", {"grid": _TINY_GRID, "metric": _TANH}, []),
     "kg-mode": ("kg", {"grid": _TINY_GRID,
                        "metric": {"source": "uniform", "vx": 0.3},
-                       "kg": {"t_final": 2.0, "sample_every": 4}}),
+                       "kg": {"t_final": 2.0, "sample_every": 4}}, []),
     "kg-gaussian": ("kg", {"grid": _TINY_GRID, "metric": _TANH,
                            "kg": {"seed": "gaussian", "x_center": 0.5,
                                   "sigma": 1.0, "t_final": 2.0,
-                                  "sample_every": 4}}),
+                                  "sample_every": 4}}, []),
+    "pipeline": ("pipeline", {"pipeline": {"model": "array"}, "rdr": _TINY_RDR,
+                              "kernel": {"g": 0.5},
+                              "lattice": {"J": -0.25, "h": 1.0},
+                              "grid": {**_TINY_GRID, "nx": 32},
+                              "kg": {"mode_mx": 1}}, []),
 }
+
+
+def _config_text(stage, sections):
+    return f"[run]\nstage = {stage}\n" + "".join(
+        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for sec, kv in sections.items())
 
 
 @st.composite
 def _edited_runs(draw):
-    """A tiny run and up to three of its numeric keys set to -1, 0, 0.5 or
-    2 (an integer key given 0.5 is a type error)."""
+    """A tiny run and up to three of the numeric keys its stage reads set to
+    -1, 0, 0.5 or 2 (an integer key given 0.5 is a type error)."""
     name = draw(st.sampled_from(sorted(_TINY_RUNS)))
     stage = _TINY_RUNS[name][0]
-    keys = [(sec, key) for sec in STAGE_SECTIONS[stage]
-            for key, (_, typ, _) in SCHEMA[sec].items()
-            if typ in (int, float, "maybe")]
+    keys = [(sec, key) for sec, read in READS[stage].items() for key in read
+            if SCHEMA[sec][key].type in (int, float, "maybe")]
     edits = draw(st.lists(st.tuples(st.sampled_from(keys),
                                     st.sampled_from((-1, 0, 0.5, 2))),
                           max_size=3))
@@ -514,24 +608,102 @@ def _edited_runs(draw):
 @example(("kg-mode", [(("grid", "nx"), 2)]))      # mode 1 is Nyquist
 @example(("kg-gaussian", [(("kg", "sigma"), 0)]))  # no seed on the grid
 @example(("kg-mode", [(("kg", "t_final"), "nan")]))
-@settings(max_examples=60)
+@example(("kernel", [(("kernel", "gamma"), 0)]))     # t_max = 40/γ
+@example(("kernel", [(("kernel", "gamma"), -1)]))    # a table at t < 0
+@example(("kernel", [(("kernel", "t_table"), -1)]))
+@example(("kernel", [(("kernel", "t_final"), 0.5)]))  # no window past 5/γ
+@example(("kernel", [(("kernel", "t_final"), -1)]))
+@example(("rdr", [(("rdr", "omega_eval"), 0)]))      # was evaluated at ω_i
+@example(("pipeline", [(("lattice", "h"), 0)]))      # m = 1/(2Jh²)
+# each of these ran backwards in time
+@example(("lattice", [(("lattice", "t_final"), -1)]))
+@example(("kg-mode", [(("kg", "t_final"), -1)]))
+@settings(max_examples=80)
 def test_main_ends_with_a_documented_exit_code_and_a_manifest(run):
     name, edits = run
-    stage, base = _TINY_RUNS[name]
+    stage, base, flags = _TINY_RUNS[name]
     sections = {sec: dict(kv) for sec, kv in base.items()}
     for (sec, key), value in edits:
         sections.setdefault(sec, {})[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        text = f"[run]\nstage = {stage}\n" + "".join(
-            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
-            for sec, kv in sections.items())
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(_config_text(stage, sections))
         # with --out, a config that fails to parse also leaves a manifest
-        assert main([stage, "--config", path, "--out", out]) in (0, 2, 3, 4)
+        code = main([stage, "--config", path, "--out", out, *flags])
+        assert code in (0, 2, 3, 4)
         assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
+class _Recorder(Mapping):
+    """A config section that notes every key read from it."""
+
+    def __init__(self, section, values, seen):
+        self.section, self.values, self.seen = section, values, seen
+
+    def __getitem__(self, key):
+        self.seen.add((self.section, key))
+        return self.values[key]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+# value branches the tiny runs leave out: an SI rdr run (it reads T), the
+# nlse source on either background, the uniform and sink sources and the
+# microcavity
+_GROUND = {"background": "ground_state", "trap_omega": 1.0, "n_total": 1.0}
+_SINK = {"source": "radial_sink", "c_ex": 0.5}
+_BRANCHES = [
+    ("rdr", {"run": {"units": "SI"},
+             "rdr": {**_TINY_RDR, "n_th": "none", "T": 300.0}}),
+    ("nlse", {"grid": _TINY_GRID, "nlse": _GROUND}),
+    ("metric", {"grid": _TINY_GRID}),
+    ("metric", {"grid": _TINY_GRID, "nlse": _GROUND}),
+    ("metric", {"grid": _TINY_GRID, "metric": {"source": "uniform"}}),
+    ("metric", {"grid": _TINY_GRID, "metric": _SINK}),
+    ("kg", {"grid": _TINY_GRID, "kg": {"t_final": 2.0}}),
+    ("kg", {"grid": _TINY_GRID, "nlse": _GROUND, "kg": {"t_final": 2.0}}),
+    ("kg", {"grid": _TINY_GRID, "metric": _SINK, "kg": {"t_final": 2.0}}),
+    ("pipeline", {**_TINY_RUNS["pipeline"][1],
+                  "pipeline": {"model": "microcavity"}}),
+]
+
+
+@pytest.mark.parametrize("stage", list(READS))
+def test_each_runner_reads_exactly_the_keys_its_stage_accepts(
+        tmp_path, monkeypatch, stage):
+    # over the value branches of source, background, seed and model (and
+    # the sweeps' flags), the runner reads every key READS lists and no other
+    runs = [(sections, flags) for name, (of, sections, flags)
+            in _TINY_RUNS.items() if of == stage]
+    runs += [(sections, []) for of, sections in _BRANCHES if of == stage]
+    runner = getattr(cli, f"run_{stage}")
+    seen = set()
+
+    def recording(cfg, art, **kwargs):
+        sections = cfg.sections
+        cfg.sections = {sec: kv if sec == "run" else _Recorder(sec, kv, seen)
+                        for sec, kv in sections.items()}
+        try:
+            return runner(cfg, art, **kwargs)
+        finally:        # the manifest's echo reads every key
+            cfg.sections = sections
+
+    monkeypatch.setattr(cli, f"run_{stage}", recording)
+    for i, (sections, flags) in enumerate(runs):
+        path = tmp_path / f"{i}.cfg"
+        path.write_text(_config_text(stage, sections))
+        out = tmp_path / f"out{i}"
+        # a gate stops a run only after the reads that decide it
+        assert main([stage, "--config", str(path), "--out", str(out),
+                     *flags]) in (0, 4)
+    assert seen == {(sec, key) for sec, keys in READS[stage].items()
+                    for key in keys}
 
 
 def test_config_error_writes_failed_manifest(tmp_path, capsys):

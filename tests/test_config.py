@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from photonfluid.config import SCHEMA, STAGE_SECTIONS, STAGES, parse_config
+from photonfluid.config import READS, SCHEMA, STAGES, parse_config
 from photonfluid.errors import ConfigError
 
 MINIMAL_RDR = """
@@ -203,14 +203,16 @@ _JUNK = st.one_of(
     st.builds("{} = {}".format, st.one_of(st.sampled_from(_KEYS), _WORDS),
               _VALUES),
     st.text(max_size=30))
-# for each stage, the canonical echo of a valid config: every key of the
-# sections the stage reads, the required ones set
+# for each stage, the canonical echo of a valid config: every key the stage
+# reads, the required ones set
 _REQUIRED_KEYS = {"rdr": MINIMAL_RDR.split("[rdr]")[1],
                   "kernel": "g = 0.1\nomega_m = 1.0\ngamma = 5.0\n"}
 _VALID = {
     stage: parse_config(f"[run]\nstage = {stage}\n" + "".join(
-        f"[{sec}]\n{_REQUIRED_KEYS[sec]}" for sec in STAGE_SECTIONS[stage]
-        if sec in _REQUIRED_KEYS)).echo().splitlines()
+        f"[{sec}]\n" + "".join(
+            ln + "\n" for ln in _REQUIRED_KEYS[sec].strip().splitlines()
+            if ln.partition(" = ")[0] in READS[stage][sec])
+        for sec in READS[stage] if sec in _REQUIRED_KEYS)).echo().splitlines()
     for stage in STAGES}
 
 
