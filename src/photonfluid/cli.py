@@ -268,7 +268,8 @@ def run_lattice(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     art.write_field("lattice_final.pfld", fld, sidecar={"t": state.t})
 
     rows = []
-    for mode in (1, 2, 4, 8):
+    # modes below Nyquist only: on Nx sites mode Nx is the k = 0 state
+    for mode in (m for m in (1, 2, 4, 8) if 2 * m < p.Nx):
         kh = 2 * np.pi * mode / p.Nx
         psi = ComplexField2D(grid, LatticeState.bloch(p, mode, 0).a)
         lat0 = LatticeState(psi.data.copy(), np.zeros_like(psi.data))
@@ -438,9 +439,7 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     art.write_csv("kg_trace.csv", ["t", "x_energy", "y_energy", "energy"], rows)
     fld = ComplexField2D(grid, res.dtheta.astype(complex), {"units": "dtheta"})
     art.write_field("kg_final.pfld", fld)
-    summary = {"t_final": res.t, "energy_drift":
-               float(abs(res.energy[-1] - res.energy[0])
-                     / max(abs(res.energy[0]), 1e-300))}
+    summary = {"t_final": res.t, "energy_drift": res.energy_drift}
     art.write_json("kg_summary.json", summary)
     return summary
 
@@ -503,6 +502,7 @@ def run_pipeline(cfg: RunConfig, art: Artifacts) -> dict:
                                 kxi_limit=sec["kxi_limit"])
     derived["kg_nlse_deviation"] = rep.deviation
     derived["kg_seed_kxi"] = rep.kxi_max
+    derived["kg_energy_drift"] = rep.kg_energy_drift
     return {"derived": derived, "notes": notes}
 
 

@@ -599,6 +599,8 @@ def linearized_step(
     dt: float,
     steps: int = 1,
     floor_rel: float = 1e-10,
+    record=None,
+    record_every: int = 0,
 ) -> ComplexField2D:
     """Advance the relative fluctuation φ on a stationary background Ψ₀.
 
@@ -611,9 +613,20 @@ def linearized_step(
     On a uniform or plane-wave background (n𝒢 and ∇Ψ₀/Ψ₀ both uniform) the
     operator is diagonal in k up to the pairing of a_k with a*_{−k}, so
     each pair is advanced by the 2×2 RK4 amplification matrix raised to
-    `steps` (`rk4_power`); this equals stepping `steps` times up to
+    the number of steps (`rk4_power`); this equals stepping up to
     roundoff.
+
+    `record(step, field)` is invoked every `record_every` steps with the
+    state after that step; a negative `record_every` is refused with
+    `ValueError`.  The background set-up runs once per call and the steps
+    go in stretches that end at each record step, so a sampled run equals
+    one call per stretch bit for bit; the closed form raises its matrix to
+    each distinct stretch length once, and every stretch checks the field
+    for finiteness.  The field shares the live buffer of the evolution:
+    copy whatever is kept beyond the call.
     """
+    if record_every < 0:
+        raise ValueError(f"record_every must be >= 0, got {record_every}")
     amp = np.abs(psi0.data)
     if float(np.min(amp)) < floor_rel * float(np.max(amp)):
         raise ValueError(
@@ -630,7 +643,6 @@ def linearized_step(
     inv2m = 1.0 / (2.0 * p.m)
     invm = 1.0 / p.m
 
-    out = dphi.copy()
     if steps > 0 and is_uniform(gx, gy) and is_uniform(nG):
         # dφ/dt = ifft2(kmul·fft2 φ) − ic(φ + φ*): with a = fft2 φ and
         # b_k = a*_{−k}, d(a, b)_k/dt = M_k (a, b)_k for each wavevector
@@ -640,13 +652,20 @@ def linearized_step(
         neg = (-np.arange(grid.nx) % grid.nx)[:, None], \
             (-np.arange(grid.ny) % grid.ny)[None, :]
         zc = dt * 1j * c
-        p00, p01, _, _ = rk4_power(
-            (dt * kmul - zc, -zc, zc, dt * np.conj(kmul[neg]) + zc), steps)
-        a = np.fft.fft2(out.data)
-        f = np.fft.ifft2(p00 * a + p01 * np.conj(a[neg]))
-        if not np.all(np.isfinite(f)):
-            raise NumericalError(
-                f"fluctuation field non-finite after {steps} steps")
+        z = (dt * kmul - zc, -zc, zc, dt * np.conj(kmul[neg]) + zc)
+        powers = {}     # a sampled run repeats one stride
+
+        def advance(f, first, last):
+            n = last - first
+            if n not in powers:
+                powers[n] = rk4_power(z, n)[:2]
+            p00, p01 = powers[n]
+            a = np.fft.fft2(f)
+            f = np.fft.ifft2(p00 * a + p01 * np.conj(a[neg]))
+            if not np.all(np.isfinite(f)):
+                raise NumericalError(
+                    f"fluctuation field non-finite after {last} steps")
+            return f
     else:
         def rhs(phi):
             phik = np.fft.fft2(phi)
@@ -656,9 +675,20 @@ def linearized_step(
             return (1j * (inv2m * lap + invm * (gx * dxphi + gy * dyphi))
                     - 1j * nG * (phi + np.conj(phi)),)
 
-        (f,) = rk4(rhs, (out.data,), dt, 0, steps, "fluctuation field")
-    out.data = np.ascontiguousarray(f)
-    return out
+        def advance(f, first, last):
+            return rk4(rhs, (f,), dt, first, last, "fluctuation field")[0]
+
+    every = record_every if record is not None else 0
+    f = dphi.copy().data
+    # one stretch per record: every `every` steps, then the rest
+    step = 0
+    while step < steps:
+        last = min(step + every, steps) if every else steps
+        f = advance(f, step, last)
+        step = last
+        if every and step % every == 0:
+            record(step, ComplexField2D(dphi.grid, f, dict(dphi.meta)))
+    return ComplexField2D(dphi.grid, f, dict(dphi.meta))
 
 
 def bogoliubov_dispersion(k, n: float, p: FluidParams):
@@ -730,7 +760,8 @@ def measure_dispersion(
     background the projection ⟨φ e^{−ikx}⟩(t) oscillates and the spectral
     peak (parabolically interpolated) gives ω.  Exponential growth is
     detected first and reported as a positive imaginary frequency
-    (modulational instability of attractive backgrounds).
+    (modulational instability of attractive backgrounds).  Each k is one
+    `linearized_step` call that records the projection every stride.
     """
     n = float(np.mean(np.abs(psi0.data) ** 2))
     x = psi0.grid.x
@@ -761,9 +792,12 @@ def measure_dispersion(
 
         series = np.empty(n_samples, dtype=complex)
         series[0] = np.sum(phi.data * carrier) / area
-        for i in range(1, n_samples):
-            phi = linearized_step(phi, psi0, p, dt, steps=stride)
-            series[i] = np.sum(phi.data * carrier) / area
+
+        def record(step, fld):
+            series[step // stride] = np.sum(fld.data * carrier) / area
+
+        linearized_step(phi, psi0, p, dt, steps=stride * (n_samples - 1),
+                        record=record, record_every=stride)
 
         mags = np.abs(series)
         if mags[-1] > 50.0 * mags[0] and np.all(np.diff(np.log(mags[n_samples // 4:])) > 0):

@@ -93,8 +93,8 @@ def healing_length(m, c2):
 class HydroFields:
     """Hydrodynamic background on a `Grid` (any side lengths): density n,
     phase θ (optional for imposed flows), flow velocity (vx, vy), squared
-    excitation speed c2 and healing length xi; `mask` marks trusted
-    points."""
+    excitation speed c2; `mask` marks trusted points.  The healing length
+    `xi` is derived from c2 on access."""
 
     grid: Grid
     m: float
@@ -103,7 +103,6 @@ class HydroFields:
     vx: np.ndarray
     vy: np.ndarray
     c2: np.ndarray
-    xi: np.ndarray
     theta: np.ndarray | None = None
     mask: np.ndarray | None = None
     meta: dict = _field(default_factory=dict)
@@ -111,6 +110,11 @@ class HydroFields:
     def __post_init__(self):
         if self.mask is None:
             self.mask = np.ones(self.grid.shape, dtype=bool)
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Healing length ξ = 1/(|m| c_ex) of the current c2."""
+        return healing_length(self.m, self.c2)
 
     @classmethod
     def from_field(cls, psi: ComplexField2D, p: FluidParams) -> "HydroFields":
@@ -122,7 +126,7 @@ class HydroFields:
         return cls(
             grid=psi.grid, m=p.m, G=p.G_kerr,
             n=md.n, vx=gx / p.m, vy=gy / p.m, c2=c2,
-            xi=healing_length(p.m, c2), theta=md.theta, mask=md.mask,
+            theta=md.theta, mask=md.mask,
             meta={"vortices": md.vortices},
         )
 
@@ -139,8 +143,7 @@ class HydroFields:
 
         n, vx, vy = full(n), full(vx), full(vy)
         c2 = n * G / m if c2 is None else full(c2)
-        return cls(grid=grid, m=m, G=G, n=n, vx=vx, vy=vy, c2=c2,
-                   xi=healing_length(m, c2))
+        return cls(grid=grid, m=m, G=G, n=n, vx=vx, vy=vy, c2=c2)
 
 
 def hydro_linear_step(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -197,6 +198,19 @@ def test_rdr_stage_and_sweep(tmp_path):
     assert len(rows) == 22
 
 
+def test_lattice_continuum_table_stops_below_nyquist(tmp_path):
+    # on 8 sites mode 4 is Nyquist and mode 8 the k = 0 state, whose step
+    # would divide by ω_m = 0: only the modes below Nyquist are tabled
+    cfg = write_cfg(tmp_path, LATTICE_CFG.replace("t_final = 1.0",
+                                                  "t_final = 1.0\nomega_m = 0.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lattice", "--config", str(cfg)]) == 0
+    kh, _ = np.loadtxt(tmp_path / "out" / "continuum_error.csv",
+                       delimiter=",", skiprows=1).T
+    assert np.array_equal(kh, 2 * np.pi * np.array([1, 2]) / 8)
+
+
 def test_kernel_stage_with_gamma_sweep(tmp_path):
     cfg = write_cfg(tmp_path, KERNEL_CFG)
     assert main(["kernel", "--config", str(cfg),
@@ -256,6 +270,26 @@ def test_pipeline_array_model_runs_to_crosscheck(tmp_path):
     assert d["kg_nlse_deviation"] <= 0.05
     assert d["gamma_total"] == pytest.approx(0.1277, rel=1e-2)
     assert d["n_f"] == pytest.approx(49, rel=5e-2)
+
+
+def test_pipeline_steps_each_side_of_the_crosscheck_in_one_call(tmp_path,
+                                                                 monkeypatch):
+    # the crosscheck samples one kg_evolve run and one linearized_step run
+    # instead of calling each once per sample
+    from photonfluid import kgwave
+
+    calls = []
+    for name in ("kg_evolve", "linearized_step"):
+        def spy(*args, _fn=getattr(kgwave, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(kgwave, name, spy)
+    cfg = write_cfg(tmp_path, PIPELINE_ARRAY_CFG)
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    assert sorted(calls) == ["kg_evolve", "linearized_step"]
+    # the sampled KG run's wave energy is recorded: RK4 in closed form
+    # conserves it to well below the crosscheck's own tolerance
+    assert 0.0 <= manifest(tmp_path)["derived"]["kg_energy_drift"] < 1e-6
 
 
 def test_pipeline_microcavity_hits_euclidean_gate(tmp_path):
@@ -850,3 +884,26 @@ def test_pipeline_calls_the_names_the_benchmark_tracer_wraps(tmp_path,
     assert {"geometry.build_metric", "geometry.find_horizon",
             "kgwave.crosscheck_kg_vs_nlse", "rdr.rdr_report",
             "elimination.kerr_coupling", "kgwave.kg_evolve"} <= names
+
+
+def test_traced_pipeline_counts_each_crosscheck_stepper_in_one_span(
+        tmp_path, monkeypatch):
+    # the per-layer step metrics of the benchmark come from these spans: a
+    # stepper reached some other way would leave them at zero
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer(run_id="pipeline")
+    tracer.install()
+    try:
+        code = main(["pipeline", "--config",
+                     str(write_cfg(tmp_path, PIPELINE_ARRAY_CFG))])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("fluid.linearized_step") == 1
+    assert names.count("kgwave.kg_evolve") == 1
+    metrics = tracer.metrics()
+    assert metrics["fluid.linearized_step.steps"] == 15_808
+    assert metrics["kgwave.kg_evolve.steps"] == 256

@@ -688,6 +688,65 @@ def test_uniform_background_propagator_matches_rk4_steps(flow, G, m, steps):
     assert np.linalg.norm(out.data - ref) <= 1e-11 * np.linalg.norm(ref)
 
 
+def _linearized_case(modulated):
+    """A full-spectrum seed on a flowing background: uniform (closed form)
+    or density-modulated (the RK4 loop)."""
+    grid = Grid(32, 8, 0.7, 0.9)
+    psi0 = uniform_background(grid, density=1.3, flow_mode=(1, 0))
+    if modulated:
+        psi0.data = psi0.data * (1.0 + 0.1 * np.cos(2 * np.pi * grid.x
+                                                    / (32 * 0.7)))[:, None]
+    rng = np.random.default_rng(31)
+    phi = ComplexField2D(grid, 1e-3 * (rng.standard_normal(grid.shape)
+                                       + 1j * rng.standard_normal(grid.shape)))
+    p = FluidParams(m=1.0, G_kerr=1.0)
+    dt = 0.2 / (float(np.max(grid.k_squared())) / 2 + 2 * 1.3 * 1.1**2)
+    return phi, psi0, p, dt
+
+
+@pytest.mark.parametrize("modulated", [False, True])
+@pytest.mark.parametrize("steps, every", [(12, 4), (14, 4), (3, 5)])
+def test_linearized_record_equals_one_call_per_stretch(modulated, steps,
+                                                       every, monkeypatch):
+    # (14, 4) ends on a partial stretch of 2 steps, which is not recorded;
+    # (3, 5) records nothing; the closed form raises R once per stride
+    phi, psi0, p, dt = _linearized_case(modulated)
+    calls, power = [], fluid.rk4_power
+    monkeypatch.setattr(fluid, "rk4_power",
+                        lambda z, n: calls.append(n) or power(z, n))
+    records = []
+    out = linearized_step(phi, psi0, p, dt, steps=steps,
+                          record=lambda s, f: records.append((s, f.data.copy())),
+                          record_every=every)
+    strides = [min(every, steps - first) for first in range(0, steps, every)]
+    assert calls == ([] if modulated else list(dict.fromkeys(strides)))
+
+    ref, expected = phi, []
+    for first, n in zip(range(0, steps, every), strides):
+        ref = linearized_step(ref, psi0, p, dt, steps=n)
+        if n == every:
+            expected.append((first + n, ref.data))
+    assert [s for s, _ in records] == [s for s, _ in expected]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(records, expected))
+    assert np.array_equal(out.data, ref.data)
+
+
+def test_linearized_record_every_zero_never_records():
+    phi, psi0, p, dt = _linearized_case(modulated=True)
+    records = []
+    out = linearized_step(phi, psi0, p, dt, steps=6,
+                          record=lambda s, f: records.append(s), record_every=0)
+    assert records == []
+    assert np.array_equal(out.data, linearized_step(phi, psi0, p, dt, 6).data)
+
+
+def test_linearized_rejects_negative_record_every():
+    phi, psi0, p, dt = _linearized_case(modulated=False)
+    with pytest.raises(ValueError, match="record_every must be >= 0"):
+        linearized_step(phi, psi0, p, dt, steps=6,
+                        record=lambda s, f: None, record_every=-1)
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3, 494])
 def test_rk4_power_matches_matrix_power_on_2x2_stacks(steps):
     rng = np.random.default_rng(steps + 21)

@@ -26,6 +26,7 @@ from photonfluid.geometry import (
     build_metric,
     estimate_density_fluctuation,
     find_horizon,
+    healing_length,
     hydro_linear_step,
     line_element,
     madelung,
@@ -255,6 +256,18 @@ def test_metric_static_conformally_flat():
     assert g[1, 1] == pytest.approx(Om) and g[2, 2] == pytest.approx(Om)
     assert g[0, 1] == 0 and g[0, 2] == 0
     assert met.det_g[4, 4] == pytest.approx(-(Om**3) * c2)
+
+
+def test_hydro_healing_length_follows_reassigned_c2():
+    # ξ is derived from c2 when read, so imposing a speed cannot leave a
+    # stale healing length behind
+    f = HydroFields.uniform(Grid(4, 4, 1.0, 1.0), m=2.0, G=3.0, density=1.5)
+    assert np.all(f.xi == 1.0 / (2.0 * np.sqrt(1.5 * 3.0 / 2.0)))
+    f.c2 = np.full((4, 4), 4.0)
+    assert np.all(f.xi == 0.25)
+    f.c2[1, 2] = -1.0
+    assert np.array_equal(f.xi, healing_length(2.0, f.c2), equal_nan=True)
+    assert np.isnan(f.xi[1, 2])
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.05, 4.0), st.floats(-3.0, 3.0),

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from photonfluid.errors import NumericalError, PhysicsGateError, StepSizeError
 from photonfluid.fluid import (ComplexField2D, FluidParams, Grid,
-                               uniform_background)
+                               linearized_step, spectral_d, uniform_background)
 from photonfluid.geometry import HydroFields, build_metric
 from photonfluid import kgwave
 from photonfluid.kgwave import (
@@ -275,6 +275,64 @@ def test_crosscheck_deviation_grows_with_kxi():
                                     kxi_limit=limit)
         devs.append(rep.deviation)
     assert devs[0] < devs[1] < devs[2]
+
+
+def _crosscheck_per_sample(psi0, p, dtheta0, t_final, n_samples=32):
+    """The crosscheck as one `kg_evolve` and one `linearized_step` call per
+    sample: (deviation, per-sample errors, KG energy drift)."""
+    fields = HydroFields.from_field(psi0, p)
+    metric = build_metric(fields)
+    kx, ky = fields.grid.k()
+    u0 = -(fields.vx * spectral_d(dtheta0, kx)
+           + fields.vy * spectral_d(dtheta0, ky))
+    dt_kg = 0.5 * sonic_cfl_dt(metric)
+    dt_nl = 0.08 / max(
+        float(np.max(psi0.grid.k_squared())) / (2 * abs(p.m)),
+        2.0 * abs(p.G_kerr) * float(np.max(np.abs(psi0.data)) ** 2),
+    )
+    t_s = t_final / n_samples
+    th, u = np.asarray(dtheta0, float).copy(), u0
+    phi = ComplexField2D(psi0.grid, 1j * np.asarray(dtheta0, float))
+    errs = np.zeros(n_samples + 1)
+    num = den = 0.0
+    for i in range(1, n_samples + 1):
+        n_kg = max(1, int(np.ceil(t_s / dt_kg)))
+        res = kg_evolve(th, u, metric, t_s / n_kg, n_kg)
+        th, u = res.dtheta, res.dtheta_dot
+        n_nl = max(1, int(np.ceil(t_s / dt_nl)))
+        phi = linearized_step(phi, psi0, p, t_s / n_nl, steps=n_nl)
+        th_nlse = np.imag(phi.data)
+        diff = np.linalg.norm(th - th_nlse)
+        ref = np.linalg.norm(th_nlse)
+        errs[i] = diff / ref if ref > 0 else diff
+        num += diff**2
+        den += ref**2
+    e0, e1 = kg_energy(dtheta0, u0, metric), kg_energy(th, u, metric)
+    return (float(np.sqrt(num / den)), errs,
+            float(abs(e1 - e0) / max(abs(e0), 1e-300)))
+
+
+@pytest.mark.parametrize("modulated", [False, True])
+def test_crosscheck_equals_one_call_per_sample(modulated, monkeypatch):
+    # uniform flowing background: both sides in closed form; a modulated
+    # density: both RK4 loops
+    grid = Grid(32, 4, 1.0, 1.0)
+    psi0 = uniform_background(grid, flow_mode=(1, 0))
+    if modulated:
+        psi0.data = psi0.data * (1.0 + 0.05 * np.cos(2 * np.pi * grid.x
+                                                     / 32.0))[:, None]
+    p = FluidParams(m=1.0, G_kerr=1.0)
+    seed = 1e-3 * np.cos(2 * np.pi * grid.x / 32.0)[:, None] * np.ones((1, 4))
+    powers, power = [], kgwave.rk4_power
+    monkeypatch.setattr(kgwave, "rk4_power",
+                        lambda z, n: powers.append(n) or power(z, n))
+    rep = crosscheck_kg_vs_nlse(psi0, p, seed, t_final=3.0)
+    assert len(powers) == (0 if modulated else 1)   # one stride, one power
+    deviation, errs, drift = _crosscheck_per_sample(psi0, p, seed, 3.0)
+    assert rep.deviation == deviation
+    assert np.array_equal(rep.per_sample, errs)
+    assert np.array_equal(rep.times, np.arange(33) * (3.0 / 32))
+    assert rep.kg_energy_drift == drift
 
 
 # ---------------------------------------------------------------------------
