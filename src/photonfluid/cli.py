@@ -38,6 +38,7 @@ import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -344,6 +345,12 @@ def run_nlse(cfg: RunConfig, art: Artifacts,
     return summary
 
 
+def _real_field(grid: Grid, values: np.ndarray, units: str) -> SimpleNamespace:
+    """A real array as the grid, data and meta `write_field` reads; the
+    writer widens it to complex128 without a field-sized copy."""
+    return SimpleNamespace(grid=grid, data=values, meta={"units": units})
+
+
 def _hydro_fields(cfg: RunConfig) -> HydroFields:
     msec = cfg["metric"]
     nsec = cfg["nlse"]
@@ -356,12 +363,20 @@ def _hydro_fields(cfg: RunConfig) -> HydroFields:
                                    vx=msec["vx"], vy=msec["vy"])
     c2 = msec["c_ex"] * msec["c_ex"]
     if msec["source"] == "radial_sink":
-        X, Y = grid.xy()
-        r = np.hypot(X, Y)
-        r = np.maximum(r, 0.25 * min(grid.dx, grid.dy))
+        # v = −(D/r)·r̂, each component formed in place in the order
+        # ((−D/r)·x)/r; the coordinates stay a column and a row
+        x, y = grid.x[:, None], grid.y[None, :]
+        r = np.hypot(x, y)
+        np.maximum(r, 0.25 * min(grid.dx, grid.dy), out=r)
         speed = msec["sink_strength"] / r
-        return HydroFields.from_profiles(grid, m, G, n=1.0, vx=-speed * X / r,
-                                         vy=-speed * Y / r, c2=c2)
+        vx = np.negative(speed)
+        vx *= x
+        vx /= r
+        vy = np.negative(speed, out=speed)
+        vy *= y
+        vy /= r
+        return HydroFields.from_profiles(grid, m, G, n=1.0, vx=vx, vy=vy,
+                                         c2=c2)
     # tanh1d: leftward flow with a supersonic well between x1 and x2
     x = grid.x
     prof = 0.5 * (np.tanh((x - msec["x1"]) / msec["width"])
@@ -395,9 +410,8 @@ def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
     metric, census, horizons = _metric_census(fields, art)
     for name, values in (("c2", fields.c2), ("vx", fields.vx),
                          ("vy", fields.vy), ("n", fields.n)):
-        fld = ComplexField2D(fields.grid, values.astype(complex),
-                             {"units": name})
-        art.write_field(f"metric_{name}.pfld", fld)
+        art.write_field(f"metric_{name}.pfld",
+                        _real_field(fields.grid, values, name))
     summary = {"signature": census, "horizon_count": len(horizons),
                "conformal_mean": float(np.nanmean(metric.conformal))}
     art.write_json("metric_summary.json", summary)
@@ -437,8 +451,7 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
         cx, cy = center_of_energy(th, u, metric)
         rows.append([t, cx, cy, en])
     art.write_csv("kg_trace.csv", ["t", "x_energy", "y_energy", "energy"], rows)
-    fld = ComplexField2D(grid, res.dtheta.astype(complex), {"units": "dtheta"})
-    art.write_field("kg_final.pfld", fld)
+    art.write_field("kg_final.pfld", _real_field(grid, res.dtheta, "dtheta"))
     summary = {"t_final": res.t, "energy_drift": res.energy_drift}
     art.write_json("kg_summary.json", summary)
     return summary

@@ -19,10 +19,16 @@ Layout (little-endian throughout):
 File size is exactly 64 + 16·nx·ny bytes.  An optional JSON sidecar
 (`<path>.json`) carries run parameters; writing is atomic (temp file +
 rename) so readers never observe a torn file.
+
+`write_field` stores any real or complex array of the grid's shape, of any
+strides: C-contiguous little-endian complex128 data is written from a byte
+view of the array, and any other dtype or layout is widened to complex128
+through one fixed buffer of at most 64 KB, so no field-sized copy is made.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -43,30 +49,72 @@ _HEADER_FMT = "<4sII4xQQdd8sI4x"
 assert struct.calcsize(_HEADER_FMT) == HEADER_SIZE
 
 
+# elements of the conversion buffer: 64 KB of complex128
+_CHUNK = 4096
+
+
 def write_field(path, field: ComplexField2D, sidecar: dict | None = None) -> None:
     """Write a field (and optional JSON sidecar) atomically.
 
-    No copy of the data is made: the CRC and the write both read a byte
-    view of the contiguous little-endian complex128 array (a field of
-    another layout or dtype is converted once).
+    `field` is a `ComplexField2D` or any object with its `grid`, `data` and
+    `meta` attributes.  C-contiguous complex128 `data` (every
+    `ComplexField2D`, finite by construction) is written as it stands: the
+    CRC and the write both read a byte view of the array.  Real data, or
+    data of another complex dtype or layout, is converted to complex128
+    chunk by chunk through one 64 KB buffer, bit-identical to writing
+    `data.astype(complex)`, and checked for non-finite entries as it goes.
+    A `ValueError` for a shape other than the grid's or for a non-finite
+    entry leaves no file behind.
     """
-    data = memoryview(np.ascontiguousarray(field.data, dtype="<c16")).cast("B")
-    units = str(field.meta.get("units", "natural")).encode()[:8]
     g = field.grid
-    header = struct.pack(
-        _HEADER_FMT, MAGIC, VERSION, ENDIAN_SENTINEL, g.nx, g.ny, g.dx, g.dy,
-        units.ljust(8, b"\x00"), zlib.crc32(data),
-    )
+    data = np.asarray(field.data)
+    if data.shape != g.shape:
+        raise ValueError(f"data shape {data.shape} != {g.shape}")
+    units = str(field.meta.get("units", "natural")).encode()[:8]
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(data)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(HEADER_SIZE))
+            if data.dtype == np.dtype("<c16") and data.flags.c_contiguous:
+                view = memoryview(data).cast("B")
+                fh.write(view)
+                crc = zlib.crc32(view)
+            else:
+                crc = _write_converted(fh, data)
+            fh.seek(0)
+            fh.write(struct.pack(
+                _HEADER_FMT, MAGIC, VERSION, ENDIAN_SENTINEL, g.nx, g.ny,
+                g.dx, g.dy, units.ljust(8, b"\x00"), crc))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
     if sidecar is not None:
         stmp = f"{path}.json.tmp"
         with open(stmp, "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
         os.replace(stmp, f"{path}.json")
+
+
+def _write_converted(fh, data: np.ndarray) -> int:
+    """Write a 2D array as C-order complex128 through one `_CHUNK` buffer,
+    in blocks of whole rows (or of one row's pieces, for rows longer than
+    the buffer); returns the CRC32 of the bytes written."""
+    buf = np.empty(_CHUNK, dtype="<c16")
+    nx, ny = data.shape
+    rows, cols = max(1, _CHUNK // ny), min(ny, _CHUNK)
+    crc = 0
+    for i in range(0, nx, rows):
+        for j in range(0, ny, cols):
+            part = data[i:i + rows, j:j + cols]
+            out = buf[:part.size].reshape(part.shape)
+            np.copyto(out, part)
+            if not np.isfinite(out).all():
+                raise ValueError("field contains non-finite entries")
+            crc = zlib.crc32(out, crc)
+            fh.write(out)
+    return crc
 
 
 def read_field(path) -> ComplexField2D:

@@ -71,9 +71,10 @@ def madelung(psi: ComplexField2D, floor_rel: float = 1e-8) -> MadelungResult:
     of plaquette charges and the surrounding points are masked, since no
     single-valued θ exists around a core.
     """
-    n = np.abs(psi.data) ** 2
+    amp = np.abs(psi.data)
+    mask = amp > floor_rel * float(np.max(amp))
+    n = np.square(amp, out=amp)
     theta, res = unwrap_least_squares(np.angle(psi.data))
-    mask = np.abs(psi.data) > floor_rel * float(np.max(np.abs(psi.data)))
     vortices = [(int(i), int(j), int(res[i, j]))
                 for i, j in zip(*np.nonzero(res))]
     for (i, j, _) in vortices:
@@ -137,9 +138,13 @@ class HydroFields:
     @classmethod
     def from_profiles(cls, grid: Grid, m, G, n, vx, vy, c2=None):
         """Imposed analytic background: arrays (or scalars) broadcastable
-        to the grid; c2 defaults to n𝒢/m."""
+        to the grid; c2 defaults to n𝒢/m.  A float array of the grid's
+        shape is kept as given, not copied."""
         def full(a):
-            return np.broadcast_to(np.asarray(a, float), grid.shape).copy()
+            a = np.asarray(a, float)
+            if a.shape == grid.shape:
+                return a
+            return np.broadcast_to(a, grid.shape).copy()
 
         n, vx, vy = full(n), full(vx), full(vy)
         c2 = n * G / m if c2 is None else full(c2)
@@ -240,6 +245,8 @@ class MetricField:
 
     Stored are the fields the metric is built from (n, c², v), the signed
     conformal factor Ω = n/(m c_ex), the volume weight and the signature.
+    n, c² and v are the arrays of the `HydroFields` the metric was built
+    from, not copies: callers treat them as read-only.
     det g follows the closed form det g = −Ω³c².  For negative photon mass
     Ω < 0 and the tensor is the overall negative of a (−,+,+) metric; since
     the wave operator is invariant under g → −g, `sqrt_minus_g` stores the
@@ -337,9 +344,8 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
         np.sqrt(sqrt_mg, out=sqrt_mg)
 
     return MetricField(
-        grid=fields.grid, m=m, n=n.copy(), c2=c2.copy(), vx=vx.copy(),
-        vy=vy.copy(), conformal=conformal, sqrt_minus_g=sqrt_mg,
-        signature=signature,
+        grid=fields.grid, m=m, n=n, c2=c2, vx=vx, vy=vy, conformal=conformal,
+        sqrt_minus_g=sqrt_mg, signature=signature,
     )
 
 
@@ -385,11 +391,13 @@ _CASES = {
 
 def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
                      level: float = 0.0):
-    """Zero-level contours of F(x, y) by marching squares.
+    """Contours F(x, y) = `level` by marching squares.
 
     Returns a list of polylines (arrays of (x, y) vertices) with linear
     interpolation along cell edges; the F > level region lies on the left
-    of the walking direction.  Saddle cells are disambiguated with the
+    of the walking direction.  `F` is read, never written: it is used as
+    given for the default level 0, and only a nonzero level makes a
+    shifted copy F − level.  Saddle cells are disambiguated with the
     cell-centre average.  Closed loops repeat their first vertex.
 
     The 4-bit case index of every cell is formed at once from the corner
@@ -397,7 +405,9 @@ def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
     cells the contour crosses (index neither 0 nor 15) are then walked, in
     row-major order.
     """
-    F = np.asarray(F, float) - level
+    F = np.asarray(F, float)
+    if level:
+        F = F - level
     P = (F > 0).astype(np.uint8)
     index = (P[:-1, :-1] | (P[1:, :-1] << 1) | (P[1:, 1:] << 2)
              | (P[:-1, 1:] << 3))
@@ -480,5 +490,8 @@ def find_horizon(fields: HydroFields) -> list:
     """
     if np.any(fields.c2 <= 0):
         raise PhysicsGateError("horizon analysis requires c_ex² > 0 on the grid")
-    F = fields.vx**2 + fields.vy**2 - fields.c2
+    # F = (vx² + vy²) − c², summed in one buffer
+    F = np.square(fields.vx)
+    F += np.square(fields.vy)
+    F -= fields.c2
     return marching_squares(F, fields.grid.x, fields.grid.y, level=0.0)

@@ -3,6 +3,7 @@
 import struct
 import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,67 @@ def test_write_makes_no_copy_of_the_data(tmp_path):
         tracemalloc.stop()
     assert peak / f.data.nbytes < 0.1
     assert read_field(path).data.tobytes() == f.data.tobytes()
+
+
+def _real_field(data, dx=0.5, dy=0.25):
+    # the grid, data and meta a writer reads; data need not be complex
+    return SimpleNamespace(grid=Grid(*data.shape, dx, dy), data=data,
+                           meta={"units": "n"})
+
+
+_REAL = np.random.default_rng(9).standard_normal((64, 32))
+
+
+@pytest.mark.parametrize("data", [
+    _REAL,                                   # C order, whole rows per chunk
+    np.asfortranarray(_REAL),
+    _REAL[::2, ::-1],                        # strided and reversed
+    _REAL.astype(np.float32),
+    np.random.default_rng(10).standard_normal((2, 8192)),  # rows > chunk
+    (_REAL + 1j * _REAL[::-1]).astype(np.complex64),
+], ids=["c-order", "fortran", "strided", "float32", "long-rows", "complex64"])
+def test_converted_write_equals_the_complex_cast(tmp_path, data):
+    path, ref = tmp_path / "conv.pfld", tmp_path / "ref.pfld"
+    write_field(path, _real_field(data))
+    write_field(ref, _real_field(data.astype(complex)))
+    assert path.read_bytes() == ref.read_bytes()
+    back = read_field(path)
+    assert back.data.tobytes() == data.astype(complex).tobytes()
+    assert back.meta["units"] == "n"
+
+
+def test_non_finite_real_data_is_refused_and_leaves_no_file(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.ones((256, 256))
+        data[200, 7] = bad                   # far past the first chunk
+        path = tmp_path / "bad.pfld"
+        with pytest.raises(ValueError, match="field contains non-finite entries"):
+            write_field(path, _real_field(data))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_data_off_the_grid_shape_is_refused(tmp_path):
+    field = SimpleNamespace(grid=Grid(8, 8, 1.0, 1.0), data=np.ones((8, 4)),
+                            meta={})
+    with pytest.raises(ValueError, match="shape"):
+        write_field(tmp_path / "f.pfld", field)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_real_write_makes_no_field_sized_copy(tmp_path):
+    # real data is widened through one fixed 64 KB buffer: the peak stays
+    # far below the complex field written (an astype(complex) copy is 1.0)
+    data = np.random.default_rng(12).standard_normal((256, 256))
+    path = tmp_path / "real.pfld"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_field(path, _real_field(data))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * data.size) < 0.1
+    assert read_field(path).data.tobytes() == data.astype(complex).tobytes()
 
 
 def test_file_size_arithmetic(tmp_path):

@@ -47,6 +47,15 @@ def test_madelung_uniform_field():
     assert np.allclose(theta, np.pi / 4)
 
 
+def test_madelung_density_and_mask_from_one_modulus():
+    rng = np.random.default_rng(31)
+    data = (1.0 + rng.random((16, 8))) * np.exp(0.3j)   # no phase residues
+    data[3, 4] = 1e-12                       # below the relative floor
+    md = madelung(ComplexField2D(Grid(16, 8, 1.0, 1.0), data))
+    assert md.n.tobytes() == (np.abs(data) ** 2).tobytes()
+    assert not md.mask[3, 4] and md.mask.sum() == data.size - 1
+
+
 def test_madelung_plane_wave_ramp():
     # theta = k x recovered beyond the wrapped range; v0 = k/m uniform
     nx, dx = 64, 0.5
@@ -306,6 +315,16 @@ def test_build_metric_peak_memory():
                    for v in vars(met).values())
 
 
+def test_build_metric_shares_the_hydro_arrays():
+    x = (np.arange(16) - 8) * 0.5
+    f = HydroFields.from_profiles(Grid(16, 16, 0.5, 0.5), 1.0, 1.0,
+                                  n=np.ones((16, 16)), vx=0.1 * x[:, None],
+                                  vy=0.0, c2=np.full((16, 16), 0.25))
+    met = build_metric(f)
+    for name in ("n", "c2", "vx", "vy"):
+        assert np.shares_memory(getattr(met, name), getattr(f, name)), name
+
+
 def test_signature_classification_follows_interaction_sign():
     lor = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=-1.0, G=-2.0))
     assert np.all(lor.signature == LORENTZIAN)
@@ -418,6 +437,30 @@ def test_marching_squares_open_chain_spans_domain():
     assert lines[0][:, 1].min() == pytest.approx(0.0)
     assert lines[0][:, 1].max() == pytest.approx(1.0)
     assert np.allclose(lines[0][:, 0], 0.503, atol=1e-9)
+
+
+def test_marching_squares_leaves_F_unmodified():
+    x = np.linspace(-1, 1, 33)
+    F = x[:, None] ** 2 + x[None, :] ** 2
+    before = F.copy()
+    loops = marching_squares(F, x, x, level=0.3)
+    assert F.tobytes() == before.tobytes()
+    assert len(loops) == 1
+    assert loops[0].tobytes() == marching_squares(F - 0.3, x, x)[0].tobytes()
+
+
+def test_find_horizon_loops_of_a_small_sink():
+    # the loops of the contour of vx**2 + vy**2 - c2 formed the plain way
+    nx, dx = 64, 0.125
+    x = (np.arange(nx) - nx // 2) * dx
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    r = np.maximum(np.hypot(X, Y), 0.25 * dx)
+    f = HydroFields.from_profiles(Grid(nx, nx, dx, dx), 1.0, 1.0, n=1.0,
+                                  vx=-X / r**2, vy=-Y / r**2, c2=0.25)
+    loops = find_horizon(f)
+    want = marching_squares(f.vx**2 + f.vy**2 - f.c2, x, x)
+    assert len(loops) == len(want) >= 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(loops, want))
 
 
 def _per_cell_segments(F, x, y):
