@@ -2,8 +2,9 @@
 
 Subcommands mirror the pipeline stages:
 
-    rdr       reservoir-engineering figures of merit (+ parameter sweeps)
-    kernel    memory kernel table, Kerr coupling, elimination validation
+    rdr       reservoir-engineering figures of merit
+    kernel    memory kernel table, Kerr coupling and the closed-form
+              elimination check (its `err_norm` is in every summary)
     lattice   array mean-field evolution and continuum comparison
     nlse      2D photon-fluid evolution with snapshots
     metric    acoustic metric, signature census, horizon polylines
@@ -16,11 +17,20 @@ Every run writes its artifacts plus a `manifest.json` (config hash, tool
 version, timestamps, artifact checksums, derived quantities).  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 physics gate (unstable
 operating point or Euclidean signature: the run is valid but gated stages
-were skipped).  A config error still writes a `manifest.json` with
-status "failed" and the error in its notes when the output directory is
-known, i.e. `--out` was given or the config parsed; otherwise (an
-unreadable or unparsable config without `--out`) the error goes to stderr
-only.
+were skipped, and `derived` keeps what came before the gate).  A config
+error still writes a `manifest.json` with status "failed" and the error in
+its notes when the output directory is known, i.e. `--out` was given or
+the config parsed; otherwise (an unreadable or unparsable config without
+`--out`) the error goes to stderr only.
+
+`--sweep section.key:min:max:steps` (every stage) reruns the stage at
+`steps` evenly spaced values of one key it reads, each checked as a config
+value (any `[run]` or unread key, or a point its rule refuses, is a config
+error before anything runs).  A point writes no artifacts; it adds the row
+`section.key, status, <each number or bool derived>` to `<stage>_sweep.csv`,
+nested as `signature.lorentzian`; a gated point's row keeps its status
+`gated` and what it derived before the gate, and a point that fails (exit
+2 or 3) fails the run.
 
 Nothing in the pipeline is random: `[run] seed` is reserved and only
 recorded in the manifest.  The NLSE split step sizes its own thread pool
@@ -35,6 +45,7 @@ import argparse
 import csv
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -73,11 +84,12 @@ def _sha256(path: str) -> str:
 
 
 class Artifacts:
-    """Tracks emitted files so the manifest can checksum them."""
+    """Tracks emitted files, which the manifest checksums, and notes."""
 
     def __init__(self, outdir: str):
         self.outdir = outdir
         self.paths: list[str] = []
+        self.notes: list[str] = []
         os.makedirs(outdir, exist_ok=True)
 
     def path(self, name: str) -> str:
@@ -85,26 +97,22 @@ class Artifacts:
         self.paths.append(p)
         return p
 
-    def write_csv(self, name: str, header, rows) -> str:
-        p = self.path(name)
-        with open(p, "w", newline="") as fh:
+    def write_csv(self, name: str, header, rows) -> None:
+        with open(self.path(name), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
-        return p
 
-    def write_json(self, name: str, payload) -> str:
-        p = self.path(name)
-        with open(p, "w") as fh:
+    def write_json(self, name: str, payload) -> None:
+        with open(self.path(name), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-        return p
 
-    def write_field(self, name: str, field: ComplexField2D, sidecar=None) -> str:
+    def write_field(self, name: str, field: ComplexField2D,
+                    sidecar=None) -> None:
         p = self.path(name)
         write_field(p, field, sidecar)
         if sidecar is not None:
             self.paths.append(p + ".json")
-        return p
 
     def manifest_entries(self):
         return [
@@ -113,6 +121,15 @@ class Artifacts:
              "bytes": os.path.getsize(p)}
             for p in self.paths
         ]
+
+
+class _Discard(Artifacts):
+    """A sink that writes nothing: a sweep point keeps only its derived."""
+
+    def __init__(self):
+        self.paths, self.notes = [], []
+
+    write_csv = write_json = write_field = staticmethod(lambda *a, **kw: None)
 
 
 def _jsonable(x):
@@ -125,13 +142,12 @@ def _jsonable(x):
     raise TypeError(f"not serializable: {type(x)}")
 
 
-def write_manifest(outdir: str, payload: dict) -> str:
+def write_manifest(outdir: str, payload: dict) -> None:
     path = os.path.join(outdir, "manifest.json")
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
     os.replace(tmp, path)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +177,7 @@ def _rdr_params(cfg: RunConfig) -> tuple[OptomechParams, complex | None, float |
     return p, r["G"], r["Delta_bar"]
 
 
-def run_rdr(cfg: RunConfig, art: Artifacts, sweep: str | None = None) -> dict:
+def run_rdr(cfg: RunConfig, art: Artifacts) -> dict:
     p, G, Delta_bar = _rdr_params(cfg)
     omega = cfg["rdr"]["omega_eval"]
     if omega is None:
@@ -177,69 +193,21 @@ def run_rdr(cfg: RunConfig, art: Artifacts, sweep: str | None = None) -> dict:
         "omega_ref_si": cfg.omega_ref,
     }
     art.write_json("rdr_summary.json", summary)
-
-    if sweep:
-        param, values = _parse_sweep(sweep)
-        if param not in ("omega", "G", "Delta_bar", *_asdict(p)):
-            raise ConfigError(f"cannot sweep {param!r}")
-
-        def point(v):
-            kw = {"omega": omega, "G": rep.G, "Delta_bar": rep.Delta_bar}
-            pp = p
-            if param == "omega":
-                kw["omega"] = v
-            elif param in ("G", "Delta_bar"):
-                kw[param] = v
-            else:
-                pp = _from_config(OptomechParams, **{**_asdict(p), param: v})
-            r = _from_config(rdr_report, pp, **kw)
-            return [kw["omega"] if param == "omega" else v,
-                    r.gamma_opt, r.omega_opt, r.n_f, int(r.stable)]
-
-        rows = [point(v) for v in values]
-        head = ["omega" if param == "omega" else param,
-                "gamma_opt", "omega_opt", "n_f", "stable"]
-        art.write_csv("rdr_sweep.csv", head, rows)
     return summary
 
 
-def _asdict(p: OptomechParams) -> dict:
-    return {k: getattr(p, k) for k in
-            ("omega_i", "gamma_i", "kappa_prime", "kappa", "G0", "eps",
-             "Delta", "T_bath", "n_th")}
-
-
-def _parse_sweep(spec: str):
-    try:
-        param, lo, hi, num = spec.split(":")
-        return param, np.linspace(float(lo), float(hi), int(num))
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep spec {spec!r}; want param:min:max:steps") from exc
-
-
-def run_kernel(cfg: RunConfig, art: Artifacts,
-               sweep_gamma: str | None = None) -> dict:
+def run_kernel(cfg: RunConfig, art: Artifacts) -> dict:
     sec = cfg["kernel"]
     kp = KernelParams(sec["omega_m"], sec["gamma"], sec["g"])
+    chk = _from_config(validate_elimination, kp, n_photon=sec["n_photon"],
+                       t_final=sec["t_final"], dt=sec["dt"])
     t_max = sec["t_table"] or 40.0 / kp.gamma
     ts = np.linspace(0.0, t_max, 400)
     art.write_csv("kernel.csv", ["t", "T"],
                   [[t, memory_kernel(t, kp)] for t in ts])
-    G = kerr_coupling(kp)
-    summary = {"G_kerr": G, "T_inf": memory_kernel_inf(kp),
-               "omega_m": kp.omega_m, "gamma": kp.gamma, "g": kp.g}
-    if sweep_gamma:
-        _, gammas = _parse_sweep(f"gamma:{sweep_gamma}")
-        rows = []
-        for gam in gammas:
-            chk = _from_config(
-                validate_elimination,
-                KernelParams(kp.omega_m, float(gam), kp.g),
-                n_photon=sec["n_photon"], t_final=sec["t_final"],
-                dt=sec["dt"],
-            )
-            rows.append([gam, chk.err_norm])
-        art.write_csv("elimination_error.csv", ["gamma", "err_norm"], rows)
+    summary = {"G_kerr": kerr_coupling(kp), "T_inf": memory_kernel_inf(kp),
+               "omega_m": kp.omega_m, "gamma": kp.gamma, "g": kp.g,
+               "err_norm": chk.err_norm}
     art.write_json("kernel_summary.json", summary)
     return summary
 
@@ -459,77 +427,114 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
 
 def run_pipeline(cfg: RunConfig, art: Artifacts) -> dict:
     """The full analogy chain: engineered reservoir → Kerr fluid →
-    acoustic metric → wave propagation crosscheck."""
+    acoustic metric → wave propagation crosscheck.  A physics gate carries
+    what the chain derived before it as its `derived`."""
     derived: dict = {}
-    notes: list[str] = []
+    try:
+        rsum = run_rdr(cfg, art)
+        derived.update({k: rsum[k] for k in ("gamma_total", "omega_m", "n_f",
+                                             "ratio_gamma_kappa")})
+        if not rsum["stable"]:
+            raise PhysicsGateError("operating point linearly unstable; "
+                                   "pipeline gated at the rdr stage")
 
-    rsum = run_rdr(cfg, art)
-    derived.update({
-        "gamma_total": rsum["gamma_total"], "omega_m": rsum["omega_m"],
-        "n_f": rsum["n_f"], "ratio_gamma_kappa": rsum["ratio_gamma_kappa"],
-    })
-    if not rsum["stable"]:
-        raise PhysicsGateError("operating point linearly unstable; "
-                               "pipeline gated at the rdr stage")
+        G_kerr = kerr_coupling(KernelParams(rsum["omega_m"],
+                                            rsum["gamma_total"],
+                                            cfg["kernel"]["g"]))
+        derived["G_kerr"] = G_kerr
 
-    G_kerr = kerr_coupling(
-        KernelParams(rsum["omega_m"], rsum["gamma_total"], cfg["kernel"]["g"]))
-    derived["G_kerr"] = G_kerr
+        if cfg["pipeline"]["model"] == "array":
+            lsec = cfg["lattice"]
+            m, _ = continuum_params(lsec["J"], lsec["h"], lsec["omega_c"])
+            art.notes.append(f"array model: m = {m:.6g} from J = {lsec['J']}")
+        else:
+            m = cfg["nlse"]["m"]
+        derived["m"] = m
 
-    if cfg["pipeline"]["model"] == "array":
-        lsec = cfg["lattice"]
-        m, v_tilde = continuum_params(lsec["J"], lsec["h"], lsec["omega_c"])
-        notes.append(f"array model: m = {m:.6g} from J = {lsec['J']}")
-    else:
-        m = cfg["nlse"]["m"]
-    derived["m"] = m
+        density = cfg["nlse"]["density"]
+        c2 = density * G_kerr / m
+        derived["c_ex_sq"] = c2
+        if c2 > 0:
+            derived["c_ex"] = float(np.sqrt(c2))
+            derived["xi"] = float(healing_length(m, c2))
 
-    density = cfg["nlse"]["density"]
-    c2 = density * G_kerr / m
-    derived["c_ex_sq"] = c2
-    if c2 > 0:
-        derived["c_ex"] = float(np.sqrt(c2))
-        derived["xi"] = float(healing_length(m, c2))
+        # the background is uniform: `[nlse] background = ground_state` is a
+        # config error for this stage
+        psi, p = _background(cfg, m, G_kerr)
+        art.write_field("background.pfld", psi,
+                        sidecar={"m": m, "G_kerr": G_kerr})
+        _, census, _ = _metric_census(HydroFields.from_field(psi, p), art)
+        derived["signature"] = census
+        # any non-Lorentzian point gates: the crosscheck's run time needs
+        # derived["c_ex"], which is unset unless c_ex² > 0
+        if census["euclidean"] or census["degenerate"]:
+            why = "Euclidean (G_kerr·m < 0)" if census["euclidean"] \
+                else "degenerate (c_ex² = 0)"
+            raise PhysicsGateError(f"metric {why}: kg stage skipped")
 
-    # the background is uniform: `[nlse] background = ground_state` is a
-    # config error for this stage
-    psi, p = _background(cfg, m, G_kerr)
-    art.write_field("background.pfld", psi, sidecar={"m": m, "G_kerr": G_kerr})
-    _, census, _ = _metric_census(HydroFields.from_field(psi, p), art)
-    derived["signature"] = census
-    # any non-Lorentzian point gates: the crosscheck's run time needs
-    # derived["c_ex"], which is unset unless c_ex² > 0
-    if census["euclidean"] or census["degenerate"]:
-        why = "Euclidean (G_kerr·m < 0)" if census["euclidean"] \
-            else "degenerate (c_ex² = 0)"
-        notes.append(f"metric {why}: kg stage skipped")
-        raise _GatedButComplete(derived, notes)
-
-    sec = cfg["kg"]
-    grid = psi.grid
-    k = 2 * np.pi * sec["mode_mx"] / (grid.nx * grid.dx)
-    x = grid.x[:, None]
-    th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, grid.ny))
-    rep = crosscheck_kg_vs_nlse(psi, p, th0,
-                                t_final=2 * np.pi / (derived["c_ex"] * k),
-                                kxi_limit=sec["kxi_limit"])
-    derived["kg_nlse_deviation"] = rep.deviation
-    derived["kg_seed_kxi"] = rep.kxi_max
-    derived["kg_energy_drift"] = rep.kg_energy_drift
-    return {"derived": derived, "notes": notes}
+        sec = cfg["kg"]
+        grid = psi.grid
+        k = 2 * np.pi * sec["mode_mx"] / (grid.nx * grid.dx)
+        x = grid.x[:, None]
+        th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, grid.ny))
+        rep = crosscheck_kg_vs_nlse(psi, p, th0,
+                                    t_final=2 * np.pi / (derived["c_ex"] * k),
+                                    kxi_limit=sec["kxi_limit"])
+        derived["kg_nlse_deviation"] = rep.deviation
+        derived["kg_seed_kxi"] = rep.kxi_max
+        derived["kg_energy_drift"] = rep.kg_energy_drift
+    except PhysicsGateError as exc:
+        exc.derived = derived
+        raise
+    return derived
 
 
-class _GatedButComplete(PhysicsGateError):
-    """Pipeline finished every reachable stage but hit a physics gate."""
-
-    def __init__(self, derived, notes):
-        super().__init__("; ".join(notes) or "physics gate")
-        self.derived = derived
-        self.notes = notes
+def _run(runner, cfg: RunConfig, art: Artifacts,
+         opts: dict) -> tuple[str, dict]:
+    """Run a stage: ("ok", derived), or ("gated", what it derived before
+    the gate) with the gate noted."""
+    try:
+        return "ok", runner(cfg, art, **opts)
+    except PhysicsGateError as exc:
+        art.notes.append(str(exc))
+        return "gated", getattr(exc, "derived", {})
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+def _sweep_points(spec: str, text: str) -> tuple[str, list]:
+    """The swept `section.key` and each point's value and config."""
+    try:
+        name, lo, hi, num = spec.split(":")
+        section, key = name.split(".")
+        values = np.linspace(float(lo), float(hi), int(num)).tolist()
+        if not values:
+            raise ValueError("no points")
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep spec {spec!r}; want "
+                          f"section.key:min:max:steps") from exc
+    return name, [(v, parse_config(text, override=(section, key, v)))
+                  for v in values]
+
+
+def _sweep_table(name: str, points) -> tuple[list[str], list[list]]:
+    """Header and rows of a sweep: per (value, status, derived) point,
+    `name`, `status` and every number or bool (as 0/1) in derived, nested
+    dicts as `outer.inner`.  A column a point lacks (past its gate, say) is
+    empty in its row."""
+    def flat(derived, prefix=""):
+        for key, val in derived.items():
+            if isinstance(val, dict):
+                yield from flat(val, f"{prefix}{key}.")
+            elif isinstance(val, numbers.Real):
+                yield prefix + key, int(val) if isinstance(val, bool) else val
+
+    rows = [{name: value, "status": status, **dict(flat(derived))}
+            for value, status, derived in points]
+    head = list(dict.fromkeys(col for row in rows for col in row))
+    return head, [[row.get(col, "") for col in head] for row in rows]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -543,15 +548,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=(name != "kernel"),
                         help="run configuration file")
         sp.add_argument("--out", help="output directory (overrides config)")
+        sp.add_argument("--sweep", metavar="SECTION.KEY:MIN:MAX:STEPS",
+                        help=f"rerun over a linear range of one config key "
+                             f"into {name}_sweep.csv")
         for args, kw in extra:
             sp.add_argument(*args, **kw)
         return sp
 
     force = (("--force",), dict(action="store_true",
                                 help="override step-size refusals"))
-    add("rdr", [(("--sweep",), dict(help="param:min:max:steps"))])
-    add("kernel", [(("--params",), dict(help="alias for --config")),
-                   (("--sweep-gamma",), dict(help="min:max:steps"))])
+    add("rdr")
+    add("kernel", [(("--params",), dict(help="alias for --config"))])
     add("lattice", [force])
     add("nlse", [(("--snapshot-every",), dict(type=int)), force])
     add("metric")
@@ -564,7 +571,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.time()
     status, derived, notes = "ok", {}, []
-    code = 0
     outdir = args.out
     cfg = art = None
     try:
@@ -581,40 +587,29 @@ def main(argv=None) -> int:
             cfg.out = args.out
         outdir = cfg.out
         if cfg.stage != args.command:
-            raise ConfigError(
-                f"config stage '{cfg.stage}' does not match "
-                f"subcommand '{args.command}'"
-            )
+            raise ConfigError(f"config stage '{cfg.stage}' does not match "
+                              f"subcommand '{args.command}'")
+        # every sweep point is checked before anything runs
+        name, points = _sweep_points(args.sweep, text) if args.sweep \
+            else ("", [])
         art = Artifacts(outdir)
-
-        if args.command == "rdr":
-            derived = run_rdr(cfg, art, sweep=args.sweep)
-        elif args.command == "kernel":
-            derived = run_kernel(cfg, art, sweep_gamma=args.sweep_gamma)
-        elif args.command == "lattice":
-            derived = run_lattice(cfg, art, force=args.force)
-        elif args.command == "nlse":
-            derived = run_nlse(cfg, art, snapshot_every=args.snapshot_every,
-                               force=args.force)
-        elif args.command == "metric":
-            derived = run_metric(cfg, art)
-        elif args.command == "kg":
-            derived = run_kg(cfg, art, force=args.force)
-        else:
-            out = run_pipeline(cfg, art)
-            derived, notes = out["derived"], out["notes"]
-    except _GatedButComplete as exc:
-        status, code = "gated", 4
-        derived, notes = exc.derived, exc.notes
-    except PhysicsGateError as exc:
-        status, code = "gated", 4
-        notes = [str(exc)]
+        notes = art.notes
+        opts = {k: v for k, v in vars(args).items()
+                if k in ("force", "snapshot_every")}
+        # looked up per call, so a replaced `run_<stage>` is the one run
+        runner = globals()[f"run_{args.command}"]
+        status, derived = _run(runner, cfg, art, opts)
+        code = 4 if status == "gated" else 0
+        if args.sweep:
+            art.write_csv(f"{args.command}_sweep.csv", *_sweep_table(
+                name, [(v, *_run(runner, c, _Discard(), opts))
+                       for v, c in points]))
     except ConfigError as exc:
         status, code = "failed", 2
-        notes = [f"config error: {exc}"]
+        notes.append(f"config error: {exc}")
     except PhotonFluidError as exc:     # numerical and field-format errors
         status, code = "failed", 3
-        notes = [str(exc)]
+        notes.append(str(exc))
 
     if outdir is not None:
         payload = {
@@ -632,9 +627,8 @@ def main(argv=None) -> int:
         }
         os.makedirs(outdir, exist_ok=True)
         write_manifest(outdir, payload)
-    if notes:
-        for n in notes:
-            print(n, file=sys.stderr)
+    for n in notes:
+        print(n, file=sys.stderr)
     return code
 
 

@@ -77,9 +77,11 @@ SCHEMA = {
         "omega_eval": Key(None, "maybe", rule="nonzero"),
     },
     "kernel": {
-        "omega_m": Key(None, "maybe"),
+        # only the kernel stage reads ω_m and γ: the pipeline takes them
+        # from the rdr report
+        "omega_m": Key(REQUIRED, float),
         # the elimination needs a damped mode; the table spans 40/γ
-        "gamma": Key(None, "maybe", rule="positive"),
+        "gamma": Key(REQUIRED, float, rule="positive"),
         "g": Key(REQUIRED, float),
         "n_photon": Key(1.0, float),
         "t_final": Key(100.0, float, rule="positive"),
@@ -119,7 +121,8 @@ SCHEMA = {
         "density": Key(1.0, float, rule=">= 0"),
         "background": Key("uniform", str, ("uniform", "ground_state")),
         "trap_omega": Key(0.0, float),
-        "n_total": Key(0.0, float),
+        # 0 takes the count from the density
+        "n_total": Key(0.0, float, rule=">= 0"),
         "flow_mx": Key(0, int),
         "flow_my": Key(0, int),
         "dt": Key(None, "maybe", rule="positive"),
@@ -150,7 +153,8 @@ SCHEMA = {
         # a zero seed carries no energy, so its trace has no centre
         "amplitude": Key(1e-3, float, rule="nonzero"),
         "x_center": Key(0.0, float),
-        "sigma": Key(5.0, float),
+        # a zero width puts 0/0 at a seed centre on a grid point
+        "sigma": Key(5.0, float, rule="positive"),
         # the trace is the samples: a stride below 1 records none
         "sample_every": Key(8, int, rule=">= 1"),
         "kxi_limit": Key(0.3, float),
@@ -201,7 +205,6 @@ class RunConfig:
     seed: int
     out: str
     sections: dict
-    source_text: str = ""
     omega_ref: float = 1.0     # SI rad/s per natural frequency unit
 
     def __getitem__(self, section):
@@ -284,12 +287,13 @@ def _coerce(section, key, value, typ, choices, line):
     raise AssertionError(typ)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a configuration; all defaults are materialized."""
+def parse_config(text: str, override: tuple | None = None) -> RunConfig:
+    """Parse and validate a configuration; all defaults are materialized.
+    `override = (section, key, value)` sets one key as the text would (a
+    sweep point); an integer key takes a whole value as an integer."""
     raw: dict[str, dict] = {}
     lines_of: dict[tuple, int] = {}
     section = None
-    section_line = 0
     for ln, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.strip()
         for marker in ("#", ";"):
@@ -305,8 +309,7 @@ def parse_config(text: str) -> RunConfig:
             if section not in SCHEMA:
                 raise ConfigError(f"unknown section [{section}]", ln)
             raw.setdefault(section, {})
-            section_line = ln
-            lines_of[(section, None)] = section_line
+            lines_of[(section, None)] = ln
             continue
         if "=" not in stripped:
             raise ConfigError("expected 'key = value'", ln)
@@ -326,6 +329,14 @@ def parse_config(text: str) -> RunConfig:
                           lines_of.get(("run", None), 1))
     run = _resolve("run", SCHEMA["run"], raw["run"], lines_of)
     stage = run["stage"]
+    if override is not None:
+        sec, key, value = override
+        if key not in READS[stage].get(sec, ()):
+            raise ConfigError(f"{sec}.{key} is not read by stage = {stage}")
+        if SCHEMA[sec][key].type is int and float(value).is_integer():
+            value = int(value)
+        raw.setdefault(sec, {})[key] = value
+        lines_of[(sec, key)] = None        # an error in it has no line
     # a section or key the stage never reads would be silently ignored
     for (sec, key), ln in lines_of.items():
         if sec == "run":
@@ -344,7 +355,7 @@ def parse_config(text: str) -> RunConfig:
         sections[sec] = _resolve(sec, keys, raw.get(sec, {}), lines_of)
 
     cfg = RunConfig(stage=stage, units=run["units"], seed=run["seed"],
-                    out=run["out"], sections=sections, source_text=text)
+                    out=run["out"], sections=sections)
     _validate_stage(cfg, lines_of)
     if cfg.units == "SI":
         _rdr_to_natural(cfg)
@@ -409,13 +420,6 @@ def _validate_stage(cfg: RunConfig, lines_of) -> None:
                 raise ConfigError(
                     f"{name}.{key} = {n} must be a power of two >= {least}",
                     _line(lines_of, name, key))
-    if cfg.stage == "kernel":
-        k = cfg.sections["kernel"]
-        line = lines_of.get(("kernel", None), 1)
-        if k["omega_m"] is None or k["gamma"] is None:
-            raise ConfigError(
-                "standalone kernel stage needs omega_m and gamma", line
-            )
 
 
 def _line(lines_of, section, key) -> int:

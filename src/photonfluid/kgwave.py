@@ -173,7 +173,7 @@ def center_of_energy(dtheta, dtheta_dot, metric: MetricField):
     """Energy-weighted mean position of the excitation."""
     dens = _energy_density(dtheta, dtheta_dot, metric)
     tot = float(np.sum(dens))
-    if tot <= 0:
+    if not tot > 0:         # a NaN total is no energy either
         raise ValueError("zero field: center of energy undefined")
     X = metric.grid.x[:, None]
     Y = metric.grid.y[None, :]

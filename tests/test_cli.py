@@ -1,5 +1,6 @@
 """End-to-end CLI runs: artifacts, manifests, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import os
@@ -187,7 +188,7 @@ def manifest(tmp_path):
 def test_rdr_stage_and_sweep(tmp_path):
     cfg = write_cfg(tmp_path, RDR_CFG)
     assert main(["rdr", "--config", str(cfg),
-                 "--sweep", "omega:0.5:1.5:21"]) == 0
+                 "--sweep", "rdr.omega_eval:0.5:1.5:21"]) == 0
     man = manifest(tmp_path)
     assert man["status"] == "ok"
     assert man["derived"]["gamma_total"] == pytest.approx(0.1277, rel=1e-2)
@@ -195,7 +196,9 @@ def test_rdr_stage_and_sweep(tmp_path):
     names = {a["path"] for a in man["artifacts"]}
     assert {"rdr_summary.json", "rdr_sweep.csv"} <= names
     rows = (tmp_path / "out" / "rdr_sweep.csv").read_text().splitlines()
-    assert rows[0] == "omega,gamma_opt,omega_opt,n_f,stable"
+    head = rows[0].split(",")
+    assert head[:2] == ["rdr.omega_eval", "status"]
+    assert {"gamma_opt", "omega_opt", "n_f", "stable"} <= set(head)
     assert len(rows) == 22
 
 
@@ -215,11 +218,12 @@ def test_lattice_continuum_table_stops_below_nyquist(tmp_path):
 def test_kernel_stage_with_gamma_sweep(tmp_path):
     cfg = write_cfg(tmp_path, KERNEL_CFG)
     assert main(["kernel", "--config", str(cfg),
-                 "--sweep-gamma", "5.0:40.0:3"]) == 0
+                 "--sweep", "kernel.gamma:5.0:40.0:3"]) == 0
     man = manifest(tmp_path)
     assert man["derived"]["G_kerr"] < 0
-    gam, err = np.loadtxt(tmp_path / "out" / "elimination_error.csv",
-                          delimiter=",", skiprows=1).T
+    with open(tmp_path / "out" / "kernel_sweep.csv") as fh:
+        err = [float(row["err_norm"]) for row in csv.DictReader(fh)]
+    assert len(err) == 3
     assert np.all(np.diff(err) < 0)      # larger gamma, better elimination
 
 
@@ -339,6 +343,65 @@ def test_pipeline_degenerate_metric_hits_the_gate(tmp_path):
                for n in man["notes"])
 
 
+def test_every_pipeline_gate_keeps_what_was_derived_before_it(tmp_path):
+    # the crosscheck's kξ gate left `derived` empty and dropped the model
+    # note, though the chain up to the crosscheck had run
+    cfg = write_cfg(tmp_path, PIPELINE_ARRAY_CFG.replace("g = 0.5", "g = 0.25"))
+    assert main(["pipeline", "--config", str(cfg)]) == 4
+    man = manifest(tmp_path)
+    d = man["derived"]
+    assert man["status"] == "gated"
+    assert d["m"] == pytest.approx(-2.0)
+    assert d["G_kerr"] < 0 and d["c_ex"] > 0 and d["xi"] > 0
+    assert d["gamma_total"] == pytest.approx(0.1277, rel=1e-2)
+    assert d["signature"] == {"lorentzian": 256, "euclidean": 0,
+                              "degenerate": 0}
+    assert "kg_nlse_deviation" not in d
+    assert man["notes"][0] == "array model: m = -2 from J = -0.25"
+    assert "outside the hydrodynamic window" in man["notes"][1]
+
+
+def test_pipeline_sweep_tables_every_point_gated_ones_included(tmp_path):
+    cfg = write_cfg(tmp_path, PIPELINE_ARRAY_CFG)
+    assert main(["pipeline", "--config", str(cfg),
+                 "--sweep", "kernel.g:-0.5:0.5:5"]) == 0
+    with open(tmp_path / "out" / "pipeline_sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["kernel.g"] for r in rows] == ["-0.5", "-0.25", "0.0", "0.25",
+                                             "0.5"]
+    # |g| = 0.25 makes ξ so long that the seed leaves the hydrodynamic
+    # window, and g = 0 leaves no Kerr fluid at all
+    assert [r["status"] for r in rows] == ["ok", "gated", "gated", "gated",
+                                           "ok"]
+    assert all(r["signature.lorentzian"] and r["signature.euclidean"]
+               and r["signature.degenerate"] for r in rows)
+    assert rows[2]["signature.degenerate"] == "256" and rows[2]["c_ex"] == ""
+    assert float(rows[1]["c_ex"]) > 0 and rows[1]["kg_nlse_deviation"] == ""
+    # the unswept run is g = 0.5: its point derives the same numbers
+    man = manifest(tmp_path)
+    assert man["status"] == "ok"
+    for key in ("G_kerr", "c_ex", "kg_nlse_deviation", "kg_energy_drift"):
+        assert float(rows[4][key]) == man["derived"][key]
+    # the points write no artifacts of their own
+    assert {a["path"] for a in man["artifacts"]} == {
+        "rdr_summary.json", "background.pfld", "background.pfld.json",
+        "horizons.json", "pipeline_sweep.csv"}
+
+
+@pytest.mark.parametrize("spec", ["run.seed:1:3:2", "run.stage:0:1:2",
+                                  "kg.t_final:1:2:2", "kernel.gamma:1:2:2",
+                                  "metric.vx:0:1:2", "grid.nz:4:8:2"])
+def test_a_sweep_over_a_key_the_stage_does_not_read_exits_two(
+        tmp_path, capsys, spec):
+    cfg = write_cfg(tmp_path, PIPELINE_ARRAY_CFG)
+    assert main(["pipeline", "--config", str(cfg), "--sweep", spec]) == 2
+    name = spec.split(":")[0]
+    assert f"{name} is not read by stage = pipeline" in capsys.readouterr().err
+    man = manifest(tmp_path)
+    assert man["status"] == "failed" and man["artifacts"] == []
+    assert not (tmp_path / "out" / "pipeline_sweep.csv").exists()
+
+
 def test_deterministic_rerun_byte_identical(tmp_path):
     cfg1 = tmp_path / "a.cfg"
     cfg1.write_text(PIPELINE_MICRO_CFG.format(out=tmp_path / "o1"))
@@ -435,16 +498,19 @@ def test_config_errors_exit_two(tmp_path, capsys):
         in capsys.readouterr().err
     assert not (tmp_path / "out" / "background.pfld").exists()
     ok = write_cfg(tmp_path, RDR_CFG)
-    assert main(["rdr", "--config", str(ok), "--sweep", "bogus:0:1:3"]) == 2
-    assert "cannot sweep 'bogus'" in capsys.readouterr().err
-    # sweep points the formulas refuse ended in tracebacks
-    assert main(["rdr", "--config", str(ok), "--sweep", "omega:0:1:3"]) == 2
-    assert "omega = 0: the 1/omega prefactor is singular" \
-        in capsys.readouterr().err
+    assert main(["rdr", "--config", str(ok), "--sweep",
+                 "rdr.bogus:0:1:3"]) == 2
+    assert "rdr.bogus is not read by stage = rdr" in capsys.readouterr().err
+    # sweep points the formulas refuse ended in tracebacks; each point is
+    # held to its key's rule
+    assert main(["rdr", "--config", str(ok), "--sweep",
+                 "rdr.omega_eval:0:1:3"]) == 2
+    assert "rdr.omega_eval must be nonzero" in capsys.readouterr().err
     assert manifest(tmp_path)["status"] == "failed"
     ok = write_cfg(tmp_path, KERNEL_CFG)
-    assert main(["kernel", "--config", str(ok), "--sweep-gamma=0:5:3"]) == 2
-    assert "gamma must be positive for elimination" in capsys.readouterr().err
+    assert main(["kernel", "--config", str(ok),
+                 "--sweep=kernel.gamma:0:5:3"]) == 2
+    assert "kernel.gamma must be positive" in capsys.readouterr().err
     assert manifest(tmp_path)["status"] == "failed"
 
     # a config path that exists but cannot be read, and a key nothing reads
@@ -530,6 +596,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
          "line 21: lattice.J must be nonzero"),
         ("kg", KG_CFG, "sigma = 4.0", "sigma = 4.0\nmode_mx = 0",
          "line 30: kg.mode_mx must be >= 1"),
+        # a zero gaussian width put 0/0 at a centre on a grid point, and a
+        # negative atom count took a square root of it: both exited 3
+        ("kg", KG_CFG, "sigma = 4.0", "sigma = 0.0",
+         "line 29: kg.sigma must be positive"),
+        ("nlse", NLSE_CFG, "density = 1.0",
+         "density = 1.0\nbackground = ground_state\nn_total = -4.0",
+         "line 17: nlse.n_total must be >= 0"),
     ):
         bad = write_cfg(tmp_path, text.replace(old, new))
         assert main([stage, "--config", str(bad)]) == 2
@@ -595,19 +668,20 @@ def test_metric_writes_the_configured_spacing(tmp_path):
     assert read_field(tmp_path / "out" / "metric_vx.pfld").grid.dx == 0.1
 
 
-# tiny runs of every stage (with the flags that make a stage read the keys
-# only its sweeps use) for the property test below; `metric` puts the tanh
-# edge x1 on a grid point and `kg-mode`/`kg-gaussian` launch each seed.
-# ground_state backgrounds are left out only for their run time.
+# tiny runs of every stage (rdr and kernel with a sweep) for the property
+# test below; `metric` puts the tanh edge x1 on a grid point and
+# `kg-mode`/`kg-gaussian` launch each seed.  ground_state backgrounds are
+# left out only for their run time.
 _TINY_GRID = {"nx": 16, "ny": 4, "dx": 1.0, "dy": 1.0}
 _TANH = {"source": "tanh1d", "c_ex": 1.0, "x1": -4.0, "x2": 4.0, "width": 1.0}
 _TINY_RDR = {"gamma_i": 1e-5, "kappa_prime": 0.2, "G": 0.08,
              "Delta_bar": -1.0, "n_th": 10.0}
 _TINY_RUNS = {
-    "rdr": ("rdr", {"rdr": _TINY_RDR}, ["--sweep", "omega:0.5:1.5:3"]),
+    "rdr": ("rdr", {"rdr": _TINY_RDR},
+            ["--sweep", "rdr.omega_eval:0.5:1.5:3"]),
     "kernel": ("kernel", {"kernel": {"g": 0.1, "omega_m": 1.0, "gamma": 10.0,
                                      "t_final": 6.0}},
-               ["--sweep-gamma", "5:40:2"]),
+               ["--sweep", "kernel.gamma:5:40:2"]),
     "lattice": ("lattice", {"lattice": {"nx": 8, "ny": 4, "t_final": 1.0}},
                 []),
     "nlse": ("nlse", {"grid": {**_TINY_GRID, "ny": 8, "dx": 0.5, "dy": 0.5},
@@ -637,16 +711,19 @@ def _config_text(stage, sections):
 
 @st.composite
 def _edited_runs(draw):
-    """A tiny run and up to three of the numeric keys its stage reads set to
-    -1, 0, 0.5 or 2 (an integer key given 0.5 is a type error)."""
+    """A tiny run, up to three of the numeric keys its stage reads set to
+    -1, 0, 0.5 or 2 (an integer key given 0.5 is a type error), and maybe
+    a 2- or 3-point sweep of one such key between two of those values."""
     name = draw(st.sampled_from(sorted(_TINY_RUNS)))
     stage = _TINY_RUNS[name][0]
     keys = [(sec, key) for sec, read in READS[stage].items() for key in read
             if SCHEMA[sec][key].type in (int, float, "maybe")]
-    edits = draw(st.lists(st.tuples(st.sampled_from(keys),
-                                    st.sampled_from((-1, 0, 0.5, 2))),
+    values = st.sampled_from((-1, 0, 0.5, 2))
+    edits = draw(st.lists(st.tuples(st.sampled_from(keys), values),
                           max_size=3))
-    return name, edits
+    sweep = draw(st.lists(st.tuples(st.sampled_from(keys), values, values,
+                                    st.integers(2, 3)), max_size=1))
+    return (name, edits, *sweep)
 
 
 @given(_edited_runs())
@@ -668,10 +745,15 @@ def _edited_runs(draw):
 # each of these ran backwards in time
 @example(("lattice", [(("lattice", "t_final"), -1)]))
 @example(("kg-mode", [(("kg", "t_final"), -1)]))
+# a sweep through the gates of the chain, and one through a rule
+@example(("pipeline", [], (("kernel", "g"), -1, 0.5, 3)))
+@example(("kernel", [], (("kernel", "gamma"), 2, -1, 3)))
 @settings(max_examples=80)
 def test_main_ends_with_a_documented_exit_code_and_a_manifest(run):
-    name, edits = run
+    name, edits, *sweep = run
     stage, base, flags = _TINY_RUNS[name]
+    for (sec, key), lo, hi, num in sweep:
+        flags = [*flags, "--sweep", f"{sec}.{key}:{lo}:{hi}:{num}"]
     sections = {sec: dict(kv) for sec, kv in base.items()}
     for (sec, key), value in edits:
         sections.setdefault(sec, {})[key] = value
@@ -833,9 +915,9 @@ def test_sweep_is_deterministic(tmp_path):
     cfg2 = tmp_path / "b.cfg"
     cfg2.write_text(RDR_CFG.format(out=tmp_path / "o2"))
     assert main(["rdr", "--config", str(cfg1),
-                 "--sweep", "omega:0.5:1.5:41"]) == 0
+                 "--sweep", "rdr.omega_eval:0.5:1.5:41"]) == 0
     assert main(["rdr", "--config", str(cfg2),
-                 "--sweep", "omega:0.5:1.5:41"]) == 0
+                 "--sweep", "rdr.omega_eval:0.5:1.5:41"]) == 0
     assert (tmp_path / "o1" / "rdr_sweep.csv").read_bytes() == \
         (tmp_path / "o2" / "rdr_sweep.csv").read_bytes()
 

@@ -180,8 +180,10 @@ def test_stage_needs_its_sections():
 
 
 def test_standalone_kernel_needs_mechanics():
-    with pytest.raises(ConfigError, match="omega_m and gamma"):
+    with pytest.raises(ConfigError, match="missing required key kernel.omega_m"):
         parse_config("[run]\nstage = kernel\n[kernel]\ng = 0.1\n")
+    with pytest.raises(ConfigError, match="missing required key kernel.gamma"):
+        parse_config("[run]\nstage = kernel\n[kernel]\ng = 0.1\nomega_m = 1.0\n")
     cfg = parse_config(
         "[run]\nstage = kernel\n[kernel]\ng = 0.1\nomega_m = 1.0\ngamma = 5.0\n")
     assert cfg["kernel"]["gamma"] == 5.0
