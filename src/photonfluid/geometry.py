@@ -139,7 +139,8 @@ class HydroFields:
     def from_profiles(cls, grid: Grid, m, G, n, vx, vy, c2=None):
         """Imposed analytic background: arrays (or scalars) broadcastable
         to the grid; c2 defaults to n𝒢/m.  A float array of the grid's
-        shape is kept as given, not copied."""
+        shape is kept as given, not copied.  A profile with a non-finite
+        entry (an overflowed flow, say) raises `NumericalError`."""
         def full(a):
             a = np.asarray(a, float)
             if a.shape == grid.shape:
@@ -148,6 +149,9 @@ class HydroFields:
 
         n, vx, vy = full(n), full(vx), full(vy)
         c2 = n * G / m if c2 is None else full(c2)
+        for name, a in (("n", n), ("vx", vx), ("vy", vy), ("c2", c2)):
+            if not np.isfinite(a).all():
+                raise NumericalError(f"background profile {name} is not finite")
         return cls(grid=grid, m=m, G=G, n=n, vx=vx, vy=vy, c2=c2)
 
 
@@ -486,7 +490,8 @@ def find_horizon(fields: HydroFields) -> list:
 
     Empty list when the flow is everywhere sub- or supercritical.  The
     superexcitonic region (F > 0, flow faster than the excitation speed)
-    lies on the left of each polyline's walking direction.
+    lies on the left of each polyline's walking direction.  An F that
+    overflows raises `NumericalError`.
     """
     if np.any(fields.c2 <= 0):
         raise PhysicsGateError("horizon analysis requires c_ex² > 0 on the grid")
@@ -494,4 +499,6 @@ def find_horizon(fields: HydroFields) -> list:
     F = np.square(fields.vx)
     F += np.square(fields.vy)
     F -= fields.c2
+    if not np.isfinite(F).all():
+        raise NumericalError("horizon function |v₀|² − c_ex² is not finite")
     return marching_squares(F, fields.grid.x, fields.grid.y, level=0.0)

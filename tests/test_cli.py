@@ -742,6 +742,15 @@ def _edited_runs(draw):
 @example(("kernel", [(("kernel", "t_final"), -1)]))
 @example(("rdr", [(("rdr", "omega_eval"), 0)]))      # was evaluated at ω_i
 @example(("pipeline", [(("lattice", "h"), 0)]))      # m = 1/(2Jh²)
+# an overflowing background: |v|² − c² in the sink, the tanh1d flow itself
+@example(("metric", [(("grid", "ny"), 16), (("grid", "dx"), 0.5),
+                     (("grid", "dy"), 0.5), (("metric", "c_ex"), 0.5),
+                     (("metric", "source"), "radial_sink"),
+                     (("metric", "sink_strength"), 1e306)]))
+@example(("metric", [(("grid", "ny"), 16), (("grid", "dx"), 0.5),
+                     (("grid", "dy"), 0.5), (("metric", "c_ex"), 0.5),
+                     (("metric", "v_in"), 1.7e308),
+                     (("metric", "v_out"), -1.7e308)]))
 # each of these ran backwards in time
 @example(("lattice", [(("lattice", "t_final"), -1)]))
 @example(("kg-mode", [(("kg", "t_final"), -1)]))
@@ -936,6 +945,32 @@ def test_nlse_ground_state_background(tmp_path):
     # non-interacting (G_kerr = 0) 2D oscillator ground state:
     # E = N·ħΩ·(½ + ½) = 1 with N = m = Ω = 1
     assert man["derived"]["energy"] == pytest.approx(1.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("omega", [1.0, 3.0])
+def test_nlse_default_dt_passes_the_step_size_check_under_a_trap(tmp_path,
+                                                                 omega):
+    # the default dt counts max|V| as the step-size check does; leaving it
+    # out made dt·rate 0.148 (Ω = 1) and 1.22 (Ω = 3) and exit 3
+    cfg = write_cfg(tmp_path, f"""
+[run]
+stage = nlse
+out = {{out}}
+
+[grid]
+nx = 32
+ny = 32
+dx = 0.5
+dy = 0.5
+
+[nlse]
+background = ground_state
+trap_omega = {omega}
+steps = 10
+snapshot_every = 0
+""")
+    assert main(["nlse", "--config", str(cfg)]) == 0
+    assert manifest(tmp_path)["status"] == "ok"
 
 
 class _Entered(Exception):

@@ -17,6 +17,7 @@ from photonfluid.fluid import (
     ComplexField2D,
     FluidParams,
     Grid,
+    _expi_half,
     _kinetic_step,
     bogoliubov_dispersion,
     evolve,
@@ -276,6 +277,43 @@ def test_in_place_kinetic_step_matches_ifft2(shape):
     assert np.max(np.abs(f - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def _expi(phi, shared):
+    """e^{iφ} by `_expi_half`, its scratch `out.real` or its own buffer."""
+    out = np.empty(phi.shape, complex)
+    _expi_half(phi / 2, out.real if shared else np.empty(phi.shape), out)
+    return out
+
+
+_EDGE_PHASES = [0.0, 5e-324, 1e-8, 0.1, np.nextafter(np.pi, 0), np.pi, 1e3,
+                1e15]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_expi_half_matches_complex_exp(shared):
+    # ((1 − t²) + 2it)/(1 + t²), t = tan(φ/2), is e^{iφ} to a few ulp in
+    # modulus and angle, at the edges (φ → ±π gives −1) and at random
+    rng = np.random.default_rng(19)
+    phi = np.concatenate([_EDGE_PHASES, np.negative(_EDGE_PHASES),
+                          rng.uniform(-np.pi, np.pi, 10**5),
+                          rng.uniform(-1e6, 1e6, 10**5)])
+    with np.errstate(under="ignore"):  # the subnormal phase
+        e = _expi(phi, shared)
+        ref = np.exp(1j * phi)
+        angle = np.angle(e * np.conj(ref))
+    ulp = np.finfo(float).eps
+    assert np.max(np.abs(np.abs(e) - 1.0)) <= 4 * ulp
+    assert np.max(np.abs(angle)) <= 4 * ulp
+    assert _expi(np.array([np.pi, -np.pi]), shared).real.tolist() == [-1.0, -1.0]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_expi_half_of_a_non_finite_phase_is_not_finite(shared):
+    # as with cos and sin, so the next kick's finiteness check still fires
+    with np.errstate(invalid="ignore"):
+        e = _expi(np.array([np.nan, np.inf, -np.inf]), shared)
+    assert not np.isfinite(e).any()
+
+
 def _allocating_evolve(psi, p, dt, steps, every):
     """The fused split step with a new array per transform,
     f = ifft2(kin · fft2 f); returns (step, field, phase_offset) at every
@@ -387,7 +425,9 @@ def test_evolve_peak_memory():
     # the unfused loop, which filled V and Ṽ grids for a scalar V and held
     # the input copy across each FFT; 5.506 for the fused one, whose kick
     # reuses one real and one complex buffer; 3.682 since the kinetic step
-    # transforms in place (the peak is now set while building kin)
+    # transforms in place; 3.254 with e^{iφ} formed from tan(φ/2), whose
+    # kick scratch has one more real chunk buffer per block (the peak is
+    # now set in the steps, by the input copy, kin and the kick scratch)
     psi = uniform_background(Grid(256, 256, 0.25, 0.25), flow_mode=(2, 0))
     p = FluidParams(m=1.0, G_kerr=1.0)
     tracemalloc.start()
