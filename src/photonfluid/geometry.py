@@ -19,6 +19,12 @@ c_ex² < 0 (attractive fluid, negative compressibility) carry a Euclidean
 signature and are excluded from wave propagation and horizon analysis
 rather than patched over.  The contour |v₀| = c_ex separates subcritical
 flow from the superexcitonic region that traps outgoing excitations.
+
+Horizons are traced by marching squares over whole arrays: the case index
+of every cell, the segments of the crossed cells and every edge point are
+formed at once, and only the chaining of segments into polylines runs in
+Python.  Vertices that round to the same multiple of 1e-9 (in grid units)
+are one vertex.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
-from .errors import NumericalError, PhysicsGateError
+from .errors import NumericalError, PhysicsGateError, StepSizeError
 from .fluid import (ComplexField2D, FluidParams, Grid, is_uniform, rk4,
                     rk4_power, spectral_d)
 from .unwrap import unwrap_least_squares
@@ -162,10 +168,18 @@ def hydro_linear_step(
     dt: float,
     steps: int = 1,
     quantum_pressure: bool = True,
+    force: bool = False,
 ):
     """Advance the linearized hydrodynamic pair (δn, δθ) on a stationary
     background (RK4, spectral derivatives, periodic).  A step that leaves
     the finite range raises `NumericalError` naming it.
+
+    Unless `force`, a dt past RK4's imaginary-axis bound, dt·rate > 2√2,
+    is refused with `StepSizeError` before any stepping.  The rate is that
+    of the fastest Bogoliubov/advection mode on the grid,
+    |v|ₘₐₓ|k| + cₘₐₓ|k|√(1 + (|k|ξₘᵢₙ)²/4) with |k| the largest grid
+    wavenumber, cₘₐₓ² = max|c²| and ξₘᵢₙ = 1/(|m|cₘₐₓ); without quantum
+    pressure the ξ term is dropped.
 
     ∂_t δn = −∇·( v₀ δn + (n/m) ∇δθ )
     ∂_t δθ = −v₀·∇δθ − 𝒢 δn [ + (1/4mn) ∇·( n ∇(δn/n) ) ]
@@ -185,6 +199,14 @@ def hydro_linear_step(
     grid = fields.grid
     kx, ky = grid.k()
     n, vx, vy, m = fields.n, fields.vx, fields.vy, fields.m
+    # cₘₐₓ|k|√(1 + (|k|ξₘᵢₙ)²/4) = |k|√(cₘₐₓ² + k²/4m²), finite at c = 0
+    k2 = float(np.max(kx * kx) + np.max(ky * ky))
+    qp2 = k2 / (4.0 * m * m) if quantum_pressure else 0.0
+    rate = np.sqrt(k2) * (float(np.max(np.hypot(vx, vy)))
+                          + np.sqrt(float(np.max(np.abs(fields.c2))) + qp2))
+    if dt * rate > 2.0 * np.sqrt(2.0) and not force:
+        raise StepSizeError(f"dt too large: dt*rate = {dt * rate:.3g} > 2√2 "
+                            f"(pass force=True to override)")
     # local mc²/n = 𝒢, kept pointwise for generality
     mc2_over_n = np.where(n > 0, m * fields.c2 / n, 0.0)
 
@@ -367,122 +389,158 @@ def line_element(metric: MetricField, ix: int, iy: int, dt: float, dr) -> float:
 # ---------------------------------------------------------------------------
 # marching squares
 
-_EDGES = {0: ((0, 0), (1, 0)),   # bottom: between corners (i,j) and (i+1,j)
-          1: ((1, 0), (1, 1)),   # right
-          2: ((0, 1), (1, 1)),   # top
-          3: ((0, 0), (0, 1))}   # left
+# corner offsets (a0, b0, a1, b1) of the two ends of each cell edge: the
+# edge runs from corner (i + a0, j + b0) to corner (i + a1, j + b1)
+_EDGE_CORNERS = np.array([(0, 0, 1, 0),    # 0 bottom
+                          (1, 0, 1, 1),    # 1 right
+                          (0, 1, 1, 1),    # 2 top
+                          (0, 0, 0, 1)])   # 3 left
 
 
-def _edge_point(i, j, edge, F, x, y):
-    (a0, b0), (a1, b1) = _EDGES[edge]
-    f0 = F[i + a0, j + b0]
-    f1 = F[i + a1, j + b1]
-    t = f0 / (f0 - f1)
-    px = x[i + a0] + t * (x[i + a1] - x[i + a0])
-    py = y[j + b0] + t * (y[j + b1] - y[j + b0])
-    return (px, py)
+def _segment_table() -> np.ndarray:
+    """(entry edge, exit edge) of the oriented segments of each cell, with
+    the positive region kept on the LEFT of the walking direction; row
+    `case`, or 16 + `case` for a saddle with a positive centre average,
+    column 0 for the first segment and 1 for a saddle's second.  Corner
+    order of the case index bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1),
+    8=(i,j+1)."""
+    table = np.zeros((32, 2, 2), np.intp)
+    for case, pair in ((1, (0, 3)), (2, (1, 0)), (3, (1, 3)), (4, (2, 1)),
+                       (6, (2, 0)), (7, (2, 3)), (8, (3, 2)), (9, (0, 2)),
+                       (11, (1, 2)), (12, (3, 1)), (13, (0, 1)),
+                       (14, (3, 0))):
+        table[case, 0] = pair
+    # saddles: a positive centre joins the positive diagonal, a
+    # non-positive one cuts each positive corner off alone
+    table[16 + 5] = (0, 1), (2, 3)
+    table[5] = (0, 3), (2, 1)
+    table[16 + 10] = (3, 0), (1, 2)
+    table[10] = (1, 0), (3, 2)
+    return table
 
 
-# per-case oriented segment list (entry edge, exit edge) with the positive
-# region kept on the LEFT of the walking direction; corner order of the
-# case index bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1), 8=(i,j+1)
-_CASES = {
-    1: [(0, 3)], 2: [(1, 0)], 3: [(1, 3)], 4: [(2, 1)],
-    6: [(2, 0)], 7: [(2, 3)], 8: [(3, 2)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
-}
+_SEGMENTS = _segment_table()
 
 
 def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
                      level: float = 0.0):
     """Contours F(x, y) = `level` by marching squares.
 
-    Returns a list of polylines (arrays of (x, y) vertices) with linear
-    interpolation along cell edges; the F > level region lies on the left
-    of the walking direction.  `F` is read, never written: it is used as
-    given for the default level 0, and only a nonzero level makes a
-    shifted copy F − level.  Saddle cells are disambiguated with the
+    Returns a list of polylines ((n, 2) arrays of (x, y) vertices) with
+    linear interpolation along cell edges; the F > level region lies on
+    the left of the walking direction.  `F` is read, never written: it is
+    used as given for the default level 0, and only a nonzero level makes
+    a shifted copy F − level.  Saddle cells are disambiguated with the
     cell-centre average.  Closed loops repeat their first vertex.
 
     The 4-bit case index of every cell is formed at once from the corner
-    signs (Lorensen & Cline, "Marching cubes", SIGGRAPH 1987); only the
-    cells the contour crosses (index neither 0 nor 15) are then walked, in
-    row-major order.
+    signs (Lorensen & Cline, "Marching cubes", SIGGRAPH 1987).  The cells
+    the contour crosses (index neither 0 nor 15) give their segments in
+    row-major order, one per cell and two per saddle, and every edge point
+    is formed at once over arrays as x₀ + t(x₁ − x₀), t = f₀/(f₀ − f₁).
+    Vertices that round to the same multiple of 1e-9 (in the units of x
+    and y) are one vertex; only the chaining of segments at shared
+    vertices into polylines runs in Python.
+
+    `x` and `y` must be 1-D with the lengths of F's axes, else
+    `ValueError`; a vertex that is not finite (a NaN or infinite corner
+    of a crossed cell) or too large for its 1e-9 key raises
+    `NumericalError`.
     """
     F = np.asarray(F, float)
+    x, y = np.asarray(x), np.asarray(y)
+    if F.ndim != 2 or x.shape != F.shape[:1] or y.shape != F.shape[1:]:
+        raise ValueError(f"marching_squares needs 1-D x and y of F's sides: "
+                         f"F {F.shape}, x {x.shape}, y {y.shape}")
     if level:
         F = F - level
     P = (F > 0).astype(np.uint8)
     index = (P[:-1, :-1] | (P[1:, :-1] << 1) | (P[1:, 1:] << 2)
              | (P[:-1, 1:] << 3))
-    crossing = np.nonzero((index != 0) & (index != 15))
-    segments = {}
-    for i, j, idx in zip(crossing[0].tolist(), crossing[1].tolist(),
-                         index[crossing].tolist()):
-        if idx in (5, 10):
-            center = 0.25 * (F[i, j] + F[i + 1, j] + F[i + 1, j + 1] + F[i, j + 1])
-            if idx == 5:
-                pairs = [(0, 1), (2, 3)] if center > 0 else [(0, 3), (2, 1)]
-            else:
-                pairs = [(3, 0), (1, 2)] if center > 0 else [(1, 0), (3, 2)]
-        else:
-            pairs = _CASES[idx]
-        for (e_in, e_out) in pairs:
-            p0 = _edge_point(i, j, e_in, F, x, y)
-            p1 = _edge_point(i, j, e_out, F, x, y)
-            segments.setdefault(_key(p0), []).append((p0, p1))
-    return _link(segments)
+    ci, cj = np.nonzero((index != 0) & (index != 15))
+    case = index[ci, cj].astype(np.intp)
+    is_saddle = (case == 5) | (case == 10)
+    saddle = np.flatnonzero(is_saddle)
+    si, sj = ci[saddle], cj[saddle]
+    centre = 0.25 * (F[si, sj] + F[si + 1, sj] + F[si + 1, sj + 1]
+                     + F[si, sj + 1])
+    case[saddle[centre > 0]] += 16
+
+    # one segment per cell and two per saddle, in cell order; vertex 2s is
+    # the start of segment s and 2s + 1 its end
+    cell = np.repeat(np.arange(len(case)), 1 + is_saddle)
+    second = np.zeros(len(cell), np.intp)
+    second[1:] = cell[1:] == cell[:-1]
+    edge = _SEGMENTS[case[cell], second].ravel()
+    a0, b0, a1, b1 = _EDGE_CORNERS[edge].T
+    i, j = np.repeat(ci[cell], 2), np.repeat(cj[cell], 2)
+    i0, j0, i1, j1 = i + a0, j + b0, i + a1, j + b1
+    f0 = F[i0, j0]
+    t = f0 / (f0 - F[i1, j1])
+    points = np.empty((len(edge), 2))
+    points[:, 0] = x[i0] + t * (x[i1] - x[i0])
+    points[:, 1] = y[j0] + t * (y[j1] - y[j0])
+
+    # keys as floats: a coordinate of 9.2e9 or more overflows int64 keys
+    keys = np.rint(points / 1e-9)
+    if not np.isfinite(keys).all():
+        raise NumericalError("marching squares: a contour vertex is not "
+                             "finite or too large for its 1e-9 key")
+    paths = _chain(list(zip(*keys.T.tolist())), len(cell))
+    return [points[p] for p in paths]
 
 
-def _link(segments: dict) -> list:
-    """Chain oriented segments, keyed by their start vertex in scan order,
-    into polylines; emptied in the process."""
-    by_end = {}
-    for segs in segments.values():
-        for seg in segs:
-            by_end.setdefault(_key(seg[1]), []).append(seg)
+def _chain(keys: list, count: int) -> list:
+    """Chain segments s = 0 … count − 1, from vertex 2s to vertex 2s + 1 (of
+    key `keys[v]`), into lists of vertex ids.
 
-    def _take(index, key):
-        seg = index[key].pop(0)
-        if not index[key]:
+    Segments are indexed by start key, in order of first appearance, and
+    by end key.  Each path starts with the first segment of the first
+    remaining start key, walks forward until it closes or ends, and an
+    open path is then extended backward; a segment taken from one index
+    is dropped from the other."""
+    by_start, by_end = {}, {}
+    for s in range(count):
+        by_start.setdefault(keys[2 * s], []).append(s)
+    for ids in by_start.values():
+        for s in ids:
+            by_end.setdefault(keys[2 * s + 1], []).append(s)
+
+    def take(index, key):
+        ids = index[key]
+        s = ids.pop(0)
+        if not ids:
             del index[key]
-        return seg
+        return s
 
-    def _discard(index, key, seg):
-        if key in index and seg in index[key]:
-            index[key].remove(seg)
-            if not index[key]:
-                del index[key]
+    def drop(index, key, s):
+        ids = index[key]
+        ids.remove(s)
+        if not ids:
+            del index[key]
 
-    polylines = []
-    while segments:
-        k0 = next(iter(segments))
-        seg = _take(segments, k0)
-        _discard(by_end, _key(seg[1]), seg)
-        line = [seg[0], seg[1]]
+    paths = []
+    while by_start:
+        s = take(by_start, next(iter(by_start)))
+        drop(by_end, keys[2 * s + 1], s)
+        path = [2 * s, 2 * s + 1]
         while True:                      # forward
-            k = _key(line[-1])
-            if k == _key(line[0]):
+            k = keys[path[-1]]
+            if k == keys[path[0]] or k not in by_start:
                 break
-            if k not in segments:
-                break
-            seg = _take(segments, k)
-            _discard(by_end, _key(seg[1]), seg)
-            line.append(seg[1])
-        if _key(line[-1]) != _key(line[0]):
+            s = take(by_start, k)
+            drop(by_end, keys[2 * s + 1], s)
+            path.append(2 * s + 1)
+        if keys[path[-1]] != keys[path[0]]:
             while True:                  # backward, for open chains
-                k = _key(line[0])
+                k = keys[path[0]]
                 if k not in by_end:
                     break
-                seg = _take(by_end, k)
-                _discard(segments, _key(seg[0]), seg)
-                line.insert(0, seg[0])
-        polylines.append(np.array(line))
-    return polylines
-
-
-def _key(p, tol=1e-9):
-    return (round(p[0] / tol), round(p[1] / tol))
+                s = take(by_end, k)
+                drop(by_start, keys[2 * s], s)
+                path.insert(0, 2 * s)
+        paths.append(path)
+    return paths
 
 
 def find_horizon(fields: HydroFields) -> list:

@@ -1019,6 +1019,33 @@ def test_pipeline_calls_the_names_the_benchmark_tracer_wraps(tmp_path,
             "elimination.kerr_coupling", "kgwave.kg_evolve"} <= names
 
 
+def test_traced_horizon_run_counts_the_cells_and_vertices_it_contours(
+        tmp_path, monkeypatch):
+    # the benchmark's marching-squares counts come from the one span of
+    # `geometry.marching_squares`, read from its argument F and the loops it
+    # returns; the loops are the ones written to horizons.json
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from tracer import Tracer
+    from workloads import WORKLOADS
+
+    text, _ = WORKLOADS["horizon-1024"].config(1, "tiny", str(tmp_path / "out"))
+    tracer = Tracer(run_id="horizon")
+    tracer.install()
+    try:
+        code = main(["metric", "--config", str(write_cfg(tmp_path, text))])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("geometry.marching_squares") == 1
+    metrics = tracer.metrics()
+    assert metrics["geometry.marching_squares.cells"] == 127 ** 2
+    with open(tmp_path / "out" / "horizons.json") as fh:
+        loops = json.load(fh)["loops"]
+    assert metrics["geometry.marching_squares.vertices"] == \
+        sum(len(loop) for loop in loops) > 0
+
+
 def test_traced_pipeline_counts_each_crosscheck_stepper_in_one_span(
         tmp_path, monkeypatch):
     # the per-layer step metrics of the benchmark come from these spans: a

@@ -844,7 +844,7 @@ def _unstable_runs():
         return (linearized_step(phi, psi0, fp, 1.0, steps=n).data,)
 
     def hydro_step(n):
-        return hydro_linear_step(dn0, th0, hydro, 5.0, steps=n)
+        return hydro_linear_step(dn0, th0, hydro, 5.0, steps=n, force=True)
 
     def kg(n):
         r = kg_evolve(kg0, np.zeros_like(kg0), met, 5.0, n, force=True)

@@ -9,7 +9,7 @@ from scipy import fft as sp_fft
 from scipy.optimize import brentq
 
 from photonfluid import geometry
-from photonfluid.errors import NumericalError, PhysicsGateError
+from photonfluid.errors import NumericalError, PhysicsGateError, StepSizeError
 from photonfluid.fluid import (
     ComplexField2D,
     FluidParams,
@@ -32,7 +32,6 @@ from photonfluid.geometry import (
     madelung,
     marching_squares,
 )
-from photonfluid.geometry import _CASES, _key, _link
 from photonfluid.unwrap import (dctn, idctn, phase_residues,
                                 unwrap_least_squares, wrap_to_pi)
 
@@ -464,6 +463,67 @@ def test_find_horizon_loops_of_a_small_sink():
     assert all(a.tobytes() == b.tobytes() for a, b in zip(loops, want))
 
 
+# per-case oriented segment list (entry edge, exit edge) with the positive
+# region kept on the LEFT of the walking direction; corner order of the
+# case index bits: 1=(i,j), 2=(i+1,j), 4=(i+1,j+1), 8=(i,j+1)
+_CASES = {
+    1: [(0, 3)], 2: [(1, 0)], 3: [(1, 3)], 4: [(2, 1)],
+    6: [(2, 0)], 7: [(2, 3)], 8: [(3, 2)], 9: [(0, 2)],
+    11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
+}
+
+
+def _link(segments: dict) -> list:
+    """Chain oriented segments, keyed by their start vertex in scan order,
+    into polylines; emptied in the process."""
+    by_end = {}
+    for segs in segments.values():
+        for seg in segs:
+            by_end.setdefault(_key(seg[1]), []).append(seg)
+
+    def _take(index, key):
+        seg = index[key].pop(0)
+        if not index[key]:
+            del index[key]
+        return seg
+
+    def _discard(index, key, seg):
+        if key in index and seg in index[key]:
+            index[key].remove(seg)
+            if not index[key]:
+                del index[key]
+
+    polylines = []
+    while segments:
+        k0 = next(iter(segments))
+        seg = _take(segments, k0)
+        _discard(by_end, _key(seg[1]), seg)
+        line = [seg[0], seg[1]]
+        while True:                      # forward
+            k = _key(line[-1])
+            if k == _key(line[0]):
+                break
+            if k not in segments:
+                break
+            seg = _take(segments, k)
+            _discard(by_end, _key(seg[1]), seg)
+            line.append(seg[1])
+        if _key(line[-1]) != _key(line[0]):
+            while True:                  # backward, for open chains
+                k = _key(line[0])
+                if k not in by_end:
+                    break
+                seg = _take(by_end, k)
+                _discard(segments, _key(seg[0]), seg)
+                line.insert(0, seg[0])
+        polylines.append(np.array(line))
+    return polylines
+
+
+def _key(p, tol=1e-9):
+    return (round(p[0] / tol), round(p[1] / tol))
+
+
 def _per_cell_segments(F, x, y):
     """Reference segments: scan every cell, i outer and j inner, and form
     each case index from its four corner signs."""
@@ -524,6 +584,68 @@ def test_marching_squares_matches_per_cell_oracle():
             seen |= {(c, bool(s)) for s in center[case == c] > 0}
         seen |= {"zero"} if np.any(G == 0) else set()
     assert seen == {(5, True), (5, False), (10, True), (10, False), "zero"}
+
+    def assert_matches_oracle(F, x, y):
+        lines = marching_squares(F, x, y)
+        ref = _link(_per_cell_segments(F, x, y))
+        assert len(lines) == len(ref) >= 1
+        for line, want in zip(lines, ref):
+            assert line.dtype == want.dtype and line.shape == want.shape
+            assert line.tobytes() == want.tobytes()
+
+    # coordinates offset by 1e10: keys of about 1e19 exceed 2**63
+    for _ in range(5):
+        nx, ny = (int(v) for v in rng.integers(2, 40, size=2))
+        x = 1e10 + np.cumsum(rng.uniform(0.1, 1.0, nx))
+        y = -1e10 - np.cumsum(rng.uniform(0.1, 1.0, ny))
+        assert_matches_oracle(rng.standard_normal((nx, ny)), x, y)
+    assert abs(round(1e10 / 1e-9)) > 2**63
+
+    # small integer fields: many exact zeros and coinciding segments
+    for _ in range(20):
+        nx, ny = (int(v) for v in rng.integers(2, 20, size=2))
+        F = rng.integers(-1, 2, (nx, ny)).astype(float)
+        F[0, 0] = 1.0
+        assert_matches_oracle(F, np.arange(nx) * 0.5, np.arange(ny) * 0.5)
+
+    # the horizon function of a 256**2 radial sink, formed as the metric
+    # stage forms it
+    grid = Grid(256, 256, 8.0 / 256, 8.0 / 256)
+    xc, yc = grid.x[:, None], grid.y[None, :]
+    r = np.hypot(xc, yc)
+    np.maximum(r, 0.25 * min(grid.dx, grid.dy), out=r)
+    speed = 1.0 / r
+    vx = np.negative(speed)
+    vx *= xc
+    vx /= r
+    vy = np.negative(speed, out=speed)
+    vy *= yc
+    vy /= r
+    F = np.square(vx)
+    F += np.square(vy)
+    F -= 0.25
+    assert_matches_oracle(F, grid.x, grid.y)
+
+
+def test_marching_squares_refuses_coordinates_of_the_wrong_length():
+    F = np.linspace(-1.0, 1.0, 8)[:, None] * np.ones((8, 6))
+    x, y = np.arange(8.0), np.arange(6.0)
+    assert len(marching_squares(F, x, y)) == 1
+    for bad_x, bad_y in ((x[:5], y), (x, y[:4]), (y, x), (x[:, None], y)):
+        with pytest.raises(ValueError, match="x and y"):
+            marching_squares(F, bad_x, bad_y)
+    with pytest.raises(ValueError):
+        marching_squares(F[:, 0], x, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_marching_squares_refuses_a_non_finite_vertex(bad):
+    # a non-finite corner of a crossed cell makes a non-finite edge point
+    F = np.linspace(-1.0, 1.0, 8)[:, None] * np.ones((8, 6))
+    F[3, 2] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="not finite"):
+        marching_squares(F, np.arange(8.0), np.arange(6.0))
 
 
 @pytest.mark.parametrize("F, expected", [
@@ -638,9 +760,9 @@ def test_hydro_nonuniform_background_steps_like_the_oracle(quantum_pressure,
 
 @pytest.mark.parametrize("perturbed, steps", [(False, 2000), (True, 200)])
 def test_hydro_unstable_step_raises(perturbed, steps):
-    # dt = 5 is far past the stability bound of the fastest modes: the
-    # closed form (uniform) and the loop (one perturbed flow point) must
-    # both refuse their non-finite result
+    # dt = 5 is far past the stability bound of the fastest modes: forced
+    # past the step-size check, the closed form (uniform) and the loop (one
+    # perturbed flow point) must both refuse their non-finite result
     f = HydroFields.uniform(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
     if perturbed:
         f.vx[5, 3] += 0.05
@@ -648,4 +770,46 @@ def test_hydro_unstable_step_raises(perturbed, steps):
     dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="hydro fluctuation non-finite"):
-        hydro_linear_step(dn0, th0, f, 5.0, steps=steps)
+        hydro_linear_step(dn0, th0, f, 5.0, steps=steps, force=True)
+
+
+def _hydro_step_bound(f, quantum_pressure):
+    """2√2 over the fastest mode |v|ₘₐₓ|k| + cₘₐₓ|k|√(1 + (|k|ξₘᵢₙ)²/4)."""
+    k = np.hypot(np.pi / f.grid.dx, np.pi / f.grid.dy)    # even sides
+    c = np.sqrt(np.max(np.abs(f.c2)))
+    xi = 1.0 / (abs(f.m) * c)
+    qp = (k * xi) ** 2 / 4 if quantum_pressure else 0.0
+    v = np.max(np.hypot(f.vx, f.vy))
+    return 2 * np.sqrt(2) / (v * k + c * k * np.sqrt(1 + qp))
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_hydro_unstable_step_is_refused_before_any_fft(perturbed, monkeypatch):
+    f = HydroFields.uniform(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
+    if perturbed:
+        f.vx[5, 3] += 0.05
+    for name in ("fft2", "ifft2"):
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, **k: pytest.fail("FFT before refusal"))
+    zero = np.zeros((32, 8))
+    with pytest.raises(StepSizeError, match="2√2"):
+        hydro_linear_step(zero, zero, f, 5.0, steps=2000)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("quantum_pressure", [True, False])
+def test_hydro_step_within_the_bound_stays_finite(perturbed, quantum_pressure):
+    f = HydroFields.uniform(Grid(32, 8, 0.7, 0.9), m=-1.5, G=-0.8,
+                            density=1.3, vx=0.4, vy=-0.3)
+    if perturbed:
+        f.vx[5, 3] += 0.05
+    bound = _hydro_step_bound(f, quantum_pressure)
+    rng = np.random.default_rng(8)
+    dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
+    dn, th = hydro_linear_step(dn0, th0, f, 0.9 * bound, steps=200,
+                               quantum_pressure=quantum_pressure)
+    assert np.all(np.isfinite(dn)) and np.all(np.isfinite(th))
+    assert np.max(np.abs(dn)) + np.max(np.abs(th)) < 1e3
+    with pytest.raises(StepSizeError):
+        hydro_linear_step(dn0, th0, f, 1.01 * bound, steps=1,
+                          quantum_pressure=quantum_pressure)
