@@ -14,7 +14,9 @@ Subcommands mirror the pipeline stages:
               report)
 
 Every run writes its artifacts plus a `manifest.json` (config hash, tool
-version, timestamps, artifact checksums, derived quantities).  Exit codes:
+version, timestamps, artifact checksums, derived quantities).  Each
+artifact's SHA-256 and byte count are taken from the bytes as they are
+written, so the manifest re-reads no file.  Exit codes:
 0 success, 2 config error, 3 numerical failure, 4 physics gate (unstable
 operating point or Euclidean signature: the run is valid but gated stages
 were skipped, and `derived` keeps what came before the gate).  A config
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
+import io
 import json
 import numbers
 import os
@@ -58,7 +60,7 @@ from .config import RunConfig, parse_config
 from .elimination import KernelParams, kerr_coupling, memory_kernel, \
     memory_kernel_inf, validate_elimination
 from .errors import ConfigError, PhotonFluidError, PhysicsGateError
-from .fieldio import write_field
+from .fieldio import write_bytes, write_field
 from .fluid import ComplexField2D, FluidParams, Grid, evolve, gp_energy, \
     ground_state, spectral_d, split_step_cfl, uniform_background
 from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
@@ -75,59 +77,46 @@ __all__ = ["main", "entry", "run_pipeline"]
 # ---------------------------------------------------------------------------
 # small artifact helpers
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 class Artifacts:
-    """Tracks emitted files, which the manifest checksums, and notes."""
+    """Tracks emitted files, with the SHA-256 and byte count of what was
+    written to each for the manifest, and notes."""
 
     def __init__(self, outdir: str):
         self.outdir = outdir
-        self.paths: list[str] = []
+        self.written: dict[str, tuple[str, int]] = {}
         self.notes: list[str] = []
         os.makedirs(outdir, exist_ok=True)
 
-    def path(self, name: str) -> str:
+    def _write(self, name: str, text: str) -> None:
         p = os.path.join(self.outdir, name)
-        self.paths.append(p)
-        return p
+        self.written[p] = write_bytes(p, text.encode())
 
     def write_csv(self, name: str, header, rows) -> None:
-        with open(self.path(name), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        self._write(name, buf.getvalue())
 
     def write_json(self, name: str, payload) -> None:
-        with open(self.path(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        self._write(name, _json_text(payload))
 
     def write_field(self, name: str, field: ComplexField2D,
                     sidecar=None) -> None:
-        p = self.path(name)
-        write_field(p, field, sidecar)
-        if sidecar is not None:
-            self.paths.append(p + ".json")
+        self.written.update(write_field(os.path.join(self.outdir, name),
+                                        field, sidecar))
 
     def manifest_entries(self):
-        return [
-            {"path": os.path.relpath(p, self.outdir),
-             "sha256": _sha256(p),
-             "bytes": os.path.getsize(p)}
-            for p in self.paths
-        ]
+        return [{"path": os.path.relpath(p, self.outdir),
+                 "sha256": sha256, "bytes": size}
+                for p, (sha256, size) in self.written.items()]
 
 
 class _Discard(Artifacts):
     """A sink that writes nothing: a sweep point keeps only its derived."""
 
     def __init__(self):
-        self.paths, self.notes = [], []
+        self.written, self.notes = {}, []
 
     write_csv = write_json = write_field = staticmethod(lambda *a, **kw: None)
 
@@ -142,12 +131,13 @@ def _jsonable(x):
     raise TypeError(f"not serializable: {type(x)}")
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+
+
 def write_manifest(outdir: str, payload: dict) -> None:
-    path = os.path.join(outdir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-    os.replace(tmp, path)
+    write_bytes(os.path.join(outdir, "manifest.json"),
+                _json_text(payload).encode())
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +303,7 @@ def run_nlse(cfg: RunConfig, art: Artifacts,
 
 def _real_field(grid: Grid, values: np.ndarray, units: str) -> SimpleNamespace:
     """A real array as the grid, data and meta `write_field` reads; the
-    writer widens it to complex128 without a field-sized copy."""
+    writer stores it as real (PFLD version 2) without a copy."""
     return SimpleNamespace(grid=grid, data=values, meta={"units": units})
 
 
@@ -341,6 +331,15 @@ def _hydro_fields(cfg: RunConfig) -> HydroFields:
         vy = np.negative(speed, out=speed)
         vy *= y
         vy /= r
+        # r̂ is undefined at the origin grid point, where the formula gives
+        # v = 0: one subsonic point in the supersonic core, which would be
+        # traced as a horizon of its own.  It flows inward along the
+        # diagonal at the speed of its nearest neighbours, D/min(dx, dy),
+        # so the fastest flow on the grid (and the kg stage's CFL step)
+        # stays as it was.
+        i, j = grid.nx // 2, grid.ny // 2
+        vx[i, j] = vy[i, j] = \
+            -msec["sink_strength"] / min(grid.dx, grid.dy) / np.sqrt(2.0)
         return HydroFields.from_profiles(grid, m, G, n=1.0, vx=vx, vy=vy,
                                          c2=c2)
     # tanh1d: leftward flow with a supersonic well between x1 and x2

@@ -184,14 +184,16 @@ def hydro_linear_step(
     ∂_t δn = −∇·( v₀ δn + (n/m) ∇δθ )
     ∂_t δθ = −v₀·∇δθ − 𝒢 δn [ + (1/4mn) ∇·( n ∇(δn/n) ) ]
 
-    When n, v₀ and mc²/n are uniform to 1e-12 relative (and `steps` > 0)
-    every wavevector evolves on its own: (δn_k, δθ_k) is advanced by the
-    2×2 RK4 amplification matrix raised to `steps` (`rk4_power`), which
-    equals stepping up to roundoff; a non-finite result raises
-    `NumericalError` as well.  The spectral derivative of a real
-    field, real(ifft2(ik·fft2 f)), drops the Nyquist row (for ∂ₓ) and
-    column (for ∂ᵧ) of an even side, so k is zero there in the closed form
-    as well; an odd side has no Nyquist mode and keeps every k.
+    When n, v₀ and mc²/n are uniform to 1e-12 relative, dt is within the
+    bound and `steps` > 0, every wavevector evolves on its own: (δn_k, δθ_k)
+    is advanced by the 2×2 RK4 amplification matrix raised to `steps`
+    (`rk4_power`), which equals stepping up to roundoff; a non-finite
+    result raises `NumericalError` as well.  A forced run past the bound
+    always steps, so a blow-up is still reported at the step it happens.
+    The spectral derivative of a real field, real(ifft2(ik·fft2 f)), drops
+    the Nyquist row (for ∂ₓ) and column (for ∂ᵧ) of an even side, so k is
+    zero there in the closed form as well; an odd side has no Nyquist mode
+    and keeps every k.
     """
     if fields.mask is not None and not np.all(fields.mask):
         raise PhysicsGateError("background has masked points; hydro step needs "
@@ -204,13 +206,14 @@ def hydro_linear_step(
     qp2 = k2 / (4.0 * m * m) if quantum_pressure else 0.0
     rate = np.sqrt(k2) * (float(np.max(np.hypot(vx, vy)))
                           + np.sqrt(float(np.max(np.abs(fields.c2))) + qp2))
-    if dt * rate > 2.0 * np.sqrt(2.0) and not force:
+    stable = dt * rate <= 2.0 * np.sqrt(2.0)
+    if not (stable or force):
         raise StepSizeError(f"dt too large: dt*rate = {dt * rate:.3g} > 2√2 "
                             f"(pass force=True to override)")
     # local mc²/n = 𝒢, kept pointwise for generality
     mc2_over_n = np.where(n > 0, m * fields.c2 / n, 0.0)
 
-    if steps > 0 and is_uniform(n) and is_uniform(vx, vy) \
+    if steps > 0 and stable and is_uniform(n) and is_uniform(vx, vy) \
             and is_uniform(mc2_over_n):
         # ∂ of a real field is i·k with the Nyquist row/column dropped
         kx, ky = kx.copy(), ky.copy()

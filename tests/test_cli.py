@@ -777,6 +777,53 @@ def test_main_ends_with_a_documented_exit_code_and_a_manifest(run):
         assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.mark.parametrize("run", sorted(_TINY_RUNS))
+def test_manifest_lists_every_artifact_with_the_bytes_written(
+        tmp_path, monkeypatch, run):
+    # every stage, nlse with snapshots and their sidecars, rdr and kernel
+    # with a sweep: each checksum and size comes from the bytes as they were
+    # written, so no artifact is opened for reading while `main` runs
+    stage, sections, flags = _TINY_RUNS[run]
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_config_text(stage, sections))
+    reads = []
+    real_open = open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+") \
+                and os.path.abspath(file).startswith(f"{out}{os.sep}"):
+            reads.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    code = main([stage, "--config", str(cfg), "--out", str(out), *flags])
+    monkeypatch.undo()
+    assert code == 0 and reads == []
+    listed = {a["path"]: a for a in manifest(tmp_path)["artifacts"]}
+    assert sorted(listed) == sorted(set(os.listdir(out)) - {"manifest.json"})
+    for name, art in listed.items():
+        raw = (out / name).read_bytes()
+        assert art["bytes"] == len(raw)
+        assert art["sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_sink_core_is_supersonic_and_leaves_one_horizon(tmp_path, n):
+    # r̂ is undefined at the origin grid point; it flows at its nearest
+    # neighbours' speed instead of being a subsonic point traced as a loop
+    # of its own
+    text = METRIC_CFG.replace("256", str(n)).replace("0.03125", repr(8.0 / n))
+    assert main(["metric", "--config", str(write_cfg(tmp_path, text))]) == 0
+    assert manifest(tmp_path)["derived"]["horizon_count"] == 1
+    with open(tmp_path / "out" / "horizons.json") as fh:
+        assert len(json.load(fh)["loops"]) == 1
+    vx, vy, c2 = (read_field(tmp_path / "out" / f"metric_{name}.pfld").data.real
+                  for name in ("vx", "vy", "c2"))
+    core = (n // 2, n // 2)
+    assert vx[core] ** 2 + vy[core] ** 2 > c2[core]
+
+
 class _Recorder(Mapping):
     """A config section that notes every key read from it."""
 

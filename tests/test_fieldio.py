@@ -1,8 +1,10 @@
 """PFLD binary format: lossless round trips and corruption detection."""
 
+import hashlib
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -72,23 +74,70 @@ _REAL = np.random.default_rng(9).standard_normal((64, 32))
     np.asfortranarray(_REAL),
     _REAL[::2, ::-1],                        # strided and reversed
     _REAL.astype(np.float32),
-    np.random.default_rng(10).standard_normal((2, 8192)),  # rows > chunk
+    np.random.default_rng(10).standard_normal((2, 16384)),  # rows > chunk
     (_REAL + 1j * _REAL[::-1]).astype(np.complex64),
 ], ids=["c-order", "fortran", "strided", "float32", "long-rows", "complex64"])
 def test_converted_write_equals_the_complex_cast(tmp_path, data):
+    # real data of any layout or dtype is stored as its C-order float64
+    # cast, complex data as its complex128 cast; either reads back as the
+    # complex cast
     path, ref = tmp_path / "conv.pfld", tmp_path / "ref.pfld"
+    cast = np.ascontiguousarray(
+        data, dtype=complex if np.iscomplexobj(data) else float)
     write_field(path, _real_field(data))
-    write_field(ref, _real_field(data.astype(complex)))
+    write_field(ref, _real_field(cast))
     assert path.read_bytes() == ref.read_bytes()
     back = read_field(path)
     assert back.data.tobytes() == data.astype(complex).tobytes()
     assert back.meta["units"] == "n"
 
 
+def test_widened_version_1_file_reads_as_the_real_version_2_file(tmp_path):
+    # a real field stored widened to complex128 (version 1, as every real
+    # field was before version 2) and stored as float64 (version 2) read
+    # back bit-identical
+    v1, v2 = tmp_path / "v1.pfld", tmp_path / "v2.pfld"
+    write_field(v1, _real_field(_REAL.astype(complex)))
+    write_field(v2, _real_field(_REAL))
+    assert struct.unpack_from("<I", v1.read_bytes(), 4) == (1,)
+    assert struct.unpack_from("<I", v2.read_bytes(), 4) == (2,)
+    a, b = read_field(v1), read_field(v2)
+    assert a.grid == b.grid and a.meta == b.meta
+    assert a.data.tobytes() == b.data.tobytes() == \
+        _REAL.astype(complex).tobytes()
+
+
+def test_real_file_size_arithmetic(tmp_path):
+    data = np.random.default_rng(13).standard_normal((128, 128))
+    path = tmp_path / "real.pfld"
+    write_field(path, _real_field(data))
+    assert path.stat().st_size == HEADER_SIZE + 8 * 128 * 128
+
+
+def test_write_returns_the_checksum_and_size_of_each_file(tmp_path):
+    path = tmp_path / "f.pfld"
+    written = write_field(path, _real_field(_REAL[::2]), sidecar={"t": 1.5})
+    assert list(written) == [str(path), f"{path}.json"]
+    for name, (sha256, size) in written.items():
+        raw = Path(name).read_bytes()
+        assert (sha256, size) == (hashlib.sha256(raw).hexdigest(), len(raw))
+
+
 def test_non_finite_real_data_is_refused_and_leaves_no_file(tmp_path):
     for bad in (np.nan, np.inf, -np.inf):
         data = np.ones((256, 256))
         data[200, 7] = bad                   # far past the first chunk
+        path = tmp_path / "bad.pfld"
+        with pytest.raises(ValueError, match="field contains non-finite entries"):
+            write_field(path, _real_field(data))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_complex_data_is_refused_and_leaves_no_file(tmp_path):
+    # C-contiguous complex128 is checked from a view of the array itself
+    for bad in (complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)):
+        data = np.ones((256, 256), complex)
+        data[200, 7] = bad
         path = tmp_path / "bad.pfld"
         with pytest.raises(ValueError, match="field contains non-finite entries"):
             write_field(path, _real_field(data))
@@ -233,18 +282,22 @@ _SPACINGS = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 0.5, float("nan"),
        endian=st.sampled_from([0x01020304, 0x04030201, 0]),
        units=st.binary(min_size=8, max_size=8),
        extra=st.integers(-40, 40), fill=st.integers(0, 255))
-# an empty side makes nx·ny·16 = 0 match an empty data block whatever the
-# other side says
+# an empty side makes an empty data block match whatever the other side
+# says
 @example(nx=2**63, ny=0, dx=0.5, dy=0.5, version=1, endian=0x01020304,
          units=b"natural\x00", extra=0, fill=0)
 @example(nx=0, ny=2**63, dx=0.5, dy=0.5, version=1, endian=0x01020304,
          units=b"natural\x00", extra=0, fill=0)
+# a well-formed version 2 file reads
+@example(nx=4, ny=4, dx=0.5, dy=0.5, version=2, endian=0x01020304,
+         units=b"natural\x00", extra=0, fill=0)
 @settings(max_examples=200)
 def test_forged_headers_raise_only_field_format_error(
         tmp_path_factory, nx, ny, dx, dy, version, endian, units, extra, fill):
-    # data blocks short or long of nx·ny·16 by `extra` bytes (the exact size
-    # only where it is small), always with a matching checksum
-    size = nx * ny * 16 if nx * ny <= 64 else 0
+    # data blocks short or long of nx·ny elements by `extra` bytes (the
+    # exact size only where it is small), always with a matching checksum;
+    # version 2 elements are float64, every other version's complex128
+    size = nx * ny * (8 if version == 2 else 16) if nx * ny <= 64 else 0
     data = bytes([fill]) * max(0, size + extra)
     header = struct.pack("<4sII4xQQdd8sI4x", b"PFLD", version, endian,
                          nx, ny, dx, dy, units, zlib.crc32(data))

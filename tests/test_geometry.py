@@ -769,8 +769,13 @@ def test_hydro_unstable_step_raises(perturbed, steps):
     rng = np.random.default_rng(4)
     dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError, match="hydro fluctuation non-finite"):
+            pytest.raises(NumericalError, match="hydro fluctuation non-finite") \
+            as exc:
         hydro_linear_step(dn0, th0, f, 5.0, steps=steps, force=True)
+    # a forced run past the bound steps, so the report names the step where
+    # the field left the finite range
+    head, _, step = str(exc.value).rpartition(" ")
+    assert head.endswith("at step") and int(step) < steps
 
 
 def _hydro_step_bound(f, quantum_pressure):
