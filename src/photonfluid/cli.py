@@ -287,15 +287,15 @@ def run_nlse(cfg: RunConfig, art: Artifacts,
         art.write_field(name, fld, sidecar={"t": step * dt})
         snaps.append(name)
 
-    out = psi
     if steps > 0:
-        out = evolve(psi, p, dt, steps, force=force,
+        # rebinding drops the background: only the evolved field stays
+        psi = evolve(psi, p, dt, steps, force=force,
                      record=record if every else None,
                      record_every=every or 0)
-    art.write_field("nlse_final.pfld", out, sidecar={"t": steps * dt})
+    art.write_field("nlse_final.pfld", psi, sidecar={"t": steps * dt})
     summary = {
-        "steps": steps, "dt": dt, "norm": out.norm_sq(),
-        "energy": gp_energy(out, p), "snapshots": snaps,
+        "steps": steps, "dt": dt, "norm": psi.norm_sq(),
+        "energy": gp_energy(psi, p), "snapshots": snaps,
     }
     art.write_json("nlse_summary.json", summary)
     return summary

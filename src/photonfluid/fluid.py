@@ -30,7 +30,11 @@ on blocks of whole rows applies the inverse row FFT, the conjugation, the
 kick and the next step's forward row FFT; a column pass on blocks of whole
 columns applies the forward column FFT, the conjugation and ×conj(kin)/N,
 and the inverse column FFT.  A step is thus two joins and no other
-synchronisation.  On grids of at least 2¹⁶ cells `evolve` runs the blocks
+synchronisation.  The kinetic factor is separable,
+e^{−i dt k²/2m} = e^{−i dt kx²/2m} ⊗ e^{−i dt ky²/2m} (and likewise the
+real e^{−dτ k²/2m} of imaginary time), so conj(kin)/N is applied as a kx
+column carrying 1/N and a ky row, and no step holds a field-sized `kin`.
+On grids of at least 2¹⁶ cells `evolve` runs the blocks
 of each pass on a thread pool sized to the CPUs the process may use (at
 most 8), since numpy's pocketfft releases the GIL; pocketfft's plan cache
 takes no lock, so both side lengths are planned serially first.  Smaller
@@ -90,8 +94,11 @@ class Grid:
     """Uniform periodic nx×ny grid with spacings dx, dy.
 
     The one definition of the grid's geometry: coordinates are centered on
-    the box, x = (i − nx//2)·dx and y = (j − ny//2)·dy, and `k()` gives the
-    angular wavenumbers in FFT order.  Nothing field-sized is cached.
+    the box, x = (i − nx//2)·dx and y = (j − ny//2)·dy, `k()` gives the
+    angular wavenumbers in FFT order and `k_squared_axes()` their squares
+    per axis, whose broadcast sum is `k_squared()`.  Nothing field-sized is
+    cached, and the NLSE steps and `gp_energy` read only the per-axis
+    squares.
     """
 
     nx: int
@@ -130,9 +137,14 @@ class Grid:
         ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.dy)
         return kx[:, None], ky[None, :]
 
-    def k_squared(self) -> np.ndarray:
+    def k_squared_axes(self):
+        """kx² as an (nx, 1) column and ky² as a (1, ny) row."""
         kx, ky = self.k()
-        return kx**2 + ky**2
+        return kx**2, ky**2
+
+    def k_squared(self) -> np.ndarray:
+        kx2, ky2 = self.k_squared_axes()
+        return kx2 + ky2
 
 
 def spectral_d(f: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -184,7 +196,8 @@ class ComplexField2D:
 
     def norm_sq(self) -> float:
         """∫|Ψ|² dx dy on the grid."""
-        return float(np.sum(np.abs(self.data) ** 2) * self.grid.cell_area)
+        d = self.data
+        return float(np.vdot(d, d).real * self.grid.cell_area)
 
     def copy(self) -> "ComplexField2D":
         return ComplexField2D(self.grid, self.data.copy(), dict(self.meta))
@@ -256,10 +269,11 @@ def _row_pass(blk: np.ndarray, inverse: bool, kick, forward: bool) -> None:
         np.fft.fft2(blk, s=blk.shape[1:], axes=(1,), out=blk)
 
 
-def _column_pass(blk: np.ndarray, kin_conj_n: np.ndarray) -> None:
+def _column_pass(blk: np.ndarray, factors) -> None:
     """Column pass of the split step on a block of whole columns, in place:
-    the forward column FFT, the conjugation and ×conj(kin)/N (`kin_conj_n`
-    cut to the same columns), then the inverse column FFT."""
+    the forward column FFT, the conjugation and ×conj(kin)/N, then the
+    inverse column FFT.  conj(kin)/N is the product of `factors`, each
+    broadcastable to the block and cut to its columns."""
     np.fft.fft2(blk, s=blk.shape[:1], axes=(0,), out=blk)
     # numpy would copy a block narrower than the grid through 3 × 8192
     # element ufunc buffers (0.38 of a 256² field per concurrent block);
@@ -268,7 +282,8 @@ def _column_pass(blk: np.ndarray, kin_conj_n: np.ndarray) -> None:
     with np.errstate():  # restores the buffer size on exit
         np.setbufsize(256)
         np.conjugate(blk, out=blk)
-        blk *= kin_conj_n
+        for fac in factors:
+            blk *= fac
     np.fft.fft2(blk, s=blk.shape[:1], axes=(0,), out=blk)
 
 
@@ -308,26 +323,34 @@ def _run_blocks(pool, block, n: int) -> None:
         fut.result()
 
 
-def _kinetic_step(f: np.ndarray, kin_conj_n: np.ndarray) -> None:
+def _kinetic_step(f: np.ndarray, *factors: np.ndarray) -> None:
     """f ← ifft2(kin · fft2 f) in place, for a contiguous complex field on a
-    power-of-two grid; `kin_conj_n` holds conj(kin)/N, N = f.size.
+    power-of-two grid; the `factors`, each broadcastable to f (a full grid,
+    or a kx column and a ky row), multiply to conj(kin)/N, N = f.size.
 
     This is the split step's kernel as one block: the inverse is
     conj(fft2(conj(kin · fft2 f)))/N, and conj(kin)/N multiplies the
     conjugated spectrum, so every per-axis transform writes into `f`.
     """
     _row_pass(f, False, None, True)
-    _column_pass(f, kin_conj_n)
+    _column_pass(f, factors)
     _row_pass(f, True, None, False)
 
 
 def split_step_cfl(psi: ComplexField2D, p: FluidParams, dt: float) -> float:
-    """dt · max(|V| + |𝒢| max n, k_max²/2|m|): should stay ≤ 0.1."""
-    V = p.potential_grid(psi)
-    nmax = float(np.max(np.abs(psi.data) ** 2))
+    """dt · max(|V| + |𝒢| max n, k_max²/2|m|): should stay ≤ 0.1.
+
+    max n is (max |Ψ|)² and k_max² = max kx² + max ky², the same doubles as
+    the maxima of the field-sized n and k² (rounding is monotone)."""
+    if np.ndim(p.V):
+        vmax = float(np.max(np.abs(p.potential_grid(psi))))
+    else:
+        vmax = abs(float(p.V))
+    nmax = float(np.max(np.abs(psi.data))) ** 2
+    kx2, ky2 = psi.grid.k_squared_axes()
     rate = max(
-        float(np.max(np.abs(V))) + abs(p.G_kerr) * nmax,
-        float(np.max(psi.grid.k_squared())) / (2.0 * abs(p.m)),
+        vmax + abs(p.G_kerr) * nmax,
+        (float(np.max(kx2)) + float(np.max(ky2))) / (2.0 * abs(p.m)),
     )
     return dt * rate
 
@@ -366,15 +389,20 @@ def evolve(
     block order.  Kicks work through fixed chunks of 2¹³ cells with
     per-block scratch, so a step allocates no field-sized array, and row
     blocks are whole chunks, so the result is bitwise the same for any B.
+    The ky factor is cut to each column block; applying it in the row
+    pass instead, right after the forward row FFT, measured no faster.
 
     The kick forms the half phase −½τ(Ṽ + 𝒢|f|²) directly (halving is
-    exact, so it is half of the phase's own rounding), and `kin` =
-    e^{+i dt k²/2m}/N is built in place from `Grid.k_squared()` through
-    its half phase.  `_expi_half` turns each into e^{iφ} through
+    exact, so it is half of the phase's own rounding), and conj(kin)/N =
+    e^{+i dt k²/2m}/N is the product of the column e^{+i dt kx²/2m}/N
+    and the row e^{+i dt ky²/2m}, each built from its half phase over
+    `Grid.k_squared_axes()`.  `_expi_half` turns each into e^{iφ} through
     tan(φ/2): one transcendental per cell, where cos and sin (or a
     complex `exp`) take two.  On a 2-core Xeon, the phase factors of a
-    serial 512² kick take 2.1 ms against 4.8 ms for cos and sin, and
-    `kin` 3.2–3.9 ms against 15 ms for `np.exp`.
+    serial 512² kick take 2.1 ms against 4.8 ms for cos and sin.  The
+    call holds the input, its evolving copy, the kick scratch and two
+    1-D factors, so its peak is the copy plus the kick scratch (1.58
+    fields at 256² on 2 blocks).
 
     `record(step, field)` is invoked every `record_every` steps with the
     state after that step, meta['phase_offset'] included.  The field shares
@@ -390,15 +418,18 @@ def evolve(
     v_mean = float(np.mean(p.V))
     # a scalar V is a global phase only: no grid for it
     Vc = p.potential_grid(psi) - v_mean if np.ndim(p.V) else None
-    # conj(kin)/N = e^{iφ}/N, φ = dt·k²/2m, built in place from the half
-    # phase (dt·k²)·(1/2m)·½
-    half = psi.grid.k_squared()
-    half *= dt
-    half *= 0.25 / p.m
-    kin = np.empty(half.shape, complex)
-    _expi_half(half, kin.real, kin)
-    del half
-    kin *= 1.0 / kin.size
+    # conj(kin)/N = e^{iφ}/N, φ = dt·k²/2m, as the product of the kx column
+    # e^{iφx}/N and the ky row e^{iφy}, each built from its half phase
+    # (dt·k²)·(1/2m)·½
+    kins = []
+    for k2 in psi.grid.k_squared_axes():
+        half = k2 * dt
+        half *= 0.25 / p.m
+        e = np.empty(half.shape, complex)
+        _expi_half(half, e.real, e)
+        kins.append(e)
+    kin_x, kin_y = kins
+    kin_x *= 1.0 / psi.data.size
     G = p.G_kerr
     offset = psi.meta.get("phase_offset", 0.0)
 
@@ -440,7 +471,7 @@ def evolve(
         _row_pass(f[rows[b]], inverse, partial(kick, b, tau, step), forward)
 
     def column_block(b):
-        _column_pass(f[:, cols[b]], kin[:, cols[b]])
+        _column_pass(f[:, cols[b]], (kin_x, kin_y[:, cols[b]]))
 
     def field(f, step):
         meta = dict(psi.meta, phase_offset=offset + v_mean * dt * step)
@@ -476,13 +507,26 @@ def evolve(
 
 
 def gp_energy(psi: ComplexField2D, p: FluidParams) -> float:
-    """Gross-Pitaevskii energy ∫ [ |∇Ψ|²/2m + V|Ψ|² + (𝒢/2)|Ψ|⁴ ] dx dy."""
-    fk = np.fft.fft2(psi.data)
-    kin = np.sum(psi.grid.k_squared() * np.abs(fk) ** 2) / fk.size / (2.0 * p.m)
-    n = np.abs(psi.data) ** 2
-    V = p.potential_grid(psi)
-    pot = np.sum(V * n)
-    inter = 0.5 * p.G_kerr * np.sum(n * n)
+    """Gross-Pitaevskii energy ∫ [ |∇Ψ|²/2m + V|Ψ|² + (𝒢/2)|Ψ|⁴ ] dx dy.
+
+    Holds one complex copy of the field: the spectrum is transformed and
+    squared in it, Σk²|f̂|² is taken from its row and column sums against
+    kx² and ky², and n = |Ψ|² then reuses its first half."""
+    fk = np.array(psi.data, dtype=complex)  # a copy, also of a real field
+    np.fft.fft2(fk, out=fk)
+    a = np.square(fk.real, out=fk.real)
+    a += np.square(fk.imag, out=fk.imag)  # |f̂|²
+    kx2, ky2 = psi.grid.k_squared_axes()
+    kin = (np.dot(kx2[:, 0], a.sum(axis=1)) + np.dot(ky2[0], a.sum(axis=0))) \
+        / fk.size / (2.0 * p.m)
+    n = fk.reshape(-1).view(float)[:fk.size].reshape(fk.shape)
+    np.abs(psi.data, out=n)
+    n *= n
+    if np.ndim(p.V):
+        pot = np.vdot(p.potential_grid(psi), n)
+    else:
+        pot = float(p.V) * n.sum()
+    inter = 0.5 * p.G_kerr * np.vdot(n, n)
     return float((kin + pot + inter) * psi.grid.cell_area)
 
 
@@ -538,12 +582,15 @@ def ground_state(
     psi.data = _normalize(np.asarray(psi.data, dtype=np.complex128), n_total,
                           grid.cell_area)
 
-    k2 = grid.k_squared()
+    kx2, ky2 = grid.k_squared_axes()
     if dtau is None:
-        dtau = 0.25 / max(float(np.max(k2)) / (2 * p.m), abs(p.G_kerr) * n_total
+        k2max = float(np.max(kx2)) + float(np.max(ky2))
+        dtau = 0.25 / max(k2max / (2 * p.m), abs(p.G_kerr) * n_total
                           / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
-    # real, so its own conjugate: the kinetic step's conj(kin)/N
-    kin = np.exp(-dtau * k2 / (2.0 * p.m)) / k2.size
+    # real, so its own conjugate: the kinetic step's conj(kin)/N as a kx
+    # column e^{−dτ kx²/2m}/N and a ky row e^{−dτ ky²/2m}
+    kin_x = np.exp(-dtau * kx2 / (2.0 * p.m)) / psi.data.size
+    kin_y = np.exp(-dtau * ky2 / (2.0 * p.m))
     Vc = V - float(np.mean(V))
 
     e_prev = gp_energy(psi, p)
@@ -552,7 +599,7 @@ def ground_state(
     f = psi.data
     for it in range(1, max_iter + 1):
         f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
-        _kinetic_step(f, kin)
+        _kinetic_step(f, kin_x, kin_y)
         f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
         f = _normalize(f, n_total, grid.cell_area)
         if attractive and it % 2 == 0:
@@ -749,17 +796,19 @@ def uniform_background(grid: Grid, density=1.0, flow_mode=(0, 0)) -> ComplexFiel
     """Uniform density √n with an optional quantized flow phase e^{i k₀·r}.
 
     `flow_mode` counts reciprocal-lattice quanta, so the state is exactly
-    periodic; the flow velocity is ħk₀/m for the consumer's mass.
+    periodic; the flow velocity is ħk₀/m for the consumer's mass.  The
+    state is built as √n · e^{ik₀ₓx} ⊗ e^{ik₀ᵧy} from a column and a row.
     """
-    psi = ComplexField2D.filled(grid, np.sqrt(density))
+    amp = np.sqrt(density)
     mx, my = flow_mode
-    if mx or my:
-        X, Y = grid.xy()
-        k0x = 2.0 * np.pi * mx / (grid.nx * grid.dx)
-        k0y = 2.0 * np.pi * my / (grid.ny * grid.dy)
-        psi.data = psi.data * np.exp(1j * (k0x * X + k0y * Y))
-        psi.meta["flow_k"] = (k0x, k0y)
-    return psi
+    if not (mx or my):
+        return ComplexField2D.filled(grid, amp)
+    k0x = 2.0 * np.pi * mx / (grid.nx * grid.dx)
+    k0y = 2.0 * np.pi * my / (grid.ny * grid.dy)
+    # √n first: numpy's complex product is not bitwise commutative
+    data = complex(amp) * np.exp(1j * (k0x * grid.x))[:, None]
+    data = data * np.exp(1j * (k0y * grid.y))
+    return ComplexField2D(grid, data, {"flow_k": (k0x, k0y)})
 
 
 @dataclass

@@ -273,19 +273,19 @@ class MetricField:
     """Acoustic metric sampled on the grid.
 
     Stored are the fields the metric is built from (n, c², v), the signed
-    conformal factor Ω = n/(m c_ex), the volume weight and the signature.
-    n, c² and v are the arrays of the `HydroFields` the metric was built
-    from, not copies: callers treat them as read-only.
+    conformal factor Ω = n/(m c_ex) and the signature.  n, c² and v are
+    the arrays of the `HydroFields` the metric was built from, not copies:
+    callers treat them as read-only.
     det g follows the closed form det g = −Ω³c².  For negative photon mass
     Ω < 0 and the tensor is the overall negative of a (−,+,+) metric; since
-    the wave operator is invariant under g → −g, `sqrt_minus_g` stores the
+    the wave operator is invariant under g → −g, `sqrt_minus_g` is the
     volume weight of the sign-normalized form, |det g|^{1/2} = |Ω|^{3/2} c.
 
-    `g`, `g_inv` (shape (nx, ny, 3, 3), coordinate order (t, x, y)) and
-    `det_g` are read-only properties built from (Ω, c², v) on each access,
-    9·nx·ny floats per tensor; callers that read one repeatedly should keep
-    the result.  Their entries are NaN wherever the signature is not
-    Lorentzian.
+    `g`, `g_inv` (shape (nx, ny, 3, 3), coordinate order (t, x, y)),
+    `det_g` and `sqrt_minus_g` are read-only properties built from
+    (Ω, c², v) on each access, 9·nx·ny floats per tensor and nx·ny per
+    scalar field; callers that read one repeatedly should keep the result.
+    Their entries are NaN wherever the signature is not Lorentzian.
     """
 
     grid: Grid
@@ -295,7 +295,6 @@ class MetricField:
     vx: np.ndarray
     vy: np.ndarray
     conformal: np.ndarray
-    sqrt_minus_g: np.ndarray
     signature: np.ndarray
 
     def lorentzian(self) -> np.ndarray:
@@ -337,11 +336,19 @@ class MetricField:
         """det g = −Ω³c² (NaN where Ω is, i.e. off Lorentzian points)."""
         return -(self.conformal**3) * self.c2
 
+    @property
+    def sqrt_minus_g(self) -> np.ndarray:
+        """|det g|^{1/2} = |Ω³c²|^{1/2} (NaN where Ω is), in one buffer."""
+        root = self.conformal**3
+        root *= self.c2
+        np.abs(root, out=root)
+        return np.sqrt(root, out=root)
+
 
 def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
-    """Classify the signature and compute the conformal factor and volume
-    weight of the acoustic metric; the tensors follow from these on access
-    (see `MetricField`).
+    """Classify the signature and compute the conformal factor of the
+    acoustic metric; the volume weight and the tensors follow from it on
+    access (see `MetricField`).
 
     Per Lorentzian point (c² > 0): g₀₀ = −Ω(c² − v·v), g₀ᵢ = −Ωvᵢ,
     gᵢⱼ = Ωδᵢⱼ with Ω = n/(m c); the inverse is the closed form
@@ -360,21 +367,16 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
         signature[~fields.mask] = DEGENERATE
     lz = signature == LORENTZIAN
 
-    # Ω = n/(m c) and |det g|^{1/2} = |Ω³c²|^{1/2}, each formed in one buffer
+    # Ω = n/(m c), formed in one buffer; NaN off Lorentzian points
     with np.errstate(divide="ignore", invalid="ignore"):
         conformal = np.where(lz, c2, np.nan)
         np.sqrt(conformal, out=conformal)
         conformal *= m
         np.divide(n, conformal, out=conformal)
-        sqrt_mg = conformal**3
-        sqrt_mg *= c2
-        np.abs(sqrt_mg, out=sqrt_mg)
-        sqrt_mg[~lz] = np.nan
-        np.sqrt(sqrt_mg, out=sqrt_mg)
 
     return MetricField(
         grid=fields.grid, m=m, n=n, c2=c2, vx=vx, vy=vy, conformal=conformal,
-        sqrt_minus_g=sqrt_mg, signature=signature,
+        signature=signature,
     )
 
 

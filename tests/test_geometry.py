@@ -293,6 +293,24 @@ def test_metric_identities_random_points(n, c2, vx, vy, m):
     assert met.det_g[2, 2] == pytest.approx(-(Om**3) * c2, rel=1e-9)
 
 
+def test_sqrt_minus_g_is_built_on_access_from_det_g():
+    # |det g|^{1/2}, NaN off Lorentzian points, for either sign of the mass;
+    # like det_g it is computed when read, not stored by build_metric
+    rng = np.random.default_rng(3)
+    for m in (1.3, -0.7):
+        f = HydroFields.from_profiles(Grid(8, 8, 0.5, 0.5), m, 1.0,
+                                      n=rng.uniform(0.5, 2.0, (8, 8)),
+                                      vx=rng.uniform(-1, 1, (8, 8)), vy=0.2,
+                                      c2=rng.uniform(0.1, 1.0, (8, 8)))
+        f.c2[2, 3] = -0.5
+        met = build_metric(f)
+        assert "sqrt_minus_g" not in vars(met)
+        root = met.sqrt_minus_g
+        assert np.allclose(root, np.sqrt(np.abs(met.det_g)), rtol=1e-14,
+                           atol=0.0, equal_nan=True)
+        assert np.array_equal(np.isnan(root), ~met.lorentzian())
+
+
 def test_build_metric_peak_memory():
     # tracemalloc peak of one call, in float grids: 28.4 while g and g_inv
     # were stored; 6.25 once only Ω, √−g and copies of the inputs were
