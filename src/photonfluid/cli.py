@@ -65,8 +65,8 @@ from .fluid import ComplexField2D, FluidParams, Grid, evolve, gp_energy, \
     ground_state, spectral_d, split_step_cfl, uniform_background
 from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
     build_metric, find_horizon, healing_length
-from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_evolve, \
-    sonic_cfl_dt
+from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_energy, \
+    kg_evolve, sonic_cfl_dt
 from .lattice import LatticeParams, LatticeState, continuum_error, \
     continuum_params, lattice_dispersion, step_lattice
 from .rdr import OptomechParams, rdr_report, thermal_occupancy
@@ -270,12 +270,8 @@ def _background(cfg: RunConfig, m: float,
     return psi, p
 
 
-def run_nlse(cfg: RunConfig, art: Artifacts,
-             snapshot_every: int | None = None, force: bool = False) -> dict:
+def run_nlse(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     sec = cfg["nlse"]
-    every = snapshot_every if snapshot_every is not None else sec["snapshot_every"]
-    if every < 0:
-        raise ConfigError(f"--snapshot-every must be >= 0, got {every}")
     psi, p = _background(cfg, sec["m"], sec["G_kerr"])
     # the default keeps dt·rate at 0.08, under `evolve`'s 0.1 refusal
     dt = sec["dt"] or 0.08 / max(split_step_cfl(psi, p, 1.0), 1e-12)
@@ -289,9 +285,8 @@ def run_nlse(cfg: RunConfig, art: Artifacts,
 
     if steps > 0:
         # rebinding drops the background: only the evolved field stays
-        psi = evolve(psi, p, dt, steps, force=force,
-                     record=record if every else None,
-                     record_every=every or 0)
+        psi = evolve(psi, p, dt, steps, force=force, record=record,
+                     record_every=sec["snapshot_every"])
     art.write_field("nlse_final.pfld", psi, sidecar={"t": steps * dt})
     summary = {
         "steps": steps, "dt": dt, "norm": psi.norm_sq(),
@@ -403,21 +398,28 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     kx, _ = grid.k()
     thx = spectral_d(th0, kx)
     u0 = -(fields.vx + np.sqrt(fields.c2)) * thx   # launch on the v+c branch
-    # a seed the grid cannot carry (a mode at Nyquist, a gaussian narrower
-    # than a cell) has no energy, and its trace no centre
-    _from_config(center_of_energy, th0, u0, metric)
-
     dt = sec["dt"] or 0.8 * sonic_cfl_dt(metric)
     steps = max(1, int(np.ceil(sec["t_final"] / dt)))
-    res = kg_evolve(th0, u0, metric, sec["t_final"] / steps, steps,
-                    force=force, sample_every=sec["sample_every"])
+    dt = sec["t_final"] / steps
     rows = []
-    for t, (th, u), en in zip(res.times, res.snapshots, res.energy):
-        cx, cy = center_of_energy(th, u, metric)
-        rows.append([t, cx, cy, en])
+
+    def record(step, th, u):
+        rows.append([step * dt, *center_of_energy(th, u, metric),
+                     kg_energy(th, u, metric)])
+
+    # the trace's t = 0 row: a seed the grid cannot carry (a mode at
+    # Nyquist, a gaussian narrower than a cell) has no energy, and its
+    # trace no centre
+    _from_config(record, 0, th0, u0)
+    res = kg_evolve(th0, u0, metric, dt, steps, force=force,
+                    record=record, record_every=sec["sample_every"])
+    if steps % sec["sample_every"]:     # the partial last stretch
+        record(steps, res.dtheta, res.dtheta_dot)
     art.write_csv("kg_trace.csv", ["t", "x_energy", "y_energy", "energy"], rows)
     art.write_field("kg_final.pfld", _real_field(grid, res.dtheta, "dtheta"))
-    summary = {"t_final": res.t, "energy_drift": res.energy_drift}
+    e0, e1 = rows[0][-1], rows[-1][-1]
+    summary = {"t_final": res.t,
+               "energy_drift": abs(e1 - e0) / max(abs(e0), 1e-300)}
     art.write_json("kg_summary.json", summary)
     return summary
 
@@ -557,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("rdr")
     add("kernel", [(("--params",), dict(help="alias for --config"))])
     add("lattice", [force])
-    add("nlse", [(("--snapshot-every",), dict(type=int)), force])
+    add("nlse", [force])
     add("metric")
     add("kg", [force])
     add("pipeline")
@@ -591,8 +593,7 @@ def main(argv=None) -> int:
             else ("", [])
         art = Artifacts(outdir)
         notes = art.notes
-        opts = {k: v for k, v in vars(args).items()
-                if k in ("force", "snapshot_every")}
+        opts = {k: v for k, v in vars(args).items() if k == "force"}
         # looked up per call, so a replaced `run_<stage>` is the one run
         runner = globals()[f"run_{args.command}"]
         status, derived = _run(runner, cfg, art, opts)

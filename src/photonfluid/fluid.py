@@ -174,6 +174,31 @@ def rk4(rhs, y: tuple, dt: float, first: int, last: int, what: str) -> tuple:
     return tuple(y)
 
 
+def _check_counts(steps: int, record_every: int = 0) -> None:
+    """Refuse a negative step count or record stride with `ValueError`."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if record_every < 0:
+        raise ValueError(f"record_every must be >= 0, got {record_every}")
+
+
+def _stretches(advance, y: tuple, steps: int, record, record_every: int) -> tuple:
+    """The record contract of the sampled steppers: steps 1 … `steps` of
+    the state tuple `y` go by `advance(y, first, last)` (steps first+1 …
+    last) in stretches that end at each positive multiple of
+    `record_every`, each followed by `record(step, *y)`.  Step 0 and a
+    partial last stretch are not recorded."""
+    every = record_every if record is not None else 0
+    step = 0
+    while step < steps:
+        last = min(step + every, steps) if every else steps
+        y = advance(y, step, last)
+        step = last
+        if every and step % every == 0:
+            record(step, *y)
+    return y
+
+
 @dataclass
 class ComplexField2D:
     """Complex amplitudes on a `Grid` with power-of-two sides.
@@ -373,8 +398,8 @@ def evolve(
     The kick is split back into two halves at each `record` step and at the
     last step.  The spatial mean of V is removed and the accumulated global
     phase is tracked in meta['phase_offset'].  Refuses step sizes violating
-    the resolution precondition unless `force`, and a negative `steps`
-    with `ValueError`.  Every kick checks the
+    the resolution precondition unless `force`, and a negative `steps` or
+    `record_every` with `ValueError`.  Every kick checks the
     field for finiteness and raises `NumericalError` naming the step, so a
     blow-up stops the run where it happens.
 
@@ -408,8 +433,7 @@ def evolve(
     state after that step, meta['phase_offset'] included.  The field shares
     the live buffer of the evolution: copy whatever is kept beyond the call.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_counts(steps, record_every)
     cfl = split_step_cfl(psi, p, dt)
     if cfl > 0.1 and not force:
         raise StepSizeError(
@@ -704,16 +728,15 @@ def linearized_step(
     roundoff.
 
     `record(step, field)` is invoked every `record_every` steps with the
-    state after that step; a negative `record_every` is refused with
-    `ValueError`.  The background set-up runs once per call and the steps
-    go in stretches that end at each record step, so a sampled run equals
-    one call per stretch bit for bit; the closed form raises its matrix to
-    each distinct stretch length once, and every stretch checks the field
-    for finiteness.  The field shares the live buffer of the evolution:
-    copy whatever is kept beyond the call.
+    state after that step; a negative `steps` or `record_every` is refused
+    with `ValueError`.  The background set-up runs once per call and the
+    steps go in stretches that end at each record step (`_stretches`), so
+    a sampled run equals one call per stretch bit for bit; the closed form
+    raises its matrix to each distinct stretch length once, and every
+    stretch checks the field for finiteness.  The field shares the live
+    buffer of the evolution: copy whatever is kept beyond the call.
     """
-    if record_every < 0:
-        raise ValueError(f"record_every must be >= 0, got {record_every}")
+    _check_counts(steps, record_every)
     amp = np.abs(psi0.data)
     if float(np.min(amp)) < floor_rel * float(np.max(amp)):
         raise ValueError(
@@ -742,17 +765,17 @@ def linearized_step(
         z = (dt * kmul - zc, -zc, zc, dt * np.conj(kmul[neg]) + zc)
         powers = {}     # a sampled run repeats one stride
 
-        def advance(f, first, last):
+        def advance(y, first, last):
             n = last - first
             if n not in powers:
                 powers[n] = rk4_power(z, n)[:2]
             p00, p01 = powers[n]
-            a = np.fft.fft2(f)
+            a = np.fft.fft2(y[0])
             f = np.fft.ifft2(p00 * a + p01 * np.conj(a[neg]))
             if not np.all(np.isfinite(f)):
                 raise NumericalError(
                     f"fluctuation field non-finite after {last} steps")
-            return f
+            return (f,)
     else:
         def rhs(phi):
             phik = np.fft.fft2(phi)
@@ -762,19 +785,14 @@ def linearized_step(
             return (1j * (inv2m * lap + invm * (gx * dxphi + gy * dyphi))
                     - 1j * nG * (phi + np.conj(phi)),)
 
-        def advance(f, first, last):
-            return rk4(rhs, (f,), dt, first, last, "fluctuation field")[0]
+        def advance(y, first, last):
+            return rk4(rhs, y, dt, first, last, "fluctuation field")
 
-    every = record_every if record is not None else 0
-    f = dphi.copy().data
-    # one stretch per record: every `every` steps, then the rest
-    step = 0
-    while step < steps:
-        last = min(step + every, steps) if every else steps
-        f = advance(f, step, last)
-        step = last
-        if every and step % every == 0:
-            record(step, ComplexField2D(dphi.grid, f, dict(dphi.meta)))
+    def emit(step, f):
+        record(step, ComplexField2D(dphi.grid, f, dict(dphi.meta)))
+
+    (f,) = _stretches(advance, (dphi.copy().data,), steps,
+                      None if record is None else emit, record_every)
     return ComplexField2D(dphi.grid, f, dict(dphi.meta))
 
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .errors import NumericalError, PhysicsGateError, StepSizeError
-from .fluid import (ComplexField2D, FluidParams, Grid, is_uniform, rk4,
-                    rk4_power, spectral_d)
+from .fluid import (ComplexField2D, FluidParams, Grid, _check_counts,
+                    is_uniform, rk4, rk4_power, spectral_d)
 from .unwrap import unwrap_least_squares
 
 __all__ = [
@@ -193,8 +193,9 @@ def hydro_linear_step(
     The spectral derivative of a real field, real(ifft2(ik·fft2 f)), drops
     the Nyquist row (for ∂ₓ) and column (for ∂ᵧ) of an even side, so k is
     zero there in the closed form as well; an odd side has no Nyquist mode
-    and keeps every k.
+    and keeps every k.  A negative `steps` is refused with `ValueError`.
     """
+    _check_counts(steps)
     if fields.mask is not None and not np.all(fields.mask):
         raise PhysicsGateError("background has masked points; hydro step needs "
                                "a clean (residue-free) region")

@@ -20,6 +20,11 @@ relative) and within the CFL bound, every Fourier mode evolves on its own
 and `kg_evolve` applies the powers of its 2×2 RK4 amplification matrix
 instead of stepping; the result equals stepping up to roundoff.
 
+`kg_evolve` samples as `linearized_step` and `evolve` do: it calls
+`record(step, δθ, u)` with the live arrays every `record_every` steps and
+keeps no snapshots, so each caller keeps only what it reads (the `kg`
+stage a trace row, the crosscheck one δθ copy per sample).
+
 Characteristics travel at dx/dt = v₀ ± c_ex; inside the superexcitonic
 region (|v₀| > c_ex) both branches point downstream and upstream-launched
 packets stall at the horizon.  On uniform-flow backgrounds mode
@@ -33,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, PhysicsGateError, StepSizeError
-from .fluid import (ComplexField2D, FluidParams, is_uniform, linearized_step,
-                    rk4, rk4_power, spectral_d)
+from .fluid import (ComplexField2D, FluidParams, _check_counts, _stretches,
+                    is_uniform, linearized_step, rk4, rk4_power, spectral_d)
 from .geometry import LORENTZIAN, HydroFields, MetricField, build_metric
 
 __all__ = [
@@ -97,14 +102,6 @@ def _flux(th, u, coeffs, grid):
             + _dy_c(Cxy * thx + Cyy * thy, dy))
 
 
-def _energy(th, u, coeffs, grid) -> float:
-    A, _, _, Cxx, Cxy, Cyy = coeffs
-    thx, thy = _dx_c(th, grid.dx), _dy_c(th, grid.dy)
-    dens = -0.5 * A * np.asarray(u) ** 2 \
-        + 0.5 * (Cxx * thx**2 + 2 * Cxy * thx * thy + Cyy * thy**2)
-    return float(np.sum(dens) * grid.cell_area)
-
-
 def dalembertian(
     dtheta: np.ndarray,
     metric: MetricField,
@@ -138,16 +135,6 @@ class KGResult:
     dtheta: np.ndarray
     dtheta_dot: np.ndarray
     t: float
-    times: np.ndarray | None = None
-    snapshots: list | None = None
-    energy: np.ndarray | None = None
-
-    @property
-    def energy_drift(self) -> float:
-        """|E(t) − E(0)| / |E(0)| between the first and last sampled wave
-        energies (a sampled run only)."""
-        return float(abs(self.energy[-1] - self.energy[0])
-                     / max(abs(self.energy[0]), 1e-300))
 
 
 def kg_energy(dtheta, dtheta_dot, metric: MetricField) -> float:
@@ -156,22 +143,22 @@ def kg_energy(dtheta, dtheta_dot, metric: MetricField) -> float:
     Conserved on static backgrounds; positive definite only where the
     flow is subcritical (C is indefinite inside a superexcitonic region).
     """
-    return _energy(dtheta, dtheta_dot, kg_coefficients(metric), metric.grid)
+    A, _, _, Cxx, Cxy, Cyy = kg_coefficients(metric)
+    grid = metric.grid
+    thx, thy = _dx_c(dtheta, grid.dx), _dy_c(dtheta, grid.dy)
+    dens = -0.5 * A * np.asarray(dtheta_dot) ** 2 \
+        + 0.5 * (Cxx * thx**2 + 2 * Cxy * thx * thy + Cyy * thy**2)
+    return float(np.sum(dens) * grid.cell_area)
 
 
-def _energy_density(dtheta, dtheta_dot, metric: MetricField) -> np.ndarray:
+def center_of_energy(dtheta, dtheta_dot, metric: MetricField):
+    """Energy-weighted mean position of the excitation."""
     thx = _dx_c(dtheta, metric.grid.dx)
     thy = _dy_c(dtheta, metric.grid.dy)
     # positive tracking density: fluid-frame kinetic + gradient energy
     comoving = np.asarray(dtheta_dot) + metric.vx * thx + metric.vy * thy
     with np.errstate(invalid="ignore"):
         dens = 0.5 * metric.n * (comoving**2 / metric.c2 + thx**2 + thy**2)
-    return dens
-
-
-def center_of_energy(dtheta, dtheta_dot, metric: MetricField):
-    """Energy-weighted mean position of the excitation."""
-    dens = _energy_density(dtheta, dtheta_dot, metric)
     tot = float(np.sum(dens))
     if not tot > 0:         # a NaN total is no energy either
         raise ValueError("zero field: center of energy undefined")
@@ -187,25 +174,26 @@ def kg_evolve(
     dt: float,
     steps: int,
     force: bool = False,
-    sample_every: int = 0,
+    record=None,
+    record_every: int = 0,
 ) -> KGResult:
     """Integrate □δθ = 0 on a static, everywhere-Lorentzian metric.
 
     RK4 on (δθ, u); refuses CFL violations (dt > ½ min(dx,dy)/max(c+|v|))
-    unless forced, and aborts with the step index if the field leaves the
-    finite range.  With `sample_every` > 0, snapshots of δθ and the wave
-    energy are recorded every `sample_every` steps and at the last one; a
-    negative `sample_every` is refused with `ValueError`.
+    unless forced, a negative `steps` or `record_every` with `ValueError`,
+    and aborts with the step index if the field leaves the finite range.
+    `record(step, dtheta, dtheta_dot)` is invoked every `record_every`
+    steps, not at step 0 nor after a partial last stretch, with the live
+    arrays of the run: copy whatever is kept beyond the call.
 
     When the coefficients are uniform to 1e-12 relative, dt is within the
     CFL bound and `steps` > 0, the steps are applied in closed form: each
     Fourier mode (δθ_k, u_k) is multiplied by a power of its 2×2 RK4
-    amplification matrix (`rk4_power`), between snapshots when sampling.
+    amplification matrix (`rk4_power`), once per stretch between records.
     This equals stepping up to roundoff.  A forced run past the CFL bound
     always steps, so a blow-up is still reported at the step it happens.
     """
-    if sample_every < 0:
-        raise ValueError(f"sample_every must be >= 0, got {sample_every}")
+    _check_counts(steps, record_every)
     if np.any(metric.signature != LORENTZIAN):
         raise PhysicsGateError(
             "metric has non-Lorentzian points: wave propagation is gated off"
@@ -215,44 +203,23 @@ def kg_evolve(
         raise StepSizeError(f"CFL violation: dt = {dt:.3g} > {dt_max:.3g}")
 
     coeffs = kg_coefficients(metric)
-    grid = metric.grid
     if steps > 0 and dt <= dt_max and is_uniform(*coeffs):
         advance = _kg_mode_propagator(metric, dt,
                                       *(f.flat[0] for f in coeffs))
     else:
         inv_negA = 1.0 / (-coeffs[0])
+        grid = metric.grid
 
         def rhs(th, u):
             return u, inv_negA * _flux(th, u, coeffs, grid)
 
-        def advance(th, u, first, last):
-            return rk4(rhs, (th, u), dt, first, last, "Klein-Gordon field")
+        def advance(y, first, last):
+            return rk4(rhs, y, dt, first, last, "Klein-Gordon field")
 
-    th = np.asarray(dtheta0, float).copy()
-    u = np.asarray(dtheta_dot0, float).copy()
-    times, snaps, energies = [], [], []
-    if sample_every:
-        times.append(0.0)
-        snaps.append((th.copy(), u.copy()))
-        energies.append(_energy(th, u, coeffs, grid))
-
-    # one stretch per sample: every `sample_every` steps and the last step
-    step = 0
-    while step < steps:
-        last = min(step + sample_every, steps) if sample_every else steps
-        th, u = advance(th, u, step, last)
-        step = last
-        if sample_every:
-            times.append(step * dt)
-            snaps.append((th.copy(), u.copy()))
-            energies.append(_energy(th, u, coeffs, grid))
-
-    return KGResult(
-        dtheta=th, dtheta_dot=u, t=steps * dt,
-        times=np.array(times) if sample_every else None,
-        snapshots=snaps if sample_every else None,
-        energy=np.array(energies) if sample_every else None,
-    )
+    th, u = _stretches(advance, (np.asarray(dtheta0, float).copy(),
+                                 np.asarray(dtheta_dot0, float).copy()),
+                       steps, record, record_every)
+    return KGResult(dtheta=th, dtheta_dot=u, t=steps * dt)
 
 
 def _kg_mode_propagator(metric: MetricField, dt, A, Bx, By, Cxx, Cxy, Cyy):
@@ -261,7 +228,7 @@ def _kg_mode_propagator(metric: MetricField, dt, A, Bx, By, Cxx, Cxy, Cyy):
     The centred `np.roll` difference has the symbol S = i·sin(k·dx)/dx, so
     (δθ_k, u_k) obeys d/dt (δθ, u) = [[0, 1], [C_k/(−A), 2B_k/(−A)]] (δθ, u)
     with B_k = BⁱSᵢ and C_k = C^{ij}SᵢSⱼ, and each RK4 step multiplies it
-    by one 2×2 amplification matrix.  Returns `advance(θ, u, first, last)`,
+    by one 2×2 amplification matrix.  Returns `advance((θ, u), first, last)`,
     which applies steps first+1 … last as that matrix's power.
     """
     grid = metric.grid
@@ -272,7 +239,8 @@ def _kg_mode_propagator(metric: MetricField, dt, A, Bx, By, Cxx, Cxy, Cyy):
          (2.0 * dt / -A) * (Bx * sx + By * sy))
     powers = {}     # a sampled run repeats one stride
 
-    def advance(th, u, first, last):
+    def advance(y, first, last):
+        th, u = y
         n = last - first
         if n not in powers:
             powers[n] = rk4_power(z, n)
@@ -326,12 +294,12 @@ def crosscheck_kg_vs_nlse(
     are refused: that is outside the hydrodynamic window the metric
     description lives in.
 
-    Each side is one sampled stepper call: `kg_evolve` keeps a snapshot
-    at each of the `n_samples` sample times, and `linearized_step` is
-    compared with that snapshot as it records.  So the set-up of each
-    side (coefficients, uniformity tests, matrix powers) is paid once per
-    run, and every sample equals the one a call per sample would give,
-    bit for bit.
+    Each side is one sampled stepper call: `kg_evolve` records a copy of
+    δθ at each of the `n_samples` sample times (u is not kept), and
+    `linearized_step` is compared with that copy as it records.  So the
+    set-up of each side (coefficients, uniformity tests, matrix powers) is
+    paid once per run, and every sample equals the one a call per sample
+    would give, bit for bit.
     """
     fields = HydroFields.from_field(psi0, p)
     kxi = _seed_kxi(dtheta0, fields)
@@ -356,15 +324,17 @@ def crosscheck_kg_vs_nlse(
     t_s = t_final / n_samples
     n_kg = max(1, int(np.ceil(t_s / dt_kg)))
     n_nl = max(1, int(np.ceil(t_s / dt_nl)))
+    kg_th = []      # δθ at sample times 1 … n_samples
     res = kg_evolve(dtheta0, u0, metric, t_s / n_kg, n_samples * n_kg,
-                    sample_every=n_kg)
+                    record=lambda step, th, u: kg_th.append(th.copy()),
+                    record_every=n_kg)
     errs = np.zeros(n_samples + 1)
     num = den = 0.0
 
     def record(step, phi):
         nonlocal num, den
         i = step // n_nl
-        th, th_nlse = res.snapshots[i][0], np.imag(phi.data)
+        th, th_nlse = kg_th[i - 1], np.imag(phi.data)
         diff = np.linalg.norm(th - th_nlse)
         ref = np.linalg.norm(th_nlse)
         errs[i] = diff / ref if ref > 0 else diff
@@ -375,7 +345,10 @@ def crosscheck_kg_vs_nlse(
                     psi0, p, t_s / n_nl, steps=n_samples * n_nl,
                     record=record, record_every=n_nl)
     deviation = float(np.sqrt(num / den)) if den > 0 else 0.0
+    e0 = kg_energy(np.asarray(dtheta0, float), u0, metric)
+    drift = abs(kg_energy(res.dtheta, res.dtheta_dot, metric) - e0) \
+        / max(abs(e0), 1e-300)
     return CrosscheckReport(deviation=deviation, kxi_max=kxi,
                             times=np.arange(n_samples + 1) * t_s,
                             per_sample=errs,
-                            kg_energy_drift=res.energy_drift)
+                            kg_energy_drift=drift)

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .errors import NumericalError, StepSizeError
-from .fluid import ComplexField2D, FluidParams, evolve, rk4, rk4_power
+from .fluid import (ComplexField2D, FluidParams, _check_counts, evolve, rk4,
+                    rk4_power)
 
 __all__ = [
     "LatticeParams",
@@ -129,8 +130,9 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
                  steps: int = 1, force: bool = False) -> LatticeState:
     """Advance the mean-field lattice by `steps` RK4 steps of size `dt`.
 
-    Refuses dt·max(|ω_c| + 4|J|, ω_m) > 0.1 unless forced; aborts with the
-    step index if the state leaves the finite range.
+    Refuses dt·max(|ω_c| + 4|J|, ω_m) > 0.1 unless forced and a negative
+    `steps` with `ValueError`; aborts with the step index if the state
+    leaves the finite range.
 
     With g′ = 0 the optical and mechanical modes decouple and the lattice
     is linear and translation-invariant: every Bloch wave of `a` is an
@@ -140,6 +142,7 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
     at z = dt·λ, so the state is advanced by R(dt·λ)^steps between one
     `fft2` and one `ifft2`, which equals stepping up to roundoff.
     """
+    _check_counts(steps)
     rate = max(abs(p.omega_c) + 4.0 * abs(p.J), abs(p.omega_m))
     if dt * rate > 0.1 and not force:
         raise StepSizeError(

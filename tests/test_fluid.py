@@ -30,7 +30,7 @@ from photonfluid.fluid import (
     uniform_background,
 )
 from photonfluid.geometry import HydroFields, build_metric, hydro_linear_step
-from photonfluid.kgwave import kg_evolve
+from photonfluid.kgwave import kg_evolve, sonic_cfl_dt
 from photonfluid.lattice import LatticeParams, LatticeState, step_lattice
 
 
@@ -852,11 +852,41 @@ def test_linearized_record_every_zero_never_records():
     assert np.array_equal(out.data, linearized_step(phi, psi0, p, dt, 6).data)
 
 
-def test_linearized_rejects_negative_record_every():
-    phi, psi0, p, dt = _linearized_case(modulated=False)
-    with pytest.raises(ValueError, match="record_every must be >= 0"):
-        linearized_step(phi, psi0, p, dt, steps=6,
-                        record=lambda s, f: None, record_every=-1)
+@pytest.mark.parametrize("stepper, count", [
+    *[(name, "steps") for name in ("evolve", "linearized_step", "kg_evolve",
+                                   "hydro_linear_step", "step_lattice")],
+    *[(name, "record_every") for name in ("evolve", "linearized_step",
+                                          "kg_evolve")],
+])
+def test_steppers_reject_negative_counts(stepper, count):
+    # a negative step count has no last step and a negative stride no next
+    # record: every stepper refuses them before it steps or records
+    phi, psi0, p, _ = _linearized_case(modulated=False)
+    fields = HydroFields.uniform(psi0.grid, m=1.0, G=1.0, density=1.3)
+    metric = build_metric(fields)
+    zero = np.zeros(psi0.grid.shape)
+    lat = LatticeParams(Nx=8, Ny=8, h=1.0, omega_c=0.0, omega_m=1.0,
+                        gamma=1.0, kappa=0.0, g_prime=0.0, J=-0.25)
+
+    def record(*args):
+        pytest.fail("a refused run recorded")
+
+    calls = {
+        "evolve": lambda n, every: evolve(psi0, p, 1e-4, n, record=record,
+                                          record_every=every),
+        "linearized_step": lambda n, every: linearized_step(
+            phi, psi0, p, 1e-4, steps=n, record=record, record_every=every),
+        "kg_evolve": lambda n, every: kg_evolve(
+            zero, zero, metric, 0.5 * sonic_cfl_dt(metric), n, record=record,
+            record_every=every),
+        "hydro_linear_step": lambda n, every: hydro_linear_step(
+            zero, zero, fields, 1e-4, steps=n),
+        "step_lattice": lambda n, every: step_lattice(
+            LatticeState.zeros(lat), lat, 1e-3, steps=n),
+    }
+    n, every, bad = (-3, 5, -3) if count == "steps" else (10, -5, -5)
+    with pytest.raises(ValueError, match=f"{count} must be >= 0, got {bad}"):
+        calls[stepper](n, every)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 494])

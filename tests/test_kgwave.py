@@ -1,5 +1,7 @@
 """Wave propagation on the acoustic metric and its NLSE crosscheck."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -132,8 +134,9 @@ def test_kg_energy_conservation():
     met = uniform_metric(nx=128, dx=0.5, vx=0.3)
     k, th0 = mode_seed(met, 3)
     u0 = -(0.3 + 1.0) * np.gradient(th0, met.grid.dx, axis=0)
-    res = kg_evolve(th0, u0, met, 0.12, 1000, sample_every=100)
-    en = res.energy
+    en = [kg_energy(th0, u0, met)]
+    kg_evolve(th0, u0, met, 0.12, 1000, record_every=100,
+              record=lambda step, th, u: en.append(kg_energy(th, u, met)))
     assert abs(en[-1] - en[0]) / abs(en[0]) < 1e-6
 
 
@@ -150,13 +153,12 @@ def test_kg_doppler_shift_on_uniform_flow():
     dt = 0.1
     n_samp = 4096
     xs = met.grid.x
-    proj = np.empty(n_samp, complex)
-    th, u = th0, u0
+    proj = []
     stride = 2
-    for i in range(n_samp):
-        res = kg_evolve(th, u, met, dt, stride)
-        th, u = res.dtheta, res.dtheta_dot
-        proj[i] = np.mean(th[:, 0] * np.exp(-1j * k * xs))
+    kg_evolve(th0, u0, met, dt, stride * n_samp, record_every=stride,
+              record=lambda step, th, u: proj.append(
+                  np.mean(th[:, 0] * np.exp(-1j * k * xs))))
+    proj = np.array(proj)
     spec = np.abs(np.fft.fft(proj * np.hanning(n_samp)))
     freqs = 2 * np.pi * np.fft.fftfreq(n_samp, d=dt * stride)
     ipk = int(np.argmax(spec))
@@ -201,6 +203,21 @@ def test_dalembertian_vanishes_on_the_general_stepper_rhs(monkeypatch):
     assert np.max(np.abs(residual)) <= 1e-12 * scale
 
 
+def _sampled_centers(th0, u0, met, dt, steps, every):
+    """Times and x centres of energy at t = 0, every `every` steps and at
+    the last step, from one recorded `kg_evolve` run."""
+    times, xs = [0.0], [center_of_energy(th0, u0, met)[0]]
+
+    def record(step, th, u):
+        times.append(step * dt)
+        xs.append(center_of_energy(th, u, met)[0])
+
+    res = kg_evolve(th0, u0, met, dt, steps, record=record, record_every=every)
+    if steps % every:
+        record(steps, res.dtheta, res.dtheta_dot)
+    return np.array(times), np.array(xs)
+
+
 def test_superexcitonic_trapping_against_ray_oracle():
     # an upstream-launched packet inside the supersonic well recedes from
     # the trapping horizon; its worldline follows dx/dt = v(x) + c
@@ -214,10 +231,8 @@ def test_superexcitonic_trapping_against_ray_oracle():
 
     T, dt = 55.0, 0.04
     steps = int(T / dt)
-    res = kg_evolve(th0, u0, met, T / steps, steps,
-                    sample_every=max(1, steps // 50))
-    xs = np.array([center_of_energy(th, u, met)[0]
-                   for th, u in res.snapshots])
+    times, xs = _sampled_centers(th0, u0, met, T / steps, steps,
+                                 max(1, steps // 50))
     # monotonically receding from the trapping horizon at x2 = 60
     dist = 60.0 - xs
     assert np.all(np.diff(dist) > 0)
@@ -227,7 +242,7 @@ def test_superexcitonic_trapping_against_ray_oracle():
     t_dense = np.linspace(0, T, 4001)
     ray = sol.sol(t_dense)[0]
     for marker in (20.0, 10.0):
-        t_kg = float(np.interp(-marker, -xs, res.times))
+        t_kg = float(np.interp(-marker, -xs, times))
         t_ray = float(np.interp(-marker, -ray, t_dense))
         assert t_kg == pytest.approx(t_ray, rel=5e-2)
 
@@ -335,12 +350,36 @@ def test_crosscheck_equals_one_call_per_sample(modulated, monkeypatch):
     assert rep.kg_energy_drift == drift
 
 
+def test_crosscheck_peak_memory():
+    # tracemalloc peak of a 256^2 crosscheck on a flowing uniform background
+    # (mode-1 seed over one period, 32 samples), in float fields: 134.3
+    # while kg_evolve kept a copy of δθ and u at every sample; 100.3 now
+    # that the crosscheck keeps one δθ copy per sample; the second call is
+    # counted, after the first has made the lazy imports
+    grid = Grid(256, 256, 0.5, 0.5)
+    psi0 = uniform_background(grid, flow_mode=(1, 0))
+    p = FluidParams(m=1.0, G_kerr=1.0)
+    length = grid.nx * grid.dx
+    seed = 1e-3 * np.cos(2 * np.pi * grid.x / length)[:, None] \
+        * np.ones((1, grid.ny))
+    crosscheck_kg_vs_nlse(psi0, p, seed, t_final=length)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        crosscheck_kg_vs_nlse(psi0, p, seed, t_final=length)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (256 * 256 * 8) <= 110
+
+
 # ---------------------------------------------------------------------------
 # closed form on uniform coefficients against step-by-step RK4
 
-def _kg_rk4_oracle(th, u, metric, dt, steps, sample_every=0):
+def _kg_rk4_oracle(th, u, metric, dt, steps, every=0):
     """Step-by-step RK4 of the flux-form system with np.roll differences;
-    records (step, δθ, u) where `kg_evolve` records its snapshots."""
+    records (step, δθ, u) at every positive multiple of `every`, where
+    `kg_evolve` calls its `record`."""
     A, Bx, By, Cxx, Cxy, Cyy = kg_coefficients(metric)
 
     def d(f, axis, h):
@@ -354,7 +393,7 @@ def _kg_rk4_oracle(th, u, metric, dt, steps, sample_every=0):
                 + d(Cxy * thx + Cyy * thy, 1, metric.grid.dy))
         return u, flux / (-A)
 
-    records = [(0, th, u)] if sample_every else []
+    records = []
     for step in range(1, steps + 1):
         k1 = rhs(th, u)
         k2 = rhs(th + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
@@ -362,7 +401,7 @@ def _kg_rk4_oracle(th, u, metric, dt, steps, sample_every=0):
         k4 = rhs(th + dt * k3[0], u + dt * k3[1])
         th = th + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         u = u + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if sample_every and (step % sample_every == 0 or step == steps):
+        if every and step % every == 0:
             records.append((step, th, u))
     return th, u, records
 
@@ -399,26 +438,21 @@ def test_kg_uniform_closed_form_matches_rk4_steps(case, steps, monkeypatch):
     assert res.t == steps * dt
 
 
-@pytest.mark.parametrize("sample_every", [100, 70, 500])
-def test_kg_uniform_closed_form_samples_where_the_loop_does(sample_every):
+@pytest.mark.parametrize("every", [100, 70, 500])
+def test_kg_uniform_closed_form_samples_where_the_loop_does(every):
     # 100 divides 300 (the last stride ends on the last step), 70 does not
-    # (a remainder stride of 20 follows), 500 exceeds the run
+    # (a remainder stride of 20 follows, unrecorded), 500 exceeds the run
     met, dt, th0, u0 = _uniform_kg_case(32, 16, 0.5, 0.7, 1.0, 1.0, 1.0,
                                         0.3, -0.2, seed=11)
-    res = kg_evolve(th0, u0, met, dt, 300, sample_every=sample_every)
-    _, _, records = _kg_rk4_oracle(th0, u0, met, dt, 300, sample_every)
-    assert np.array_equal(res.times, [s * dt for s, _, _ in records])
-    assert len(res.snapshots) == len(records) == len(res.energy)
-    for (th, u), e, (_, th_ref, u_ref) in zip(res.snapshots, res.energy,
-                                             records):
+    records = []
+    res = kg_evolve(th0, u0, met, dt, 300, record_every=every,
+                    record=lambda s, th, u: records.append(
+                        (s, th.copy(), u.copy())))
+    th_end, u_end, ref = _kg_rk4_oracle(th0, u0, met, dt, 300, every)
+    assert [s for s, _, _ in records] == [s for s, _, _ in ref]
+    for (_, th, u), (_, th_ref, u_ref) in zip(records + [(300, res.dtheta,
+                                                          res.dtheta_dot)],
+                                              ref + [(300, th_end, u_end)]):
         assert _close(th, th_ref) and _close(u, u_ref)
-        e_ref = kg_energy(th_ref, u_ref, met)
+        e, e_ref = kg_energy(th, u, met), kg_energy(th_ref, u_ref, met)
         assert abs(e - e_ref) <= 1e-11 * abs(e_ref)
-
-
-def test_kg_rejects_negative_sample_every():
-    # a negative stride has no next sample: the run would never end
-    met, dt, th0, u0 = _uniform_kg_case(32, 16, 0.5, 0.7, 1.0, 1.0, 1.0,
-                                        0.3, -0.2, seed=12)
-    with pytest.raises(ValueError, match="sample_every must be >= 0"):
-        kg_evolve(th0, u0, met, dt, 10, sample_every=-1)
