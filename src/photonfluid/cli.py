@@ -51,6 +51,7 @@ import numbers
 import os
 import sys
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -347,33 +348,47 @@ def _hydro_fields(cfg: RunConfig) -> HydroFields:
 
 
 def _metric_census(fields: HydroFields, art: Artifacts):
-    """The acoustic metric of `fields`, its signature census and its
-    horizon loops (traced only when every point is Lorentzian), which are
-    written to `horizons.json`."""
+    """The mean conformal factor of the acoustic metric of `fields`, its
+    signature census and its horizon loops (traced only when every point
+    is Lorentzian), which are written to `horizons.json`.  The metric is
+    released before the horizon search."""
     metric = build_metric(fields)
     census = {name: int(np.sum(metric.signature == code))
               for name, code in (("lorentzian", LORENTZIAN),
                                  ("euclidean", EUCLIDEAN),
                                  ("degenerate", DEGENERATE))}
+    lorentzian = census["lorentzian"] == metric.signature.size
+    if lorentzian:
+        # Ω is NaN exactly off Lorentzian points, so with none of those the
+        # plain mean is nanmean's sum over the same values and count,
+        # without nanmean's copy of Ω
+        conformal_mean = float(np.mean(metric.conformal))
+    else:
+        # with no Lorentzian point the mean is NaN, as the census says:
+        # nanmean's "Mean of empty slice" warning adds nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            conformal_mean = float(np.nanmean(metric.conformal))
+    del metric
     horizons = []
-    if census["euclidean"] == 0 and census["degenerate"] == 0:
+    if lorentzian:
         horizons = [loop.tolist() for loop in find_horizon(fields)]
     art.write_json("horizons.json", {
         "orientation": "superexcitonic region (|v0| > c_ex) on the left",
         "loops": horizons,
     })
-    return metric, census, horizons
+    return conformal_mean, census, horizons
 
 
 def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
     fields = _hydro_fields(cfg)
-    metric, census, horizons = _metric_census(fields, art)
+    conformal_mean, census, horizons = _metric_census(fields, art)
     for name, values in (("c2", fields.c2), ("vx", fields.vx),
                          ("vy", fields.vy), ("n", fields.n)):
         art.write_field(f"metric_{name}.pfld",
                         _real_field(fields.grid, values, name))
     summary = {"signature": census, "horizon_count": len(horizons),
-               "conformal_mean": float(np.nanmean(metric.conformal))}
+               "conformal_mean": conformal_mean}
     art.write_json("metric_summary.json", summary)
     return summary
 

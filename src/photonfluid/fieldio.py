@@ -26,15 +26,16 @@ sidecar (`<path>.json`) carries run parameters; every file is written
 atomically (temp file + rename) so readers never observe a torn file.
 
 `write_field` stores any real or complex array of the grid's shape, of any
-strides: real data as version 2, complex data as version 1.  Each file's
-bytes are written once, in order: the CRC of the data is taken before the
-header is formed, the header is written (and hashed) before the data, and
-the writer returns the SHA-256 and length of every file it wrote, so no
-caller re-reads a file to checksum it.  Both passes over the data (the
-finiteness check and CRC, then the hash and write) go in blocks of at most
-64 KB: C-contiguous little-endian float64 or complex128 data as views of
-the array itself, any other dtype or layout converted into one fixed
-buffer, so no field-sized copy is made.
+strides, zero-stride (broadcast) views included: real data as version 2,
+complex data as version 1.  Each file's bytes are written once, in order:
+the CRC of the data is taken before the header is formed, the header is
+written (and hashed) before the data, and the writer returns the SHA-256
+and length of every file it wrote, so no caller re-reads a file to
+checksum it.  Both passes over the data (the finiteness check and CRC,
+then the hash and write) go in blocks of at most 64 KB: C-contiguous
+little-endian float64 or complex128 data as views of the array itself,
+any other dtype or layout converted into one fixed buffer, so no
+field-sized copy is made.
 """
 
 from __future__ import annotations

@@ -150,8 +150,9 @@ class Grid:
 def spectral_d(f: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Spectral derivative real(ifft2(i·k·fft2 f)) of a real periodic field
     along the axis of `k`, one of the two grids of `Grid.k()`.  Taking the
-    real part drops the Nyquist mode of an even side."""
-    return np.real(np.fft.ifft2(1j * k * np.fft.fft2(f)))
+    real part drops the Nyquist mode of an even side.  The result owns its
+    float buffer; it does not keep the complex transform alive."""
+    return np.fft.ifft2(1j * k * np.fft.fft2(f)).real.copy()
 
 
 def rk4(rhs, y: tuple, dt: float, first: int, last: int, what: str) -> tuple:

@@ -57,6 +57,9 @@ __all__ = [
 
 LORENTZIAN, EUCLIDEAN, DEGENERATE = 0, 1, 2
 
+# floats in the row-block buffer of `find_horizon` (64 KB)
+_BLOCK_FLOATS = 1 << 13
+
 
 @dataclass
 class MadelungResult:
@@ -100,8 +103,9 @@ def healing_length(m, c2):
 class HydroFields:
     """Hydrodynamic background on a `Grid` (any side lengths): density n,
     phase θ (optional for imposed flows), flow velocity (vx, vy), squared
-    excitation speed c2; `mask` marks trusted points.  The healing length
-    `xi` is derived from c2 on access."""
+    excitation speed c2; `mask` marks trusted points, and `None` (the
+    default) trusts every point.  The healing length `xi` is derived from
+    c2 on access."""
 
     grid: Grid
     m: float
@@ -113,10 +117,6 @@ class HydroFields:
     theta: np.ndarray | None = None
     mask: np.ndarray | None = None
     meta: dict = _field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.mask is None:
-            self.mask = np.ones(self.grid.shape, dtype=bool)
 
     @property
     def xi(self) -> np.ndarray:
@@ -145,20 +145,22 @@ class HydroFields:
     def from_profiles(cls, grid: Grid, m, G, n, vx, vy, c2=None):
         """Imposed analytic background: arrays (or scalars) broadcastable
         to the grid; c2 defaults to n𝒢/m.  A float array of the grid's
-        shape is kept as given, not copied.  A profile with a non-finite
-        entry (an overflowed flow, say) raises `NumericalError`."""
-        def full(a):
-            a = np.asarray(a, float)
-            if a.shape == grid.shape:
-                return a
-            return np.broadcast_to(a, grid.shape).copy()
-
-        n, vx, vy = full(n), full(vx), full(vy)
-        c2 = n * G / m if c2 is None else full(c2)
-        for name, a in (("n", n), ("vx", vx), ("vy", vy), ("c2", c2)):
+        shape is kept as given, not copied.  A scalar or lower-rank profile
+        (a constant density, a flow that varies along one axis) becomes a
+        read-only zero-stride view of the grid's shape, so it allocates no
+        grid and an in-place write to it raises `ValueError`: perturb a
+        copy.  A profile with a non-finite entry (an overflowed flow, say)
+        raises `NumericalError`."""
+        profiles = {"n": np.asarray(n, float), "vx": np.asarray(vx, float),
+                    "vy": np.asarray(vy, float)}
+        profiles["c2"] = profiles["n"] * G / m if c2 is None \
+            else np.asarray(c2, float)
+        for name, a in profiles.items():
             if not np.isfinite(a).all():
                 raise NumericalError(f"background profile {name} is not finite")
-        return cls(grid=grid, m=m, G=G, n=n, vx=vx, vy=vy, c2=c2)
+            if a.shape != grid.shape:
+                profiles[name] = np.broadcast_to(a, grid.shape)
+        return cls(grid=grid, m=m, G=G, **profiles)
 
 
 def hydro_linear_step(
@@ -230,8 +232,8 @@ def hydro_linear_step(
             (adv, dt * (n0 / m) * k2, -dt * (g + q * k2), adv), steps)
         ak = np.fft.fft2(np.asarray(dn, float))
         tk = np.fft.fft2(np.asarray(dtheta, float))
-        a = np.real(np.fft.ifft2(p00 * ak + p01 * tk))
-        th = np.real(np.fft.ifft2(p10 * ak + p11 * tk))
+        a = np.fft.ifft2(p00 * ak + p01 * tk).real.copy()
+        th = np.fft.ifft2(p10 * ak + p11 * tk).real.copy()
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(th))):
             raise NumericalError(
                 f"hydro fluctuation non-finite after {steps} steps")
@@ -555,13 +557,22 @@ def find_horizon(fields: HydroFields) -> list:
     Empty list when the flow is everywhere sub- or supercritical.  The
     superexcitonic region (F > 0, flow faster than the excitation speed)
     lies on the left of each polyline's walking direction.  An F that
-    overflows raises `NumericalError`.
+    overflows raises `NumericalError`.  F is the one field-sized array
+    formed: vy² is added in row blocks through a small buffer.
+
+    The contour |v₀| = c_ex is the horizon of a flow normal to it, such as
+    a radial sink or a 1-D flow.  Where the flow has a tangential part
+    (a swirl), it is the ergosurface, not the horizon.
     """
     if np.any(fields.c2 <= 0):
         raise PhysicsGateError("horizon analysis requires c_ex² > 0 on the grid")
     # F = (vx² + vy²) − c², summed in one buffer
     F = np.square(fields.vx)
-    F += np.square(fields.vy)
+    rows = max(1, _BLOCK_FLOATS // F.shape[1])
+    buf = np.empty((rows, F.shape[1]))
+    for i in range(0, F.shape[0], rows):
+        part = F[i:i + rows]
+        part += np.square(fields.vy[i:i + rows], out=buf[:len(part)])
     F -= fields.c2
     if not np.isfinite(F).all():
         raise NumericalError("horizon function |v₀|² − c_ex² is not finite")

@@ -246,8 +246,9 @@ def _kg_mode_propagator(metric: MetricField, dt, A, Bx, By, Cxx, Cxy, Cyy):
             powers[n] = rk4_power(z, n)
         p00, p01, p10, p11 = powers[n]
         thk, uk = np.fft.fft2(th), np.fft.fft2(u)
-        th = np.real(np.fft.ifft2(p00 * thk + p01 * uk))
-        u = np.real(np.fft.ifft2(p10 * thk + p11 * uk))
+        # owned real copies: a real view would keep the complex result alive
+        th = np.fft.ifft2(p00 * thk + p01 * uk).real.copy()
+        u = np.fft.ifft2(p10 * thk + p11 * uk).real.copy()
         if not (np.all(np.isfinite(th)) and np.all(np.isfinite(u))):
             raise NumericalError(f"Klein-Gordon field non-finite at step {last}")
         return th, u

@@ -76,7 +76,10 @@ _REAL = np.random.default_rng(9).standard_normal((64, 32))
     _REAL.astype(np.float32),
     np.random.default_rng(10).standard_normal((2, 16384)),  # rows > chunk
     (_REAL + 1j * _REAL[::-1]).astype(np.complex64),
-], ids=["c-order", "fortran", "strided", "float32", "long-rows", "complex64"])
+    np.broadcast_to(1.3, _REAL.shape),       # a constant profile's view
+    np.broadcast_to(_REAL[:, 0][:, None], _REAL.shape),   # a column's view
+], ids=["c-order", "fortran", "strided", "float32", "long-rows", "complex64",
+        "zero-stride", "column-view"])
 def test_converted_write_equals_the_complex_cast(tmp_path, data):
     # real data of any layout or dtype is stored as its C-order float64
     # cast, complex data as its complex128 cast; either reads back as the

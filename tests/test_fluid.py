@@ -930,8 +930,10 @@ def _unstable_runs():
                          1e-3 * rng.standard_normal((16, 16)))
     fp = FluidParams(m=1.0, G_kerr=1.0)
 
-    hydro = HydroFields.uniform(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
-    hydro.vx[5, 3] += 0.05
+    vx = np.full((32, 8), 0.3)              # one perturbed flow point
+    vx[5, 3] += 0.05
+    hydro = HydroFields.from_profiles(Grid(32, 8, 1.0, 1.0), 1.0, 1.0,
+                                      n=1.0, vx=vx, vy=0.0)
     dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
 
     met = build_metric(HydroFields.uniform(Grid(64, 4, 0.5, 0.5), m=1.0, G=1.0))
@@ -998,8 +1000,10 @@ def test_spectral_stages_reach_numpy_fft(monkeypatch):
 
     # one general step: four stages of ∂ₓδθ, ∂ᵧδθ, the two flux
     # derivatives and the four quantum-pressure derivatives
-    hydro = HydroFields.uniform(Grid(16, 8, 0.5, 0.5), m=1.0, G=1.0, vx=0.3)
-    hydro.vx[5, 3] += 0.05
+    vx = np.full((16, 8), 0.3)
+    vx[5, 3] += 0.05
+    hydro = HydroFields.from_profiles(Grid(16, 8, 0.5, 0.5), 1.0, 1.0,
+                                      n=1.0, vx=vx, vy=0.0)
     assert calls(lambda: hydro_linear_step(f, f, hydro, 1e-3)) == (32, 32)
 
     # closed form: one fft2 and one ifft2 per component

@@ -138,6 +138,18 @@ def _uniform_fields(nx=64, ny=4, dx=1.0, m=1.0, G=1.0, n=1.0, vx=0.0):
     return HydroFields.uniform(Grid(nx, ny, dx, dx), m=m, G=G, density=n, vx=vx)
 
 
+def _perturbed_fields(grid, m, G, density=1.0, vx=0.0, vy=0.0,
+                      dense_point=False):
+    """A uniform background with vx raised by 0.05 at (5, 3) and, with
+    `dense_point`, n scaled by 1.02 at (20, 6): owned arrays passed to
+    `from_profiles`, since uniform profiles are read-only views."""
+    n, u = np.full(grid.shape, float(density)), np.full(grid.shape, float(vx))
+    u[5, 3] += 0.05
+    if dense_point:
+        n[20, 6] *= 1.02
+    return HydroFields.from_profiles(grid, m, G, n=n, vx=u, vy=vy)
+
+
 def test_hydro_zero_stays_zero():
     f = _uniform_fields()
     dn, th = hydro_linear_step(np.zeros((64, 4)), np.zeros((64, 4)), f, 0.01,
@@ -341,6 +353,45 @@ def test_build_metric_shares_the_hydro_arrays():
     met = build_metric(f)
     for name in ("n", "c2", "vx", "vy"):
         assert np.shares_memory(getattr(met, name), getattr(f, name)), name
+
+
+def test_from_profiles_keeps_lower_rank_profiles_as_read_only_views():
+    # a scalar density, a column flow and the c2 = n𝒢/m they imply are
+    # zero-stride views of the grid's shape: no grid is allocated, and a
+    # write to one raises instead of changing every point at once
+    grid = Grid(256, 256, 0.5, 0.5)
+    v = np.linspace(-1.0, 1.0, grid.nx)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f = HydroFields.from_profiles(grid, 2.0, 3.0, n=1.5, vx=v[:, None],
+                                      vy=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * grid.nx * grid.ny * 8
+    for name in ("n", "vx", "vy", "c2"):
+        a = getattr(f, name)
+        assert a.shape == grid.shape and a.strides[1] == 0, name
+        assert not a.flags.writeable, name
+    assert np.array_equal(f.vx, np.broadcast_to(v[:, None], grid.shape))
+    assert np.all(f.n == 1.5) and np.all(f.vy == 0.0)
+    assert np.all(f.c2 == 1.5 * 3.0 / 2.0)
+    with pytest.raises(ValueError, match="read-only"):
+        f.vx[5, 3] += 0.05
+    with pytest.raises(ValueError, match="read-only"):
+        f.n[20, 6] *= 1.02
+
+
+def test_from_profiles_keeps_grid_shaped_arrays_without_a_copy():
+    rng = np.random.default_rng(12)
+    n, vx, vy, c2 = (rng.uniform(0.5, 2.0, (16, 8)) for _ in range(4))
+    f = HydroFields.from_profiles(Grid(16, 8, 0.5, 0.5), 1.0, 1.0, n=n,
+                                  vx=vx, vy=vy, c2=c2)
+    assert f.n is n and f.vx is vx and f.vy is vy and f.c2 is c2
+    assert f.mask is None
+    f.vx[5, 3] += 0.05                  # the caller's own array stays writable
+    assert vx[5, 3] == f.vx[5, 3]
 
 
 def test_signature_classification_follows_interaction_sign():
@@ -759,11 +810,8 @@ def test_hydro_nonuniform_background_steps_like_the_oracle(quantum_pressure,
                                                            monkeypatch):
     # one perturbed flow point and one perturbed density point: no closed
     # form, so the general RK4 loop runs
-    f = HydroFields.uniform(Grid(32, 8, 0.7, 0.9), m=1.0, G=1.0, density=1.3,
-                            vx=0.4, vy=-0.3)
-    f.vx[5, 3] += 0.05
-    f.n[20, 6] *= 1.02
-    f.c2 = f.n * f.G / f.m
+    f = _perturbed_fields(Grid(32, 8, 0.7, 0.9), m=1.0, G=1.0, density=1.3,
+                          vx=0.4, vy=-0.3, dense_point=True)
     monkeypatch.setattr(geometry, "rk4_power",
                         lambda z, k: pytest.fail("closed form taken"))
     rng = np.random.default_rng(17)
@@ -781,9 +829,8 @@ def test_hydro_unstable_step_raises(perturbed, steps):
     # dt = 5 is far past the stability bound of the fastest modes: forced
     # past the step-size check, the closed form (uniform) and the loop (one
     # perturbed flow point) must both refuse their non-finite result
-    f = HydroFields.uniform(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
-    if perturbed:
-        f.vx[5, 3] += 0.05
+    make = _perturbed_fields if perturbed else HydroFields.uniform
+    f = make(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
     rng = np.random.default_rng(4)
     dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -808,9 +855,8 @@ def _hydro_step_bound(f, quantum_pressure):
 
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_hydro_unstable_step_is_refused_before_any_fft(perturbed, monkeypatch):
-    f = HydroFields.uniform(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
-    if perturbed:
-        f.vx[5, 3] += 0.05
+    make = _perturbed_fields if perturbed else HydroFields.uniform
+    f = make(Grid(32, 8, 1.0, 1.0), m=1.0, G=1.0, vx=0.3)
     for name in ("fft2", "ifft2"):
         monkeypatch.setattr(np.fft, name,
                             lambda *a, **k: pytest.fail("FFT before refusal"))
@@ -822,10 +868,9 @@ def test_hydro_unstable_step_is_refused_before_any_fft(perturbed, monkeypatch):
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("quantum_pressure", [True, False])
 def test_hydro_step_within_the_bound_stays_finite(perturbed, quantum_pressure):
-    f = HydroFields.uniform(Grid(32, 8, 0.7, 0.9), m=-1.5, G=-0.8,
-                            density=1.3, vx=0.4, vy=-0.3)
-    if perturbed:
-        f.vx[5, 3] += 0.05
+    make = _perturbed_fields if perturbed else HydroFields.uniform
+    f = make(Grid(32, 8, 0.7, 0.9), m=-1.5, G=-0.8, density=1.3, vx=0.4,
+             vy=-0.3)
     bound = _hydro_step_bound(f, quantum_pressure)
     rng = np.random.default_rng(8)
     dn0, th0 = rng.standard_normal((32, 8)), rng.standard_normal((32, 8))
