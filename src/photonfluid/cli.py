@@ -35,10 +35,12 @@ nested as `signature.lorentzian`; a gated point's row keeps its status
 2 or 3) fails the run.
 
 Nothing in the pipeline is random: `[run] seed` is reserved and only
-recorded in the manifest.  The NLSE split step sizes its own thread pool
-to the CPUs the process may use, on grids of at least 2¹⁶ cells; every
-other stage runs in one thread.  `--force` (on `lattice`, `nlse` and `kg`,
-the stages with a step-size refusal) steps past that refusal.
+recorded in the manifest.  When the process may use more than one CPU,
+two stages use threads on grids of at least 2¹⁶ cells: the NLSE split
+step runs its blocks on a thread pool, and the metric stage writes its
+four fields on writer threads while its census runs.  Everything else
+runs in one thread.  `--force` (on `lattice`, `nlse` and `kg`, the
+stages with a step-size refusal) steps past that refusal.
 """
 
 from __future__ import annotations
@@ -50,13 +52,15 @@ import json
 import numbers
 import os
 import sys
+import threading
 import time
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fluid
 from .config import RunConfig, parse_config
 from .elimination import KernelParams, kerr_coupling, memory_kernel, \
     memory_kernel_inf, validate_elimination
@@ -65,7 +69,7 @@ from .fieldio import write_bytes, write_field
 from .fluid import ComplexField2D, FluidParams, Grid, evolve, gp_energy, \
     ground_state, spectral_d, split_step_cfl, uniform_background
 from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
-    build_metric, find_horizon, healing_length
+    _BLOCK_FLOATS, _unbroadcast, build_metric, find_horizon, healing_length
 from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_energy, \
     kg_evolve, sonic_cfl_dt
 from .lattice import LatticeParams, LatticeState, continuum_error, \
@@ -80,7 +84,8 @@ __all__ = ["main", "entry", "run_pipeline"]
 
 class Artifacts:
     """Tracks emitted files, with the SHA-256 and byte count of what was
-    written to each for the manifest, and notes."""
+    written to each for the manifest, and notes.  The manifest lists the
+    files in the order their writes were recorded."""
 
     def __init__(self, outdir: str):
         self.outdir = outdir
@@ -88,7 +93,7 @@ class Artifacts:
         self.notes: list[str] = []
         os.makedirs(outdir, exist_ok=True)
 
-    def _write(self, name: str, text: str) -> None:
+    def write_text(self, name: str, text: str) -> None:
         p = os.path.join(self.outdir, name)
         self.written[p] = write_bytes(p, text.encode())
 
@@ -97,15 +102,65 @@ class Artifacts:
         w = csv.writer(buf)
         w.writerow(header)
         w.writerows(rows)
-        self._write(name, buf.getvalue())
+        self.write_text(name, buf.getvalue())
 
     def write_json(self, name: str, payload) -> None:
-        self._write(name, _json_text(payload))
+        self.write_text(name, _json_text(payload))
 
     def write_field(self, name: str, field: ComplexField2D,
                     sidecar=None) -> None:
         self.written.update(write_field(os.path.join(self.outdir, name),
                                         field, sidecar))
+
+    def write_fields(self, fields, meanwhile):
+        """Write each (name, field) of `fields` while `meanwhile()` runs on
+        the calling thread, and return what `meanwhile()` returns.
+
+        When a field has at least `fluid._THREAD_CELLS` cells and the
+        process may use more than one CPU, the fields are written on
+        `fluid._workers()` threads (at most one per field), started before
+        `meanwhile()`; each takes the next field in order as it comes free.
+        Otherwise the same writes run first, one after another, and then
+        `meanwhile()`.  Either way every write and `meanwhile()` run to
+        their end.  Then the files written are recorded, after those
+        `meanwhile()` wrote and in the order of `fields`, and the first
+        error is raised: the writes' in that order, then `meanwhile()`'s.
+        The writers read the fields' data as it is, so nothing may change
+        it until this returns."""
+        written = [{} for _ in fields]
+        errors = [None] * (len(fields) + 1)
+        queue = iter(range(len(fields)))
+
+        def writer():
+            for k in queue:
+                name, field = fields[k]
+                try:
+                    written[k] = write_field(os.path.join(self.outdir, name),
+                                             field)
+                except BaseException as exc:
+                    errors[k] = exc
+
+        cells = max(np.size(f.data) for _, f in fields)
+        workers = fluid._workers() if cells >= fluid._THREAD_CELLS else 1
+        threads = [threading.Thread(target=writer)
+                   for _ in range(min(workers, len(fields)))] \
+            if workers > 1 else []
+        for t in threads:
+            t.start()
+        if not threads:
+            writer()
+        try:
+            result = meanwhile()
+        except BaseException as exc:
+            errors[-1] = exc
+        for t in threads:
+            t.join()
+        for files in written:
+            self.written.update(files)
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return result
 
     def manifest_entries(self):
         return [{"path": os.path.relpath(p, self.outdir),
@@ -114,12 +169,18 @@ class Artifacts:
 
 
 class _Discard(Artifacts):
-    """A sink that writes nothing: a sweep point keeps only its derived."""
+    """A sink that writes nothing and starts no thread: a sweep point keeps
+    only its derived."""
 
     def __init__(self):
         self.written, self.notes = {}, []
 
-    write_csv = write_json = write_field = staticmethod(lambda *a, **kw: None)
+    write_text = write_csv = write_json = write_field = \
+        staticmethod(lambda *a, **kw: None)
+
+    @staticmethod
+    def write_fields(fields, meanwhile):
+        return meanwhile()
 
 
 def _jsonable(x):
@@ -139,6 +200,27 @@ def _json_text(payload) -> str:
 def write_manifest(outdir: str, payload: dict) -> None:
     write_bytes(os.path.join(outdir, "manifest.json"),
                 _json_text(payload).encode())
+
+
+_ORIENTATION = "superexcitonic region (|v0| > c_ex) on the left"
+# one vertex of a loop in horizons.json
+_VERTEX = "[\n        %r,\n        %r\n      ]"
+
+
+def _horizons_text(loops) -> str:
+    """The text of `horizons.json` for horizon loops given as non-empty
+    (n, 2) float arrays of finite vertices: byte for byte `_json_text` of
+    {"loops": [loop.tolist(), ...], "orientation": _ORIENTATION}, built by
+    one %-format per loop instead of json's pure-Python indent encoder
+    (`%r` of a float is the `float.__repr__` json writes)."""
+    def block(loop):
+        return ("[\n      " + ",\n      ".join([_VERTEX] * len(loop))
+                + "\n    ]") % tuple(np.ravel(loop).tolist())
+
+    listed = "[\n    " + ",\n    ".join(map(block, loops)) + "\n  ]" \
+        if loops else "[]"
+    return '{\n  "loops": %s,\n  "orientation": %s\n}' % (
+        listed, json.dumps(_ORIENTATION))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +385,32 @@ def _real_field(grid: Grid, values: np.ndarray, units: str) -> SimpleNamespace:
     return SimpleNamespace(grid=grid, data=values, meta={"units": units})
 
 
+def _sink_flow(grid: Grid, strength: float):
+    """The radial sink's flow v = −(D/r)·r̂ on `grid`, r floored at a
+    quarter cell, each component formed in the order ((−D/r)·x)/r.  It is
+    formed band by band of rows straight into vx and vy, so r and the
+    speed are held for one band; the coordinates stay a column and a
+    row."""
+    x, y = grid.x[:, None], grid.y[None, :]
+    vx, vy = np.empty(grid.shape), np.empty(grid.shape)
+    rows = min(grid.nx, max(1, _BLOCK_FLOATS // grid.ny))
+    r, speed = np.empty((rows, grid.ny)), np.empty((rows, grid.ny))
+    for i in range(0, grid.nx, rows):
+        band = slice(i, i + rows)
+        xb, vxb, vyb = x[band], vx[band], vy[band]
+        rb, sb = r[:len(xb)], speed[:len(xb)]
+        np.hypot(xb, y, out=rb)
+        np.maximum(rb, 0.25 * min(grid.dx, grid.dy), out=rb)
+        np.divide(strength, rb, out=sb)
+        np.negative(sb, out=vxb)
+        vxb *= xb
+        vxb /= rb
+        np.negative(sb, out=vyb)
+        vyb *= y
+        vyb /= rb
+    return vx, vy
+
+
 def _hydro_fields(cfg: RunConfig) -> HydroFields:
     msec = cfg["metric"]
     nsec = cfg["nlse"]
@@ -315,18 +423,7 @@ def _hydro_fields(cfg: RunConfig) -> HydroFields:
                                    vx=msec["vx"], vy=msec["vy"])
     c2 = msec["c_ex"] * msec["c_ex"]
     if msec["source"] == "radial_sink":
-        # v = −(D/r)·r̂, each component formed in place in the order
-        # ((−D/r)·x)/r; the coordinates stay a column and a row
-        x, y = grid.x[:, None], grid.y[None, :]
-        r = np.hypot(x, y)
-        np.maximum(r, 0.25 * min(grid.dx, grid.dy), out=r)
-        speed = msec["sink_strength"] / r
-        vx = np.negative(speed)
-        vx *= x
-        vx /= r
-        vy = np.negative(speed, out=speed)
-        vy *= y
-        vy /= r
+        vx, vy = _sink_flow(grid, msec["sink_strength"])
         # r̂ is undefined at the origin grid point, where the formula gives
         # v = 0: one subsonic point in the supersonic core, which would be
         # traced as a horizon of its own.  It flows inward along the
@@ -351,9 +448,12 @@ def _metric_census(fields: HydroFields, art: Artifacts):
     """The mean conformal factor of the acoustic metric of `fields`, its
     signature census and its horizon loops (traced only when every point
     is Lorentzian), which are written to `horizons.json`.  The metric is
-    released before the horizon search."""
+    released before the horizon search.  A signature that is a broadcast
+    view is counted on its own shape."""
     metric = build_metric(fields)
-    census = {name: int(np.sum(metric.signature == code))
+    signature = _unbroadcast(metric.signature)
+    copies = metric.signature.size // signature.size
+    census = {name: int(np.sum(signature == code)) * copies
               for name, code in (("lorentzian", LORENTZIAN),
                                  ("euclidean", EUCLIDEAN),
                                  ("degenerate", DEGENERATE))}
@@ -370,23 +470,26 @@ def _metric_census(fields: HydroFields, art: Artifacts):
             warnings.simplefilter("ignore", RuntimeWarning)
             conformal_mean = float(np.nanmean(metric.conformal))
     del metric
-    horizons = []
-    if lorentzian:
-        horizons = [loop.tolist() for loop in find_horizon(fields)]
-    art.write_json("horizons.json", {
-        "orientation": "superexcitonic region (|v0| > c_ex) on the left",
-        "loops": horizons,
-    })
+    horizons = find_horizon(fields) if lorentzian else []
+    art.write_text("horizons.json", _horizons_text(horizons))
     return conformal_mean, census, horizons
 
 
 def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
+    """The acoustic metric stage.  The four background fields are written
+    to `metric_*.pfld` while the census and the horizon search run on the
+    calling thread: on writer threads when the grid has at least 2¹⁶
+    cells and the process may use more than one CPU, else first and one
+    after another (`Artifacts.write_fields`).  The census only reads the
+    fields, and nothing may write to them before every writer has ended.
+    `metric_summary.json` is written after that; every artifact, and the
+    manifest's order, are those of the serial run."""
     fields = _hydro_fields(cfg)
-    conformal_mean, census, horizons = _metric_census(fields, art)
-    for name, values in (("c2", fields.c2), ("vx", fields.vx),
-                         ("vy", fields.vy), ("n", fields.n)):
-        art.write_field(f"metric_{name}.pfld",
-                        _real_field(fields.grid, values, name))
+    conformal_mean, census, horizons = art.write_fields(
+        [(f"metric_{name}.pfld", _real_field(fields.grid, values, name))
+         for name, values in (("c2", fields.c2), ("vx", fields.vx),
+                              ("vy", fields.vy), ("n", fields.n))],
+        partial(_metric_census, fields, art))
     summary = {"signature": census, "horizon_count": len(horizons),
                "conformal_mean": conformal_mean}
     art.write_json("metric_summary.json", summary)

@@ -278,7 +278,9 @@ class MetricField:
     Stored are the fields the metric is built from (n, c², v), the signed
     conformal factor Ω = n/(m c_ex) and the signature.  n, c² and v are
     the arrays of the `HydroFields` the metric was built from, not copies:
-    callers treat them as read-only.
+    callers treat them as read-only.  Ω and the signature are read-only
+    broadcast views when n and c² are (see `build_metric`): perturb a
+    copy, as `HydroFields.from_profiles` says.
     det g follows the closed form det g = −Ω³c².  For negative photon mass
     Ω < 0 and the tensor is the overall negative of a (−,+,+) metric; since
     the wave operator is invariant under g → −g, `sqrt_minus_g` is the
@@ -359,28 +361,52 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
     c² < 0 points are marked Euclidean and carry NaN tensors (the speed is
     imaginary there; no Lorentzian structure is invented).  c² = 0 or
     vanishing density marks a point Degenerate.
-    """
-    n, c2, vx, vy, m = fields.n, fields.c2, fields.vx, fields.vy, fields.m
 
-    signature = np.full(fields.grid.shape, DEGENERATE, dtype=np.uint8)
-    signature[c2 > 0] = LORENTZIAN
-    signature[c2 < 0] = EUCLIDEAN
-    signature[n <= n_floor] = DEGENERATE
-    if fields.mask is not None:
-        signature[~fields.mask] = DEGENERATE
+    The signature and Ω depend on n, c² and the mask only, so they are
+    formed on the shape those have before broadcasting.  When n and c²
+    are broadcast views of lower-rank profiles and there is no mask (a
+    constant n and c² give one value each), they are read-only broadcast
+    views of the grid's shape as well, and an in-place write to them
+    raises `ValueError`: perturb a copy.  Full-grid inputs give owned
+    full-grid arrays.  Either way every value is that of the full-grid
+    arithmetic.
+    """
+    n, c2, m = fields.n, fields.c2, fields.m
+    own = [_unbroadcast(np.asarray(a)) for a in (n, c2, fields.mask)
+           if a is not None]
+    shape = np.broadcast_shapes(*(a.shape for a in own))
+    n0, c20, *mask = (np.broadcast_to(a, shape) for a in own)
+
+    signature = np.full(shape, DEGENERATE, dtype=np.uint8)
+    signature[c20 > 0] = LORENTZIAN
+    signature[c20 < 0] = EUCLIDEAN
+    signature[n0 <= n_floor] = DEGENERATE
+    if mask:
+        signature[~mask[0]] = DEGENERATE
     lz = signature == LORENTZIAN
 
     # Ω = n/(m c), formed in one buffer; NaN off Lorentzian points
     with np.errstate(divide="ignore", invalid="ignore"):
-        conformal = np.where(lz, c2, np.nan)
+        conformal = np.where(lz, c20, np.nan)
         np.sqrt(conformal, out=conformal)
         conformal *= m
-        np.divide(n, conformal, out=conformal)
+        np.divide(n0, conformal, out=conformal)
 
+    if shape != fields.grid.shape:
+        signature = np.broadcast_to(signature, fields.grid.shape)
+        conformal = np.broadcast_to(conformal, fields.grid.shape)
     return MetricField(
-        grid=fields.grid, m=m, n=n, c2=c2, vx=vx, vy=vy, conformal=conformal,
-        signature=signature,
+        grid=fields.grid, m=m, n=n, c2=c2, vx=fields.vx, vy=fields.vy,
+        conformal=conformal, signature=signature,
     )
+
+
+def _unbroadcast(a: np.ndarray) -> np.ndarray:
+    """The values of `a` on the shape it had before broadcasting: a view
+    with each zero-stride axis cut to length one, so a broadcast scalar
+    gives one value and a full array is returned whole."""
+    return a[tuple(slice(0, 1) if stride == 0 else slice(None)
+                   for stride in a.strides)]
 
 
 def line_element(metric: MetricField, ix: int, iy: int, dt: float, dr) -> float:
@@ -462,11 +488,40 @@ def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
                          f"F {F.shape}, x {x.shape}, y {y.shape}")
     if level:
         F = F - level
-    P = (F > 0).astype(np.uint8)
-    index = (P[:-1, :-1] | (P[1:, :-1] << 1) | (P[1:, 1:] << 2)
-             | (P[:-1, 1:] << 3))
-    ci, cj = np.nonzero((index != 0) & (index != 15))
-    case = index[ci, cj].astype(np.intp)
+    # the case index P₃P₂P₁P₀ in one uint8 buffer, a bit at a time from
+    # the top; then index − 1 (0 wraps to 255) is below 14 exactly on the
+    # crossed cells, whose case is taken from one mask in row-major order
+    P = np.greater(F, 0).view(np.uint8)
+    index = np.left_shift(P[:-1, 1:], 1)
+    index |= P[1:, 1:]
+    index <<= 1
+    index |= P[1:, :-1]
+    index <<= 1
+    index |= P[:-1, :-1]
+    del P
+    index -= 1
+    flat = np.flatnonzero(np.less(index, 14))
+    case = index.ravel()[flat].astype(np.intp)
+    case += 1
+    ci, cj = np.divmod(flat, index.shape[1])
+    del index, flat
+    points = _segment_points(F, x, y, ci, cj, case)
+
+    # keys as floats: a coordinate of 9.2e9 or more overflows int64 keys
+    keys = np.rint(points / 1e-9)
+    if not np.isfinite(keys).all():
+        raise NumericalError("marching squares: a contour vertex is not "
+                             "finite or too large for its 1e-9 key")
+    paths = _chain(list(zip(*keys.T.tolist())), len(points) // 2)
+    return [points[p] for p in paths]
+
+
+def _segment_points(F, x, y, ci, cj, case) -> np.ndarray:
+    """The oriented segments of the crossed cells (ci, cj) of case index
+    `case`: one per cell and two per saddle, in cell order, as vertex 2s
+    (the start of segment s) and 2s + 1 (its end) of a (2·segments, 2)
+    array.  A saddle's case is read as 16 + case when the average of its
+    corners is positive."""
     is_saddle = (case == 5) | (case == 10)
     saddle = np.flatnonzero(is_saddle)
     si, sj = ci[saddle], cj[saddle]
@@ -474,8 +529,6 @@ def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
                      + F[si, sj + 1])
     case[saddle[centre > 0]] += 16
 
-    # one segment per cell and two per saddle, in cell order; vertex 2s is
-    # the start of segment s and 2s + 1 its end
     cell = np.repeat(np.arange(len(case)), 1 + is_saddle)
     second = np.zeros(len(cell), np.intp)
     second[1:] = cell[1:] == cell[:-1]
@@ -488,14 +541,7 @@ def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
     points = np.empty((len(edge), 2))
     points[:, 0] = x[i0] + t * (x[i1] - x[i0])
     points[:, 1] = y[j0] + t * (y[j1] - y[j0])
-
-    # keys as floats: a coordinate of 9.2e9 or more overflows int64 keys
-    keys = np.rint(points / 1e-9)
-    if not np.isfinite(keys).all():
-        raise NumericalError("marching squares: a contour vertex is not "
-                             "finite or too large for its 1e-9 key")
-    paths = _chain(list(zip(*keys.T.tolist())), len(cell))
-    return [points[p] for p in paths]
+    return points
 
 
 def _chain(keys: list, count: int) -> list:
@@ -564,7 +610,7 @@ def find_horizon(fields: HydroFields) -> list:
     a radial sink or a 1-D flow.  Where the flow has a tangential part
     (a swirl), it is the ergosurface, not the horizon.
     """
-    if np.any(fields.c2 <= 0):
+    if np.any(_unbroadcast(fields.c2) <= 0):
         raise PhysicsGateError("horizon analysis requires c_ex² > 0 on the grid")
     # F = (vx² + vy²) − c², summed in one buffer
     F = np.square(fields.vx)
@@ -573,6 +619,7 @@ def find_horizon(fields: HydroFields) -> list:
     for i in range(0, F.shape[0], rows):
         part = F[i:i + rows]
         part += np.square(fields.vy[i:i + rows], out=buf[:len(part)])
+    del buf         # not held through the contouring
     F -= fields.c2
     if not np.isfinite(F).all():
         raise NumericalError("horizon function |v₀|² − c_ex² is not finite")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from collections.abc import Mapping
@@ -285,7 +286,10 @@ def test_metric_stage_peak_memory(tmp_path):
     # casts before each write; 8.7 once each field is held once; 7.38 since
     # the volume weight √−g is built on access, not by build_metric; 4.20
     # since the constant n and c2 are broadcast views, the metric is
-    # released before the horizon search and F holds no |v|² temporary
+    # released before the horizon search and F holds no |v|² temporary;
+    # 3.77 (3.61 with one CPU) since marching squares forms its case index
+    # in one uint8 buffer and frees its per-cell arrays before chaining,
+    # while up to two writer threads each hold a 64 KB conversion buffer
     cfg = write_cfg(tmp_path, METRIC_CFG)
     tracemalloc.start()
     try:
@@ -294,7 +298,119 @@ def test_metric_stage_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / (256 * 256 * 8) <= 4.6
+    assert peak / (256 * 256 * 8) <= 4.1
+
+
+@pytest.mark.parametrize("loops", [
+    [],
+    [[[0.1, 2.0]]],
+    [[[-0.0, 5e-324], [0.1, 2.0], [1e16, -3.75], [-0.0, 5e-324]],
+     [[-1e-300, -2.5e-8], [12345.678, -0.1]],
+     [[2.0, 0.1], [-1e16, 1.0], [0.0, -0.0]]],
+], ids=["none", "one", "several"])
+def test_horizons_text_is_json_text_byte_for_byte(loops):
+    want = cli._json_text({"orientation": cli._ORIENTATION, "loops": loops})
+    got = cli._horizons_text([np.array(loop) for loop in loops])
+    assert got.encode() == want.encode()
+
+
+def _metric_run(tmp_path, monkeypatch, workers):
+    """A 256² (2¹⁶-cell) sink `metric` run on `workers` CPUs: its exit
+    code, manifest, and the bytes of each file it left."""
+    from photonfluid import fluid
+
+    monkeypatch.setattr(fluid, "_workers", lambda: workers)
+    tmp_path.mkdir()
+    threads = threading.active_count()
+    code = main(["metric", "--config", str(write_cfg(tmp_path, METRIC_CFG))])
+    assert threading.active_count() == threads      # every writer joined
+    files = {p.name: p.read_bytes()
+             for p in sorted((tmp_path / "out").iterdir())}
+    return code, manifest(tmp_path), files
+
+
+@pytest.mark.parametrize("fail_on", [None, "metric_vy.pfld", "find_horizon"])
+def test_threaded_metric_stage_writes_what_the_serial_one_does(
+        tmp_path, monkeypatch, fail_on):
+    # the four field writes run on writer threads from 2¹⁶ cells on 2
+    # CPUs, and one after another on 1; a write or a horizon search that
+    # raises fails the run only once every write and the census have ended
+    from photonfluid.errors import NumericalError
+
+    write, search = cli.write_field, cli.find_horizon
+
+    def failing_search(fields):
+        if fail_on == "find_horizon":
+            raise NumericalError(f"cannot write {fail_on}")
+        return search(fields)
+
+    def failing(path, field, sidecar=None):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if os.path.basename(path) == fail_on:
+            raise NumericalError(f"cannot write {fail_on}")
+        return write(path, field, sidecar)
+
+    monkeypatch.setattr(cli, "write_field", failing)
+    monkeypatch.setattr(cli, "find_horizon", failing_search)
+    runs = []
+    for workers in (1, 2):
+        on_main = []
+        runs.append(_metric_run(tmp_path / str(workers), monkeypatch, workers))
+        assert on_main == [workers == 1] * 4
+    for code, man, files in runs:
+        assert code == (0 if fail_on is None else 3)
+        assert not any(name.endswith(".tmp") for name in files)
+        listed = [a["path"] for a in man["artifacts"]]
+        assert sorted(listed) == sorted(set(files) - {"manifest.json"})
+        for a in man["artifacts"]:
+            assert a["sha256"] == hashlib.sha256(files[a["path"]]).hexdigest()
+    (_, serial, a), (_, threaded, b) = runs
+    assert [x["path"] for x in serial["artifacts"]] == \
+        [x["path"] for x in threaded["artifacts"]]
+    assert a.keys() == b.keys()
+    assert all(a[name] == b[name] for name in a if name != "manifest.json")
+    if fail_on is None:
+        assert [x["path"] for x in serial["artifacts"]] == [
+            "horizons.json", "metric_c2.pfld", "metric_vx.pfld",
+            "metric_vy.pfld", "metric_n.pfld", "metric_summary.json"]
+    else:
+        assert serial["notes"] == threaded["notes"] == \
+            [f"cannot write {fail_on}"]
+        fields = {f"metric_{name}.pfld" for name in ("c2", "vx", "vy", "n")}
+        assert set(a) == {"manifest.json"} | (
+            {"horizons.json"} | fields - {fail_on} if fail_on in fields
+            else fields)
+
+
+def test_writer_threads_take_each_field_once(tmp_path, monkeypatch):
+    # more writer threads than CPUs share one queue of fields under a
+    # short switch interval: each field is written once, by a writer
+    # thread, and recorded in the order given
+    from photonfluid import fluid
+
+    monkeypatch.setattr(fluid, "_workers", lambda: 8)
+    calls = []
+
+    def fake(path, field, sidecar=None):
+        calls.append((path, threading.current_thread().name))
+        return {path: (os.path.basename(path), 1)}
+
+    monkeypatch.setattr(cli, "write_field", fake)
+    grid = Grid(256, 256, 1.0, 1.0)
+    fields = [(f"f{k:02d}.pfld", cli._real_field(
+        grid, np.broadcast_to(float(k), grid.shape), "x")) for k in range(40)]
+    art = cli.Artifacts(str(tmp_path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert art.write_fields(fields, lambda: "census") == "census"
+    finally:
+        sys.setswitchinterval(interval)
+    names = [name for name, _ in fields]
+    assert sorted(os.path.basename(p) for p, _ in calls) == names
+    assert len({thread for _, thread in calls}) <= 8
+    assert threading.main_thread().name not in {t for _, t in calls}
+    assert [os.path.basename(p) for p in art.written] == names
 
 
 def test_nlse_stage_peak_memory(tmp_path, monkeypatch):

@@ -355,6 +355,42 @@ def test_build_metric_shares_the_hydro_arrays():
         assert np.shares_memory(getattr(met, name), getattr(f, name)), name
 
 
+@pytest.mark.parametrize("profile", ["constant", "column", "full", "masked"])
+def test_build_metric_matches_the_full_grid_arithmetic(profile):
+    # the signature and Ω are formed on the profiles' own shapes: a
+    # constant or column profile gives read-only views of the grid's
+    # shape, and every value is that of the materialized profiles, which
+    # take the full-grid path
+    grid = Grid(24, 16, 0.5, 0.5)
+    rng = np.random.default_rng(26)
+    col = rng.uniform(-0.5, 1.5, (grid.nx, 1))
+    col[3] = col[7] = 0.0                       # degenerate rows
+    full = rng.uniform(-0.5, 1.5, grid.shape)
+    n, c2 = {"constant": (1.3, 0.25), "column": (col, 0.7 * col),
+             "full": (full, 0.3), "masked": (1.3, 0.25)}[profile]
+    f = HydroFields.from_profiles(grid, -0.8, 1.0, n=n, vx=0.1, vy=-0.2,
+                                  c2=c2)
+    if profile == "masked":
+        f.mask = rng.uniform(size=grid.shape) > 0.2
+    owned = HydroFields(grid=grid, m=f.m, G=f.G, n=np.array(f.n),
+                        vx=f.vx, vy=f.vy, c2=np.array(f.c2), mask=f.mask)
+    got, want = build_metric(f), build_metric(owned)
+    viewed = profile in ("constant", "column")
+    for name in ("signature", "conformal"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == grid.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+        assert b.flags.writeable and b.flags.c_contiguous, name
+        assert a.flags.writeable != viewed, name
+        if viewed:
+            assert a.strides[1] == 0, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[2, 3] = a[2, 4]
+    if profile == "constant":
+        assert got.conformal.strides == (0, 0)
+        assert got.conformal.base.size == 1
+
+
 def test_from_profiles_keeps_lower_rank_profiles_as_read_only_views():
     # a scalar density, a column flow and the c2 = n𝒢/m they imply are
     # zero-stride views of the grid's shape: no grid is allocated, and a
