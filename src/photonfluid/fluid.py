@@ -162,14 +162,22 @@ def rk4(rhs, y: tuple, dt: float, first: int, last: int, what: str) -> tuple:
     tuple in the same order.  Every step checks each component for
     finiteness and raises `NumericalError` naming `what` and the step, so a
     blow-up stops the run where it happens.
+
+    The stages are summed as they come, acc = k1, then acc + 2k2, then
+    acc + 2k3, and y + (dt/6)(acc + k4): the operation order of
+    k1 + 2k2 + 2k3 + k4, with each kᵢ dropped once it is used, so a step
+    holds the state, acc, one stage and its input point.
     """
     for step in range(first + 1, last + 1):
-        k1 = rhs(*y)
-        k2 = rhs(*[a + 0.5 * dt * k for a, k in zip(y, k1)])
-        k3 = rhs(*[a + 0.5 * dt * k for a, k in zip(y, k2)])
-        k4 = rhs(*[a + dt * k for a, k in zip(y, k3)])
-        y = [a + (dt / 6.0) * (p + 2 * q + 2 * r + s)
-             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        acc = rhs(*y)
+        k = rhs(*[a + 0.5 * dt * q for a, q in zip(y, acc)])
+        acc = [p + 2 * q for p, q in zip(acc, k)]
+        k = [a + 0.5 * dt * q for a, q in zip(y, k)]
+        k = rhs(*k)
+        acc = [p + 2 * q for p, q in zip(acc, k)]
+        k = [a + dt * q for a, q in zip(y, k)]
+        k = rhs(*k)
+        y = [a + (dt / 6.0) * (p + s) for a, p, s in zip(y, acc, k)]
         if not all(np.isfinite(a).all() for a in y):
             raise NumericalError(f"{what} non-finite at step {step}")
     return tuple(y)

@@ -20,11 +20,13 @@ signature and are excluded from wave propagation and horizon analysis
 rather than patched over.  The contour |v₀| = c_ex separates subcritical
 flow from the superexcitonic region that traps outgoing excitations.
 
-Horizons are traced by marching squares over whole arrays: the case index
-of every cell, the segments of the crossed cells and every edge point are
-formed at once, and only the chaining of segments into polylines runs in
-Python.  Vertices that round to the same multiple of 1e-9 (in grid units)
-are one vertex.
+Horizons are traced by marching squares over bands of rows: the case
+index of every cell of a band and the corner values of its crossed cells
+are formed at once, every edge point is formed once after the last band,
+and only the chaining of segments into polylines runs in Python.  The
+horizon function itself is formed a band at a time and never as a grid.
+Vertices that round to the same multiple of 1e-9 (in grid units) are one
+vertex.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ __all__ = [
 
 LORENTZIAN, EUCLIDEAN, DEGENERATE = 0, 1, 2
 
-# floats in the row-block buffer of `find_horizon` (64 KB)
+# floats in the row-block buffer of the horizon function's vy² (64 KB)
 _BLOCK_FLOATS = 1 << 13
+# floats in a row band that `marching_squares` reads at a time (512 KB)
+_BAND_FLOATS = 1 << 16
 
 
 @dataclass
@@ -429,6 +433,9 @@ _EDGE_CORNERS = np.array([(0, 0, 1, 0),    # 0 bottom
                           (1, 0, 1, 1),    # 1 right
                           (0, 1, 1, 1),    # 2 top
                           (0, 0, 0, 1)])   # 3 left
+# row and column offsets that gather a cell's corners as [a, b] = (i + a, j + b)
+_CORNER_ROWS = np.array([[0, 0], [1, 1]])
+_CORNER_COLS = np.array([[0, 1], [0, 1]])
 
 
 def _segment_table() -> np.ndarray:
@@ -456,56 +463,81 @@ def _segment_table() -> np.ndarray:
 _SEGMENTS = _segment_table()
 
 
-def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
-                     level: float = 0.0):
+def marching_squares(F, x: np.ndarray, y: np.ndarray, level: float = 0.0):
     """Contours F(x, y) = `level` by marching squares.
 
     Returns a list of polylines ((n, 2) arrays of (x, y) vertices) with
     linear interpolation along cell edges; the F > level region lies on
-    the left of the walking direction.  `F` is read, never written: it is
-    used as given for the default level 0, and only a nonzero level makes
-    a shifted copy F − level.  Saddle cells are disambiguated with the
-    cell-centre average.  Closed loops repeat their first vertex.
+    the left of the walking direction.  Saddle cells are disambiguated
+    with the cell-centre average.  Closed loops repeat their first vertex.
 
-    The 4-bit case index of every cell is formed at once from the corner
-    signs (Lorensen & Cline, "Marching cubes", SIGGRAPH 1987).  The cells
-    the contour crosses (index neither 0 nor 15) give their segments in
-    row-major order, one per cell and two per saddle, and every edge point
-    is formed at once over arrays as x₀ + t(x₁ − x₀), t = f₀/(f₀ − f₁).
-    Vertices that round to the same multiple of 1e-9 (in the units of x
-    and y) are one vertex; only the chaining of segments at shared
-    vertices into polylines runs in Python.
+    `F` is read only through `F.shape` and its row bands `F[i:i + rows]`,
+    `rows` = max(2, 2¹⁶ // F.shape[1]), each band sharing its last row
+    with the next: an ndarray (whose bands are views), or any object with
+    a 2-D `shape` whose row slices are float arrays, such as a source that
+    forms the rows of F on demand (`find_horizon`).  Anything else is
+    taken through `np.asarray` first.  F is never written, and no
+    grid-sized temporary is formed: a nonzero `level` is subtracted band
+    by band.
+
+    Per band, the 4-bit case index of every cell is formed at once from
+    the corner signs (Lorensen & Cline, "Marching cubes", SIGGRAPH 1987),
+    and the cells the contour crosses (index neither 0 nor 15) keep their
+    position, case and four corner values in row-major order.  After the
+    last band their segments, one per cell and two per saddle, and every
+    edge point x₀ + t(x₁ − x₀), t = f₀/(f₀ − f₁), are formed at once over
+    arrays.  Vertices that round to the same multiple of 1e-9 (in the
+    units of x and y) are one vertex; only the chaining of segments at
+    shared vertices into polylines runs in Python.
 
     `x` and `y` must be 1-D with the lengths of F's axes, else
-    `ValueError`; a vertex that is not finite (a NaN or infinite corner
-    of a crossed cell) or too large for its 1e-9 key raises
-    `NumericalError`.
+    `ValueError`.  A band of F − `level` that is not finite (a NaN or an
+    infinite value anywhere) raises `NumericalError`, as does a vertex too
+    large for its 1e-9 key.
     """
-    F = np.asarray(F, float)
+    if not hasattr(F, "shape"):
+        F = np.asarray(F, float)
     x, y = np.asarray(x), np.asarray(y)
-    if F.ndim != 2 or x.shape != F.shape[:1] or y.shape != F.shape[1:]:
+    shape = tuple(F.shape)
+    if len(shape) != 2 or x.shape != shape[:1] or y.shape != shape[1:]:
         raise ValueError(f"marching_squares needs 1-D x and y of F's sides: "
-                         f"F {F.shape}, x {x.shape}, y {y.shape}")
-    if level:
-        F = F - level
-    # the case index P₃P₂P₁P₀ in one uint8 buffer, a bit at a time from
-    # the top; then index − 1 (0 wraps to 255) is below 14 exactly on the
-    # crossed cells, whose case is taken from one mask in row-major order
-    P = np.greater(F, 0).view(np.uint8)
-    index = np.left_shift(P[:-1, 1:], 1)
-    index |= P[1:, 1:]
-    index <<= 1
-    index |= P[1:, :-1]
-    index <<= 1
-    index |= P[:-1, :-1]
-    del P
-    index -= 1
-    flat = np.flatnonzero(np.less(index, 14))
-    case = index.ravel()[flat].astype(np.intp)
-    case += 1
-    ci, cj = np.divmod(flat, index.shape[1])
-    del index, flat
-    points = _segment_points(F, x, y, ci, cj, case)
+                         f"F {shape}, x {x.shape}, y {y.shape}")
+    nx, ny = shape
+    rows = max(2, _BAND_FLOATS // max(ny, 1))
+    found = []                  # (ci, cj, case, corners) of each band
+    for i0 in range(0, max(nx - 1, 1), rows - 1):
+        band = np.asarray(F[i0:i0 + rows], float)
+        if level:
+            band = band - level
+        if not np.isfinite(band).all():
+            raise NumericalError(f"marching squares: F is not finite in rows "
+                                 f"{i0}–{i0 + len(band) - 1}")
+        # the case index P₃P₂P₁P₀ in one uint8 buffer, a bit at a time from
+        # the top; then index − 1 (0 wraps to 255) is below 14 exactly on
+        # the crossed cells, whose case is taken from one mask in row-major
+        # order
+        P = np.greater(band, 0).view(np.uint8)
+        index = np.left_shift(P[:-1, 1:], 1)
+        index |= P[1:, 1:]
+        index <<= 1
+        index |= P[1:, :-1]
+        index <<= 1
+        index |= P[:-1, :-1]
+        del P
+        index -= 1
+        flat = np.flatnonzero(np.less(index, 14))
+        case = index.ravel()[flat].astype(np.intp)
+        case += 1
+        ci, cj = np.divmod(flat, index.shape[1])
+        del index, flat
+        corners = band[ci[:, None, None] + _CORNER_ROWS,
+                       cj[:, None, None] + _CORNER_COLS]
+        ci += i0
+        found.append((ci, cj, case, corners))
+        del band
+    ci, cj, case, corners = (np.concatenate(parts) for parts in zip(*found))
+    del found
+    points = _segment_points(corners, x, y, ci, cj, case)
 
     # keys as floats: a coordinate of 9.2e9 or more overflows int64 keys
     keys = np.rint(points / 1e-9)
@@ -516,17 +548,17 @@ def marching_squares(F: np.ndarray, x: np.ndarray, y: np.ndarray,
     return [points[p] for p in paths]
 
 
-def _segment_points(F, x, y, ci, cj, case) -> np.ndarray:
+def _segment_points(corners, x, y, ci, cj, case) -> np.ndarray:
     """The oriented segments of the crossed cells (ci, cj) of case index
-    `case`: one per cell and two per saddle, in cell order, as vertex 2s
+    `case` and corner values `corners` ([cell, a, b] = F at (ci + a,
+    cj + b)): one per cell and two per saddle, in cell order, as vertex 2s
     (the start of segment s) and 2s + 1 (its end) of a (2·segments, 2)
     array.  A saddle's case is read as 16 + case when the average of its
     corners is positive."""
     is_saddle = (case == 5) | (case == 10)
     saddle = np.flatnonzero(is_saddle)
-    si, sj = ci[saddle], cj[saddle]
-    centre = 0.25 * (F[si, sj] + F[si + 1, sj] + F[si + 1, sj + 1]
-                     + F[si, sj + 1])
+    k = corners[saddle]
+    centre = 0.25 * (k[:, 0, 0] + k[:, 1, 0] + k[:, 1, 1] + k[:, 0, 1])
     case[saddle[centre > 0]] += 16
 
     cell = np.repeat(np.arange(len(case)), 1 + is_saddle)
@@ -534,13 +566,13 @@ def _segment_points(F, x, y, ci, cj, case) -> np.ndarray:
     second[1:] = cell[1:] == cell[:-1]
     edge = _SEGMENTS[case[cell], second].ravel()
     a0, b0, a1, b1 = _EDGE_CORNERS[edge].T
-    i, j = np.repeat(ci[cell], 2), np.repeat(cj[cell], 2)
-    i0, j0, i1, j1 = i + a0, j + b0, i + a1, j + b1
-    f0 = F[i0, j0]
-    t = f0 / (f0 - F[i1, j1])
+    end = np.repeat(cell, 2)
+    i, j = ci[end], cj[end]
+    f0 = corners[end, a0, b0]
+    t = f0 / (f0 - corners[end, a1, b1])
     points = np.empty((len(edge), 2))
-    points[:, 0] = x[i0] + t * (x[i1] - x[i0])
-    points[:, 1] = y[j0] + t * (y[j1] - y[j0])
+    points[:, 0] = x[i + a0] + t * (x[i + a1] - x[i + a0])
+    points[:, 1] = y[j + b0] + t * (y[j + b1] - y[j + b0])
     return points
 
 
@@ -597,14 +629,38 @@ def _chain(keys: list, count: int) -> list:
     return paths
 
 
+class _HorizonFunction:
+    """F = (vx² + vy²) − c² of a background, formed a band of rows at a
+    time for `marching_squares`: `F[i:j]` is a new array of those rows,
+    with vy² added through a 64 KB block buffer, so every value is that of
+    the whole-grid arithmetic and no grid-sized array is formed."""
+
+    def __init__(self, fields: HydroFields):
+        self.vx, self.vy, self.c2 = fields.vx, fields.vy, fields.c2
+        self.shape = fields.grid.shape
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        band = np.square(self.vx[rows])
+        vy = self.vy[rows]
+        block = max(1, _BLOCK_FLOATS // band.shape[1])
+        buf = np.empty((min(block, len(band)), band.shape[1]))
+        for i in range(0, len(band), block):
+            part = band[i:i + block]
+            part += np.square(vy[i:i + block], out=buf[:len(part)])
+        band -= self.c2[rows]
+        return band
+
+
 def find_horizon(fields: HydroFields) -> list:
     """Sonic horizons: contours of F = |v₀|² − c_ex² = 0.
 
     Empty list when the flow is everywhere sub- or supercritical.  The
     superexcitonic region (F > 0, flow faster than the excitation speed)
     lies on the left of each polyline's walking direction.  An F that
-    overflows raises `NumericalError`.  F is the one field-sized array
-    formed: vy² is added in row blocks through a small buffer.
+    overflows raises `NumericalError`.  F is never formed as a grid:
+    `marching_squares` reads it in bands of rows, each formed when it is
+    read (`_HorizonFunction`), so the search holds vx, vy and c² plus
+    buffers of one band.
 
     The contour |v₀| = c_ex is the horizon of a flow normal to it, such as
     a radial sink or a 1-D flow.  Where the flow has a tangential part
@@ -612,15 +668,5 @@ def find_horizon(fields: HydroFields) -> list:
     """
     if np.any(_unbroadcast(fields.c2) <= 0):
         raise PhysicsGateError("horizon analysis requires c_ex² > 0 on the grid")
-    # F = (vx² + vy²) − c², summed in one buffer
-    F = np.square(fields.vx)
-    rows = max(1, _BLOCK_FLOATS // F.shape[1])
-    buf = np.empty((rows, F.shape[1]))
-    for i in range(0, F.shape[0], rows):
-        part = F[i:i + rows]
-        part += np.square(fields.vy[i:i + rows], out=buf[:len(part)])
-    del buf         # not held through the contouring
-    F -= fields.c2
-    if not np.isfinite(F).all():
-        raise NumericalError("horizon function |v₀|² − c_ex² is not finite")
-    return marching_squares(F, fields.grid.x, fields.grid.y, level=0.0)
+    return marching_squares(_HorizonFunction(fields), fields.grid.x,
+                            fields.grid.y, level=0.0)

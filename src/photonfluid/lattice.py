@@ -35,6 +35,7 @@ from dataclasses import dataclass, field as _field
 
 import numpy as np
 
+from .elimination import KernelParams, kerr_coupling
 from .errors import NumericalError, StepSizeError
 from .fluid import (ComplexField2D, FluidParams, _check_counts, evolve, rk4,
                     rk4_power)
@@ -222,7 +223,9 @@ def continuum_error(
 
     The continuum side uses the dynamically matched mass −ħ/(2Jh²), the
     uniform offset Ṽ = ω_c + 4J, and, for g′ ≠ 0, the eliminated contact
-    coupling with the kernel written in this module's damping convention.
+    coupling `kerr_coupling` with the kernel written in this module's
+    damping convention, −2g′²ω_m/(γ_eff² + ω_m²); with g′ ≠ 0 and ω_m ≤ 0
+    it refuses with `PhysicsGateError` before any stepping.
     """
     grid = nlse_field.grid
     if (lattice.a.shape != (p.Nx, p.Ny) or grid.shape != (p.Nx, p.Ny)
@@ -233,17 +236,17 @@ def continuum_error(
     m_map, v_tilde = continuum_params(p.J, p.h, p.omega_c)
     m_dyn = -m_map
 
+    # the steady mirror response with amplitude decay γ_eff is the
+    # elimination's kernel at energy damping 2γ_eff
+    G_eff = 0.0 if p.g_prime == 0.0 else kerr_coupling(
+        KernelParams(p.omega_m, 2.0 * p.gamma_eff, p.g_prime))
+
     rate = max(abs(p.omega_c) + 4.0 * abs(p.J), abs(p.omega_m), 1e-12)
     if dt_lattice is None:
         dt_lattice = 0.05 / rate
     n_lat = max(1, int(np.ceil(t_final / dt_lattice)))
     lat = step_lattice(lattice, p, t_final / n_lat, steps=n_lat, force=force)
 
-    G_eff = 0.0
-    if p.g_prime != 0.0:
-        # steady mirror response with amplitude decay gamma_eff
-        gam = p.gamma_eff
-        G_eff = -2.0 * p.g_prime**2 * p.omega_m / (gam**2 + p.omega_m**2)
     fp = FluidParams(m=m_dyn, G_kerr=G_eff, V=v_tilde)
     if G_eff == 0.0:
         # linear + uniform offset: the split step is exact, one step suffices

@@ -289,7 +289,9 @@ def test_metric_stage_peak_memory(tmp_path):
     # released before the horizon search and F holds no |v|² temporary;
     # 3.77 (3.61 with one CPU) since marching squares forms its case index
     # in one uint8 buffer and frees its per-cell arrays before chaining,
-    # while up to two writer threads each hold a 64 KB conversion buffer
+    # while up to two writer threads each hold a 64 KB conversion buffer;
+    # F is now formed a row band at a time, but at 256^2 one band of 2^16
+    # floats is the whole grid, so the peak stays near one F
     cfg = write_cfg(tmp_path, METRIC_CFG)
     tracemalloc.start()
     try:
@@ -299,6 +301,53 @@ def test_metric_stage_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (256 * 256 * 8) <= 4.1
+
+
+def test_metric_stage_peak_memory_at_1024(tmp_path):
+    # tracemalloc peak of the 1024^2 radial-sink metric stage, in float
+    # grids: 3.27 while the horizon search formed F = |v|² − c² as a grid;
+    # 2.18 since marching squares reads F in row bands of 2^16 floats,
+    # each formed when it is read, so the stage holds vx and vy and the
+    # buffers of one band
+    cfg = write_cfg(tmp_path, METRIC_CFG.replace("= 256", "= 1024")
+                    .replace("0.03125", "0.0078125"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["metric", "--config", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert manifest(tmp_path)["derived"]["horizon_count"] == 1
+    assert peak / (1024 * 1024 * 8) <= 2.3
+
+
+def test_metric_stage_refuses_a_non_finite_horizon_function(tmp_path,
+                                                           monkeypatch):
+    # a flow whose square overflows in the last row band of F stops the
+    # horizon search: exit 3, and no horizons.json, though the four
+    # (finite) fields are written
+    from photonfluid import geometry
+
+    build = cli._hydro_fields
+
+    def planted(cfg):
+        fields = build(cfg)
+        fields.vx[-1, 7] = 1e200
+        return fields
+
+    monkeypatch.setattr(cli, "_hydro_fields", planted)
+    monkeypatch.setattr(geometry, "_BAND_FLOATS", 8 * 256)
+    with np.errstate(over="ignore"):
+        assert main(["metric", "--config",
+                     str(write_cfg(tmp_path, METRIC_CFG))]) == 3
+    man = manifest(tmp_path)
+    assert man["status"] == "failed"
+    assert man["notes"] == [
+        "marching squares: F is not finite in rows 252–255"]
+    assert not (tmp_path / "out" / "horizons.json").exists()
+    assert sorted(a["path"] for a in man["artifacts"]) == [
+        f"metric_{name}.pfld" for name in ("c2", "n", "vx", "vy")]
 
 
 @pytest.mark.parametrize("loops", [
@@ -459,8 +508,9 @@ def test_kg_stage_peak_memory(tmp_path):
     # float fields: 50.7 while kg_evolve kept a copy of δθ and u at every
     # sample; 36.7 once each trace row is built as the run records; 33.6
     # now that spectral results own their real buffers instead of keeping
-    # the complex transform alive; the second run is counted, after the
-    # first has made the lazy imports
+    # the complex transform alive; 28.5 since RK4 sums its stages as they
+    # come and drops each once it is used; the second run is counted,
+    # after the first has made the lazy imports
     cfg = write_cfg(tmp_path, """
 [run]
 stage = kg
@@ -493,7 +543,7 @@ sample_every = 10
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / (128 * 128 * 8) <= 36
+    assert peak / (128 * 128 * 8) <= 31
 
 
 def test_kg_stage_traces_energy_center(tmp_path):
@@ -1269,6 +1319,23 @@ def test_main_enters_the_stage_runner_through_its_module_name(
     with pytest.raises(_Entered):
         main([stage, "--config", str(write_cfg(tmp_path, text))])
     assert entered == [stage]
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists(monkeypatch):
+    # the tracer patches module attributes by name; a renamed or removed
+    # function would fail a traced benchmark run, so it fails here first
+    import importlib
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from tracer import COUNTED, SPANNED
+
+    missing = [f"{modname}.{name}"
+               for table in (SPANNED, COUNTED)
+               for modname, names in table.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(modname),
+                                       name, None))]
+    assert missing == []
 
 
 def test_pipeline_calls_the_names_the_benchmark_tracer_wraps(tmp_path,

@@ -777,6 +777,92 @@ def test_saddle_cell_pairings(F, expected):
         assert np.allclose(line, want, rtol=0, atol=1e-15)
 
 
+def _fields_to_contour():
+    """(F, x, y, level) whose contours cross many bands of a few rows:
+    saddles everywhere, one loop over every band at a nonzero level, open
+    chains that leave the grid at both ends of x, exact zeros on a row that
+    neighbouring bands share, and small integers with coinciding
+    segments."""
+    rng = np.random.default_rng(27)
+    x = np.cumsum(rng.uniform(0.1, 1.0, 43))
+    y = np.cumsum(rng.uniform(0.1, 1.0, 23))
+    X, Y = np.meshgrid(x - x.mean(), y - y.mean(), indexing="ij")
+    yield rng.standard_normal((43, 23)), x, y, 0.0
+    yield X**2 + Y**2, x, y, 16.0
+    yield Y - 0.3 * X + np.sin(X), x, y, 0.0
+    yield X - X[12, 0], x, y, 0.0                 # zero on row 12 exactly
+    yield rng.integers(-1, 2, (43, 23)).astype(float), x, y, 0.0
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 7])
+def test_banded_contour_matches_one_band(monkeypatch, rows):
+    # bands of `rows` rows share a row with their neighbours; every
+    # polyline is the one-band polyline byte for byte
+    for F, x, y, level in _fields_to_contour():
+        monkeypatch.setattr(geometry, "_BAND_FLOATS", 1 << 40)
+        want = marching_squares(F, x, y, level=level)
+        monkeypatch.setattr(geometry, "_BAND_FLOATS", rows * F.shape[1])
+        got = marching_squares(F, x, y, level=level)
+        assert len(got) == len(want) >= 1
+        for line, ref in zip(got, want):
+            assert line.shape == ref.shape
+            assert line.tobytes() == ref.tobytes()
+
+
+class _RowReader:
+    """F seen only through `shape` and row slices, which are recorded."""
+
+    def __init__(self, F):
+        self.F, self.shape, self.read = F, F.shape, []
+
+    def __getitem__(self, rows):
+        self.read.append((rows.start, rows.stop))
+        return self.F[rows]
+
+
+def test_marching_squares_reads_F_in_row_bands_only(monkeypatch):
+    # bands of 4 rows, each sharing its last row with the next; a source
+    # with `shape` and row slices contours as the array does
+    F, x, y, level = list(_fields_to_contour())[1]
+    monkeypatch.setattr(geometry, "_BAND_FLOATS", 4 * F.shape[1] + 3)
+    reader = _RowReader(F)
+    got = marching_squares(reader, x, y, level=level)
+    want = marching_squares(F, x, y, level=level)
+    assert [line.tobytes() for line in got] == [line.tobytes() for line in want]
+    assert reader.read == [(i, i + 4) for i in range(0, 42, 3)]
+
+
+def test_find_horizon_in_bands_matches_the_plain_contour(monkeypatch):
+    # F = (vx² + vy²) − c² formed band by band, and vy² block by block
+    # within a band, contours as the whole-grid F does
+    nx, dx = 64, 0.125
+    x = (np.arange(nx) - nx // 2) * dx
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    r = np.maximum(np.hypot(X, Y), 0.25 * dx)
+    f = HydroFields.from_profiles(Grid(nx, nx, dx, dx), 1.0, 1.0, n=1.0,
+                                  vx=-X / r**2, vy=-Y / r**2, c2=0.25)
+    want = marching_squares(f.vx**2 + f.vy**2 - f.c2, x, x)
+    monkeypatch.setattr(geometry, "_BAND_FLOATS", 5 * nx)
+    monkeypatch.setattr(geometry, "_BLOCK_FLOATS", 2 * nx)
+    loops = find_horizon(f)
+    assert len(loops) == len(want) >= 1
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(loops, want))
+
+
+def test_find_horizon_refuses_a_nan_in_the_last_band(monkeypatch):
+    # bands of 8 rows start at rows 0, 7, …, 56: the last holds rows 56–63
+    nx, dx = 64, 0.125
+    x = (np.arange(nx) - nx // 2) * dx
+    vx = np.repeat(np.tanh(x)[:, None], nx, 1)
+    f = HydroFields.from_profiles(Grid(nx, nx, dx, dx), 1.0, 1.0, n=1.0,
+                                  vx=vx, vy=0.0, c2=0.25)
+    assert len(find_horizon(f)) == 2
+    vx[-1, 7] = np.nan
+    monkeypatch.setattr(geometry, "_BAND_FLOATS", 8 * nx)
+    with pytest.raises(NumericalError, match="not finite in rows 56–63"):
+        find_horizon(f)
+
+
 # ---------------------------------------------------------------------------
 # closed form on uniform backgrounds against step-by-step RK4
 
