@@ -12,9 +12,14 @@ where the last (quantum-pressure) term is negligible at scales ≫ ξ; there
 δn follows δθ algebraically and the phase fluctuation satisfies a massless
 Klein-Gordon equation on the acoustic metric
 
-    g_μν = Ω [ [−(c_ex² − v₀·v₀), −v₀ᵀ], [−v₀, 𝟙] ],    Ω = n/(m c_ex),
+    g_μν = Ω [ [−(c_ex² − v₀·v₀), −v₀ᵀ], [−v₀, 𝟙] ],    Ω = (n/(m c_ex))²,
 
-with line element ds² = Ω[−c_ex²dt² + (dr − v₀dt)²].  Points with
+with line element ds² = Ω[−c_ex²dt² + (dr − v₀dt)²].  The conformal
+factor is that of a fluid in two space dimensions, (n/(m c_ex))^{2/(d−1)} for
+d = 2 (Barceló, Liberati & Visser, "Analogue Gravity", Living Rev.
+Relativ. 14, 3 (2011)): only with it is □δθ = 0 the long-wave limit of
+the equations above, in which the time derivatives carry the weight
+n/(m c_ex²).  Ω keeps the sign of m.  Points with
 c_ex² < 0 (attractive fluid, negative compressibility) carry a Euclidean
 signature and are excluded from wave propagation and horizon analysis
 rather than patched over.  The contour |v₀| = c_ex separates subcritical
@@ -280,7 +285,8 @@ class MetricField:
     """Acoustic metric sampled on the grid.
 
     Stored are the fields the metric is built from (n, c², v), the signed
-    conformal factor Ω = n/(m c_ex) and the signature.  n, c² and v are
+    conformal factor Ω = (n/(m c_ex))·|n/(m c_ex)| of a 2+1-D fluid and
+    the signature.  n, c² and v are
     the arrays of the `HydroFields` the metric was built from, not copies:
     callers treat them as read-only.  Ω and the signature are read-only
     broadcast views when n and c² are (see `build_metric`): perturb a
@@ -360,7 +366,8 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
     access (see `MetricField`).
 
     Per Lorentzian point (c² > 0): g₀₀ = −Ω(c² − v·v), g₀ᵢ = −Ωvᵢ,
-    gᵢⱼ = Ωδᵢⱼ with Ω = n/(m c); the inverse is the closed form
+    gᵢⱼ = Ωδᵢⱼ with Ω = (n/(m c))·|n/(m c)|, the 2+1-D conformal factor
+    with the sign of m; the inverse is the closed form
     g⁰⁰ = −1/(Ωc²), g⁰ᵢ = −vᵢ/(Ωc²), gⁱʲ = (δᵢⱼ − vᵢvⱼ/c²)/Ω.
     c² < 0 points are marked Euclidean and carry NaN tensors (the speed is
     imaginary there; no Lorentzian structure is invented).  c² = 0 or
@@ -389,12 +396,14 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
         signature[~mask[0]] = DEGENERATE
     lz = signature == LORENTZIAN
 
-    # Ω = n/(m c), formed in one buffer; NaN off Lorentzian points
+    # Ω = (n/(m c))·|n/(m c)|, formed in one buffer before it is broadcast
+    # (a broadcast view is read-only); NaN off Lorentzian points
     with np.errstate(divide="ignore", invalid="ignore"):
         conformal = np.where(lz, c20, np.nan)
         np.sqrt(conformal, out=conformal)
         conformal *= m
         np.divide(n0, conformal, out=conformal)
+        conformal *= np.abs(conformal)
 
     if shape != fields.grid.shape:
         signature = np.broadcast_to(signature, fields.grid.shape)

@@ -69,7 +69,7 @@ def kg_coefficients(metric: MetricField):
     Built from the sign-normalized metric |Ω|·[...] (the wave operator is
     invariant under an overall sign flip of g, which occurs for negative
     photon mass), so A < 0 always and C is the usual c²δ − v v quadratic
-    form scaled by √|Ω|/c.
+    form scaled by √|Ω|/c = n/(|m| c²).
     """
     with np.errstate(invalid="ignore"):
         om = np.abs(metric.conformal)

@@ -199,7 +199,8 @@ def test_criterion_08_metric_identities():
     f.vx = rng.uniform(-3, 3, (nx, ny))
     f.vy = rng.uniform(-3, 3, (nx, ny))
     met = build_metric(f)
-    det_closed = -(f.n / (m * np.sqrt(f.c2))) ** 3 * f.c2
+    om = f.n / (m * np.sqrt(f.c2))
+    det_closed = -(om * np.abs(om)) ** 3 * f.c2
     det_generic = np.linalg.det(met.g.reshape(-1, 3, 3)).reshape(nx, ny)
     det_dev = float(np.max(np.abs(det_generic - det_closed)
                            / np.abs(det_closed)))
