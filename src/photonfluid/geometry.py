@@ -15,14 +15,14 @@ Klein-Gordon equation on the acoustic metric
     g_μν = Ω [ [−(c_ex² − v₀·v₀), −v₀ᵀ], [−v₀, 𝟙] ],    Ω = (n/(m c_ex))²,
 
 with line element ds² = Ω[−c_ex²dt² + (dr − v₀dt)²].  The conformal
-factor is that of a fluid in two space dimensions, (n/(m c_ex))^{2/(d−1)} for
-d = 2 (Barceló, Liberati & Visser, "Analogue Gravity", Living Rev.
+factor is that of a fluid in two space dimensions, (n/(m c_ex))^{2/(d−1)}
+for d = 2 (Barceló, Liberati & Visser, "Analogue Gravity", Living Rev.
 Relativ. 14, 3 (2011)): only with it is □δθ = 0 the long-wave limit of
 the equations above, in which the time derivatives carry the weight
-n/(m c_ex²).  Ω keeps the sign of m.  Points with
-c_ex² < 0 (attractive fluid, negative compressibility) carry a Euclidean
-signature and are excluded from wave propagation and horizon analysis
-rather than patched over.  The contour |v₀| = c_ex separates subcritical
+n/(m c_ex²).  Ω keeps the sign of m.  Points with c_ex² < 0 (attractive
+fluid, negative compressibility) carry a Euclidean signature and are
+excluded from wave propagation and horizon analysis rather than patched
+over.  The contour |v₀| = c_ex separates subcritical
 flow from the superexcitonic region that traps outgoing excitations.
 
 Horizons are traced by marching squares over bands of rows: the case
@@ -286,9 +286,8 @@ class MetricField:
 
     Stored are the fields the metric is built from (n, c², v), the signed
     conformal factor Ω = (n/(m c_ex))·|n/(m c_ex)| of a 2+1-D fluid and
-    the signature.  n, c² and v are
-    the arrays of the `HydroFields` the metric was built from, not copies:
-    callers treat them as read-only.  Ω and the signature are read-only
+    the signature.  n, c² and v are the arrays of the `HydroFields` the
+    metric was built from, not copies: callers treat them as read-only.  Ω and the signature are read-only
     broadcast views when n and c² are (see `build_metric`): perturb a
     copy, as `HydroFields.from_profiles` says.
     det g follows the closed form det g = −Ω³c².  For negative photon mass
@@ -514,6 +513,7 @@ def marching_squares(F, x: np.ndarray, y: np.ndarray, level: float = 0.0):
     nx, ny = shape
     rows = max(2, _BAND_FLOATS // max(ny, 1))
     found = []                  # (ci, cj, case, corners) of each band
+    # one band at least, so a one-row F is checked and has no cells
     for i0 in range(0, max(nx - 1, 1), rows - 1):
         band = np.asarray(F[i0:i0 + rows], float)
         if level:
@@ -543,9 +543,8 @@ def marching_squares(F, x: np.ndarray, y: np.ndarray, level: float = 0.0):
                        cj[:, None, None] + _CORNER_COLS]
         ci += i0
         found.append((ci, cj, case, corners))
-        del band
+        del band                # freed before the next band is formed
     ci, cj, case, corners = (np.concatenate(parts) for parts in zip(*found))
-    del found
     points = _segment_points(corners, x, y, ci, cj, case)
 
     # keys as floats: a coordinate of 9.2e9 or more overflows int64 keys
@@ -575,10 +574,10 @@ def _segment_points(corners, x, y, ci, cj, case) -> np.ndarray:
     second[1:] = cell[1:] == cell[:-1]
     edge = _SEGMENTS[case[cell], second].ravel()
     a0, b0, a1, b1 = _EDGE_CORNERS[edge].T
-    end = np.repeat(cell, 2)
-    i, j = ci[end], cj[end]
-    f0 = corners[end, a0, b0]
-    t = f0 / (f0 - corners[end, a1, b1])
+    vertex_cell = np.repeat(cell, 2)
+    i, j = ci[vertex_cell], cj[vertex_cell]
+    f0 = corners[vertex_cell, a0, b0]
+    t = f0 / (f0 - corners[vertex_cell, a1, b1])
     points = np.empty((len(edge), 2))
     points[:, 0] = x[i + a0] + t * (x[i + a1] - x[i + a0])
     points[:, 1] = y[j + b0] + t * (y[j + b1] - y[j + b0])

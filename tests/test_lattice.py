@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from photonfluid.errors import StepSizeError
+from photonfluid.elimination import KernelParams, kerr_coupling
+from photonfluid.errors import PhysicsGateError, StepSizeError
 from photonfluid.fluid import ComplexField2D, Grid
 from photonfluid.lattice import (
     LatticeParams,
@@ -214,6 +215,38 @@ def test_continuum_error_refuses_zero_hopping():
     fld = ComplexField2D(Grid(8, 8, 1.0, 1.0), np.ones((8, 8), complex))
     with pytest.raises(ValueError, match="J = 0"):
         continuum_error(s, fld, p, 1.0)
+
+
+def test_continuum_error_takes_the_eliminated_coupling(monkeypatch):
+    # g′ ≠ 0: the continuum 𝒢 is `kerr_coupling` at energy damping 2γ_eff,
+    # −2g′²ω_m/(γ_eff² + ω_m²); unstable mechanics (ω_m ≤ 0) is refused
+    # before the lattice is stepped
+    from photonfluid import lattice
+
+    seen = []
+
+    def coupling(k):
+        seen.append(k)
+        return kerr_coupling(k)
+
+    monkeypatch.setattr(lattice, "kerr_coupling", coupling)
+    a = np.ones((8, 8), complex)
+    fld = ComplexField2D(Grid(8, 8, 1.0, 1.0), a.copy())
+    for convention, gamma_eff in (("literal", 0.4), ("half", 0.2)):
+        p = make_params(Nx=8, Ny=8, omega_c=1.0, gamma=0.4, g_prime=0.05,
+                        damping_convention=convention)
+        continuum_error(LatticeState(a.copy(), np.zeros_like(a)), fld, p, 0.5)
+        assert seen[-1] == KernelParams(1.0, 2 * gamma_eff, 0.05)
+        assert kerr_coupling(seen[-1]) == pytest.approx(
+            -2 * 0.05**2 * 1.0 / (gamma_eff**2 + 1.0), rel=1e-14)
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("the lattice was stepped")
+
+    monkeypatch.setattr(lattice, "step_lattice", no_stepping)
+    p = make_params(Nx=8, Ny=8, omega_m=-0.1, g_prime=0.05)
+    with pytest.raises(PhysicsGateError, match="omega_m"):
+        continuum_error(LatticeState(a.copy(), np.zeros_like(a)), fld, p, 0.5)
 
 
 def test_continuum_error_taylor_scaling():
