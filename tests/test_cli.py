@@ -291,7 +291,9 @@ def test_metric_stage_peak_memory(tmp_path):
     # in one uint8 buffer and frees its per-cell arrays before chaining,
     # while up to two writer threads each hold a 64 KB conversion buffer;
     # F is now formed a row band at a time, but at 256^2 one band of 2^16
-    # floats is the whole grid, so the peak stays near one F
+    # floats is the whole grid, so the peak stays near one F: 3.85 (3.68
+    # with one CPU) where the whole-grid F read 4.02 (3.86), each measured
+    # alone in a fresh process
     cfg = write_cfg(tmp_path, METRIC_CFG)
     tracemalloc.start()
     try:
@@ -509,8 +511,9 @@ def test_kg_stage_peak_memory(tmp_path):
     # sample; 36.7 once each trace row is built as the run records; 33.6
     # now that spectral results own their real buffers instead of keeping
     # the complex transform alive; 28.5 since RK4 sums its stages as they
-    # come and drops each once it is used; the second run is counted,
-    # after the first has made the lazy imports
+    # come and drops each once it is used (32.5 before, both measured
+    # alone in a fresh process); the second run is counted, after the
+    # first has made the lazy imports
     cfg = write_cfg(tmp_path, """
 [run]
 stage = kg
