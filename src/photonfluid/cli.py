@@ -66,8 +66,8 @@ from .elimination import KernelParams, kerr_coupling, memory_kernel, \
     memory_kernel_inf, validate_elimination
 from .errors import ConfigError, PhotonFluidError, PhysicsGateError
 from .fieldio import write_bytes, write_field
-from .fluid import ComplexField2D, FluidParams, Grid, evolve, gp_energy, \
-    ground_state, spectral_d, split_step_cfl, uniform_background
+from .fluid import ComplexField2D, FluidParams, Grid, _step_count, evolve, \
+    gp_energy, ground_state, spectral_d, split_step_cfl, uniform_background
 from .geometry import DEGENERATE, EUCLIDEAN, LORENTZIAN, HydroFields, \
     _BLOCK_FLOATS, _unbroadcast, build_metric, find_horizon, healing_length
 from .kgwave import center_of_energy, crosscheck_kg_vs_nlse, kg_energy, \
@@ -301,7 +301,7 @@ def run_lattice(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
         state.a[:] = sec["amplitude"]
     rate = max(abs(p.omega_c) + 4 * abs(p.J), abs(p.omega_m), 1e-12)
     dt = sec["dt"] or 0.05 / rate
-    steps = max(1, int(np.ceil(sec["t_final"] / dt)))
+    steps = _from_config(_step_count, sec["t_final"], dt)
     state = step_lattice(state, p, sec["t_final"] / steps, steps=steps,
                          force=force)
 
@@ -517,7 +517,7 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     thx = spectral_d(th0, kx)
     u0 = -(fields.vx + np.sqrt(fields.c2)) * thx   # launch on the v+c branch
     dt = sec["dt"] or 0.8 * sonic_cfl_dt(metric)
-    steps = max(1, int(np.ceil(sec["t_final"] / dt)))
+    steps = _from_config(_step_count, sec["t_final"], dt)
     dt = sec["t_final"] / steps
     rows = []
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .constants import C, HBAR
 from .errors import PhysicsGateError
+from .fluid import _step_count
 
 __all__ = [
     "KernelParams",
@@ -171,7 +172,7 @@ def validate_elimination(
         raise ValueError("gamma must be positive for elimination")
     if dt is None:
         dt = min(0.02 / max(abs(k.omega_m), 1e-12), 0.1 / k.gamma)
-    n_steps = int(np.ceil(t_final / dt))
+    n_steps = _step_count(t_final, dt)
     dt = t_final / n_steps
     sample_every = max(1, n_steps // 4000)
     steps = np.arange(0, n_steps + 1, sample_every)

@@ -52,7 +52,11 @@ The module also holds the numerical kernels every linear stage of the
 package shares: `spectral_d` is the spectral derivative of a real field
 along one of `Grid.k()`'s wavenumber grids; `rk4` is the one classical RK4
 integrator (with a per-step finiteness check) and `rk4_power` its closed
-form for constant-coefficient systems.
+form for constant-coefficient systems.  `_linear_steps` is the one driver
+of the four linear steppers (`linearized_step`, `hydro_linear_step`,
+`kg_evolve`, `step_lattice`): each hands it either its right-hand side or
+its symbol, and its docstring holds their stretch, record, power-cache and
+blow-up contract.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from __future__ import annotations
 import contextvars
 import os
 from dataclasses import dataclass, field as _field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -191,21 +195,69 @@ def _check_counts(steps: int, record_every: int = 0) -> None:
         raise ValueError(f"record_every must be >= 0, got {record_every}")
 
 
-def _stretches(advance, y: tuple, steps: int, record, record_every: int) -> tuple:
-    """The record contract of the sampled steppers: steps 1 … `steps` of
-    the state tuple `y` go by `advance(y, first, last)` (steps first+1 …
-    last) in stretches that end at each positive multiple of
-    `record_every`, each followed by `record(step, *y)`.  Step 0 and a
-    partial last stretch are not recorded."""
+def _step_count(t: float, dt: float) -> int:
+    """Steps of size about `dt` that cover a time `t`: ⌈t/dt⌉, at least
+    one.  A non-finite t/dt (a dt so small that t/dt overflows, a zero dt,
+    a NaN) is refused with `ValueError`."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.divide(t, dt)
+    if not np.isfinite(ratio):
+        raise ValueError(f"step count t/dt = {t!r}/{dt!r} is not finite")
+    return max(1, int(np.ceil(ratio)))
+
+
+def _linear_steps(y: tuple, steps: int, dt: float, what: str, power=None,
+                  apply=None, rhs=None, record=None,
+                  record_every: int = 0) -> tuple:
+    """Steps 1 … `steps` of size `dt` of a linear description's state
+    tuple `y`: the one stepping core of `linearized_step`,
+    `geometry.hydro_linear_step`, `kgwave.kg_evolve` and
+    `lattice.step_lattice`.
+
+    A description is passed either as its general right-hand side `rhs`,
+    whose steps are taken by `rk4` (which names the first step that leaves
+    the finite range, "<what> non-finite at step <s>"), or as its
+    constant-coefficient symbol: `power(n)` is the n-step RK4 propagator
+    (a `rk4_power` of the generators) and `apply(P, y)` advances the state
+    by such a propagator.  A power is formed once per distinct stretch
+    length and never for an empty run, and a stretch that leaves the
+    finite range raises `NumericalError("<what> non-finite after <last>
+    steps")`, naming the last step of that stretch.
+
+    The steps go in stretches that end at each positive multiple of
+    `record_every` when `record` is given, each followed by
+    `record(step, *y)` with the live state; step 0 and a partial last
+    stretch are not recorded.  So a stepper's set-up runs once per call,
+    and a sampled run equals one call per stretch bit for bit.  Returns
+    the state tuple, `y` itself when `steps` is 0.
+    """
+    if rhs is None:
+        power = cache(power)    # a sampled run repeats one stride
     every = record_every if record is not None else 0
     step = 0
     while step < steps:
         last = min(step + every, steps) if every else steps
-        y = advance(y, step, last)
+        if rhs is not None:
+            y = rk4(rhs, y, dt, step, last, what)
+        else:
+            y = apply(power(last - step), y)
+            if not all(np.isfinite(a).all() for a in y):
+                raise NumericalError(f"{what} non-finite after {last} steps")
         step = last
         if every and step % every == 0:
             record(step, *y)
     return y
+
+
+def _apply_real_pair(p, y: tuple) -> tuple:
+    """(a, b) ← ifft2(P · (fft2 a, fft2 b)) for a pair of real fields and
+    the four entry arrays P = (p00, p01, p10, p11) of per-mode 2×2
+    propagators; each result is an owned real copy, since a real view
+    would keep the complex transform alive."""
+    p00, p01, p10, p11 = p
+    ak, bk = np.fft.fft2(y[0]), np.fft.fft2(y[1])
+    return (np.fft.ifft2(p00 * ak + p01 * bk).real.copy(),
+            np.fft.ifft2(p10 * ak + p11 * bk).real.copy())
 
 
 @dataclass
@@ -679,8 +731,8 @@ def rk4_power(z, steps: int):
     multiplies y by R, so R^steps advances a constant-coefficient linear
     system by `steps` steps, equal to stepping up to roundoff: the RK4
     polynomial stands where an exponential integrator would put exp(Z).
-    R is raised to `steps` (>= 1; callers leave the state as it is for
-    fewer) by binary powering in numpy arithmetic, so an unstable mode
+    R is raised to `steps` (>= 1; `_linear_steps` forms no power for an
+    empty run) by binary powering in numpy arithmetic, so an unstable mode
     overflows to inf for the caller's finiteness check and a decayed one
     underflows to zero.
     """
@@ -724,8 +776,7 @@ def linearized_step(
 ) -> ComplexField2D:
     """Advance the relative fluctuation φ on a stationary background Ψ₀.
 
-    RK4 in time (`rk4`, which names the first step that leaves the finite
-    range), spectral derivatives in space.  The background enters
+    RK4 in time, spectral derivatives in space.  The background enters
     through n = |Ψ₀|² and ∇Ψ₀/Ψ₀, so Ψ₀ must stay clear of zeros; fields
     with nodes or vortex cores belong to the masked-region machinery of
     the geometry layer, not here.
@@ -738,12 +789,10 @@ def linearized_step(
 
     `record(step, field)` is invoked every `record_every` steps with the
     state after that step; a negative `steps` or `record_every` is refused
-    with `ValueError`.  The background set-up runs once per call and the
-    steps go in stretches that end at each record step (`_stretches`), so
-    a sampled run equals one call per stretch bit for bit; the closed form
-    raises its matrix to each distinct stretch length once, and every
-    stretch checks the field for finiteness.  The field shares the live
-    buffer of the evolution: copy whatever is kept beyond the call.
+    with `ValueError`.  The background set-up runs once per call; the
+    stretches, the record steps, the matrix powers and the blow-up report
+    are those of `_linear_steps`.  The field shares the live buffer of the
+    evolution: copy whatever is kept beyond the call.
     """
     _check_counts(steps, record_every)
     amp = np.abs(psi0.data)
@@ -762,7 +811,8 @@ def linearized_step(
     inv2m = 1.0 / (2.0 * p.m)
     invm = 1.0 / p.m
 
-    if steps > 0 and is_uniform(gx, gy) and is_uniform(nG):
+    power = apply = rhs = None
+    if is_uniform(gx, gy) and is_uniform(nG):
         # dφ/dt = ifft2(kmul·fft2 φ) − ic(φ + φ*): with a = fft2 φ and
         # b_k = a*_{−k}, d(a, b)_k/dt = M_k (a, b)_k for each wavevector
         kmul = 1j * (inv2m * (-k2) + invm * (gx.flat[0] * 1j * kx
@@ -772,19 +822,13 @@ def linearized_step(
             (-np.arange(grid.ny) % grid.ny)[None, :]
         zc = dt * 1j * c
         z = (dt * kmul - zc, -zc, zc, dt * np.conj(kmul[neg]) + zc)
-        powers = {}     # a sampled run repeats one stride
 
-        def advance(y, first, last):
-            n = last - first
-            if n not in powers:
-                powers[n] = rk4_power(z, n)[:2]
-            p00, p01 = powers[n]
+        def power(n):
+            return rk4_power(z, n)[:2]
+
+        def apply(pw, y):
             a = np.fft.fft2(y[0])
-            f = np.fft.ifft2(p00 * a + p01 * np.conj(a[neg]))
-            if not np.all(np.isfinite(f)):
-                raise NumericalError(
-                    f"fluctuation field non-finite after {last} steps")
-            return (f,)
+            return (np.fft.ifft2(pw[0] * a + pw[1] * np.conj(a[neg])),)
     else:
         def rhs(phi):
             phik = np.fft.fft2(phi)
@@ -794,14 +838,12 @@ def linearized_step(
             return (1j * (inv2m * lap + invm * (gx * dxphi + gy * dyphi))
                     - 1j * nG * (phi + np.conj(phi)),)
 
-        def advance(y, first, last):
-            return rk4(rhs, y, dt, first, last, "fluctuation field")
-
     def emit(step, f):
         record(step, ComplexField2D(dphi.grid, f, dict(dphi.meta)))
 
-    (f,) = _stretches(advance, (dphi.copy().data,), steps,
-                      None if record is None else emit, record_every)
+    (f,) = _linear_steps((dphi.copy().data,), steps, dt, "fluctuation field",
+                         power, apply, rhs,
+                         None if record is None else emit, record_every)
     return ComplexField2D(dphi.grid, f, dict(dphi.meta))
 
 

@@ -41,8 +41,9 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .errors import NumericalError, PhysicsGateError, StepSizeError
-from .fluid import (ComplexField2D, FluidParams, Grid, _check_counts,
-                    is_uniform, rk4, rk4_power, spectral_d)
+from .fluid import (ComplexField2D, FluidParams, Grid, _apply_real_pair,
+                    _check_counts, _linear_steps, is_uniform, rk4_power,
+                    spectral_d)
 from .unwrap import unwrap_least_squares
 
 __all__ = [
@@ -135,16 +136,16 @@ class HydroFields:
     @classmethod
     def from_field(cls, psi: ComplexField2D, p: FluidParams) -> "HydroFields":
         """Madelung-decompose a mean field; v₀ = ∇θ/m by finite differences
-        of the unwrapped phase."""
+        of the unwrapped phase and c² = n𝒢/m.  A non-finite profile (a c²
+        that overflows at a tiny mass, say) raises `NumericalError`, as in
+        `from_profiles`."""
         md = madelung(psi)
         gx, gy = np.gradient(md.theta, psi.grid.dx, psi.grid.dy)
-        c2 = md.n * p.G_kerr / p.m
-        return cls(
-            grid=psi.grid, m=p.m, G=p.G_kerr,
-            n=md.n, vx=gx / p.m, vy=gy / p.m, c2=c2,
-            theta=md.theta, mask=md.mask,
-            meta={"vortices": md.vortices},
-        )
+        fields = cls.from_profiles(psi.grid, p.m, p.G_kerr, n=md.n,
+                                   vx=gx / p.m, vy=gy / p.m)
+        fields.theta, fields.mask = md.theta, md.mask
+        fields.meta = {"vortices": md.vortices}
+        return fields
 
     @classmethod
     def uniform(cls, grid: Grid, m, G, density=1.0, vx=0.0, vy=0.0):
@@ -182,8 +183,7 @@ def hydro_linear_step(
     force: bool = False,
 ):
     """Advance the linearized hydrodynamic pair (δn, δθ) on a stationary
-    background (RK4, spectral derivatives, periodic).  A step that leaves
-    the finite range raises `NumericalError` naming it.
+    background (RK4, spectral derivatives, periodic).
 
     Unless `force`, a dt past RK4's imaginary-axis bound, dt·rate > 2√2,
     is refused with `StepSizeError` before any stepping.  The rate is that
@@ -195,12 +195,13 @@ def hydro_linear_step(
     ∂_t δn = −∇·( v₀ δn + (n/m) ∇δθ )
     ∂_t δθ = −v₀·∇δθ − 𝒢 δn [ + (1/4mn) ∇·( n ∇(δn/n) ) ]
 
-    When n, v₀ and mc²/n are uniform to 1e-12 relative, dt is within the
-    bound and `steps` > 0, every wavevector evolves on its own: (δn_k, δθ_k)
-    is advanced by the 2×2 RK4 amplification matrix raised to `steps`
-    (`rk4_power`), which equals stepping up to roundoff; a non-finite
-    result raises `NumericalError` as well.  A forced run past the bound
-    always steps, so a blow-up is still reported at the step it happens.
+    When n, v₀ and mc²/n are uniform to 1e-12 relative and dt is within
+    the bound, every wavevector evolves on its own: (δn_k, δθ_k) is
+    advanced by the 2×2 RK4 amplification matrix raised to `steps`
+    (`rk4_power`), which equals stepping up to roundoff.  A forced run
+    past the bound always steps, so a blow-up is reported at the step it
+    happens; both paths go through `fluid._linear_steps`, whose docstring
+    holds the blow-up contract.
     The spectral derivative of a real field, real(ifft2(ik·fft2 f)), drops
     the Nyquist row (for ∂ₓ) and column (for ∂ᵧ) of an even side, so k is
     zero there in the closed form as well; an odd side has no Nyquist mode
@@ -225,7 +226,8 @@ def hydro_linear_step(
     # local mc²/n = 𝒢, kept pointwise for generality
     mc2_over_n = np.where(n > 0, m * fields.c2 / n, 0.0)
 
-    if steps > 0 and stable and is_uniform(n) and is_uniform(vx, vy) \
+    power = rhs = None
+    if stable and is_uniform(n) and is_uniform(vx, vy) \
             and is_uniform(mc2_over_n):
         # ∂ of a real field is i·k with the Nyquist row/column dropped
         kx, ky = kx.copy(), ky.copy()
@@ -237,33 +239,28 @@ def hydro_linear_step(
         n0, g = n.flat[0], mc2_over_n.flat[0]
         q = 0.25 / (m * n0) if quantum_pressure else 0.0
         adv = -1j * dt * (vx.flat[0] * kx + vy.flat[0] * ky)
-        p00, p01, p10, p11 = rk4_power(
-            (adv, dt * (n0 / m) * k2, -dt * (g + q * k2), adv), steps)
-        ak = np.fft.fft2(np.asarray(dn, float))
-        tk = np.fft.fft2(np.asarray(dtheta, float))
-        a = np.fft.ifft2(p00 * ak + p01 * tk).real.copy()
-        th = np.fft.ifft2(p10 * ak + p11 * tk).real.copy()
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(th))):
-            raise NumericalError(
-                f"hydro fluctuation non-finite after {steps} steps")
-        return a, th
+        z = (adv, dt * (n0 / m) * k2, -dt * (g + q * k2), adv)
 
-    qp = 0.25 / (m * n) if quantum_pressure else None
+        def power(s):
+            return rk4_power(z, s)
+    else:
+        qp = 0.25 / (m * n) if quantum_pressure else None
 
-    def rhs(a, th):
-        thx, thy = spectral_d(th, kx), spectral_d(th, ky)
-        da = -(spectral_d(vx * a + (n / m) * thx, kx)
-               + spectral_d(vy * a + (n / m) * thy, ky))
-        dth = -(vx * thx + vy * thy) - mc2_over_n * a
-        if qp is not None:
-            r = a / n
-            dth = dth + qp * (spectral_d(n * spectral_d(r, kx), kx)
-                              + spectral_d(n * spectral_d(r, ky), ky))
-        return da, dth
+        def rhs(a, th):
+            thx, thy = spectral_d(th, kx), spectral_d(th, ky)
+            da = -(spectral_d(vx * a + (n / m) * thx, kx)
+                   + spectral_d(vy * a + (n / m) * thy, ky))
+            dth = -(vx * thx + vy * thy) - mc2_over_n * a
+            if qp is not None:
+                r = a / n
+                dth = dth + qp * (spectral_d(n * spectral_d(r, kx), kx)
+                                  + spectral_d(n * spectral_d(r, ky), ky))
+            return da, dth
 
-    return rk4(rhs, (np.asarray(dn, float).copy(),
-                     np.asarray(dtheta, float).copy()),
-               dt, 0, steps, "hydro fluctuation")
+    return _linear_steps((np.asarray(dn, float).copy(),
+                          np.asarray(dtheta, float).copy()),
+                         steps, dt, "hydro fluctuation", power,
+                         _apply_real_pair, rhs)
 
 
 def estimate_density_fluctuation(

@@ -17,13 +17,12 @@ in these coordinates, so horizon-adjacent cells need no special stencil.
 
 On a uniform background (A, Bⁱ and C^{ij} equal everywhere to 1e-12
 relative) and within the CFL bound, every Fourier mode evolves on its own
-and `kg_evolve` applies the powers of its 2×2 RK4 amplification matrix
-instead of stepping; the result equals stepping up to roundoff.
-
-`kg_evolve` samples as `linearized_step` and `evolve` do: it calls
-`record(step, δθ, u)` with the live arrays every `record_every` steps and
-keeps no snapshots, so each caller keeps only what it reads (the `kg`
-stage a trace row, the crosscheck one δθ copy per sample).
+and `kg_evolve` hands `fluid._linear_steps` its per-mode 2×2 symbol
+instead of its right-hand side; the result equals stepping up to
+roundoff.  That driver's docstring holds the stretch, record and blow-up
+contract.  `kg_evolve` keeps no snapshots, so each caller keeps only what
+it reads (the `kg` stage a trace row, the crosscheck one δθ copy per
+sample).
 
 Characteristics travel at dx/dt = v₀ ± c_ex; inside the superexcitonic
 region (|v₀| > c_ex) both branches point downstream and upstream-launched
@@ -37,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PhysicsGateError, StepSizeError
-from .fluid import (ComplexField2D, FluidParams, _check_counts, _stretches,
-                    is_uniform, linearized_step, rk4, rk4_power, spectral_d)
+from .errors import PhysicsGateError, StepSizeError
+from .fluid import (ComplexField2D, FluidParams, _apply_real_pair,
+                    _check_counts, _linear_steps, _step_count, is_uniform,
+                    linearized_step, rk4_power, spectral_d)
 from .geometry import LORENTZIAN, HydroFields, MetricField, build_metric
 
 __all__ = [
@@ -180,18 +180,18 @@ def kg_evolve(
     """Integrate □δθ = 0 on a static, everywhere-Lorentzian metric.
 
     RK4 on (δθ, u); refuses CFL violations (dt > ½ min(dx,dy)/max(c+|v|))
-    unless forced, a negative `steps` or `record_every` with `ValueError`,
-    and aborts with the step index if the field leaves the finite range.
-    `record(step, dtheta, dtheta_dot)` is invoked every `record_every`
-    steps, not at step 0 nor after a partial last stretch, with the live
-    arrays of the run: copy whatever is kept beyond the call.
+    unless forced and a negative `steps` or `record_every` with
+    `ValueError`.  `record(step, dtheta, dtheta_dot)` is invoked every
+    `record_every` steps with the live arrays of the run: copy whatever is
+    kept beyond the call.  The stretches, the record steps, the matrix
+    powers and the blow-up report are those of `fluid._linear_steps`.
 
-    When the coefficients are uniform to 1e-12 relative, dt is within the
-    CFL bound and `steps` > 0, the steps are applied in closed form: each
-    Fourier mode (δθ_k, u_k) is multiplied by a power of its 2×2 RK4
-    amplification matrix (`rk4_power`), once per stretch between records.
-    This equals stepping up to roundoff.  A forced run past the CFL bound
-    always steps, so a blow-up is still reported at the step it happens.
+    When the coefficients are uniform to 1e-12 relative and dt is within
+    the CFL bound, the steps are applied in closed form: each Fourier mode
+    (δθ_k, u_k) is multiplied by a power of its 2×2 RK4 amplification
+    matrix (`_kg_symbol`, `rk4_power`), which equals stepping up to
+    roundoff.  A forced run past the CFL bound always steps, so a blow-up
+    is still reported at the step it happens.
     """
     _check_counts(steps, record_every)
     if np.any(metric.signature != LORENTZIAN):
@@ -203,9 +203,12 @@ def kg_evolve(
         raise StepSizeError(f"CFL violation: dt = {dt:.3g} > {dt_max:.3g}")
 
     coeffs = kg_coefficients(metric)
-    if steps > 0 and dt <= dt_max and is_uniform(*coeffs):
-        advance = _kg_mode_propagator(metric, dt,
-                                      *(f.flat[0] for f in coeffs))
+    power = rhs = None
+    if dt <= dt_max and is_uniform(*coeffs):
+        z = _kg_symbol(metric.grid, dt, *(f.flat[0] for f in coeffs))
+
+        def power(n):
+            return rk4_power(z, n)
     else:
         inv_negA = 1.0 / (-coeffs[0])
         grid = metric.grid
@@ -213,47 +216,26 @@ def kg_evolve(
         def rhs(th, u):
             return u, inv_negA * _flux(th, u, coeffs, grid)
 
-        def advance(y, first, last):
-            return rk4(rhs, y, dt, first, last, "Klein-Gordon field")
-
-    th, u = _stretches(advance, (np.asarray(dtheta0, float).copy(),
-                                 np.asarray(dtheta_dot0, float).copy()),
-                       steps, record, record_every)
+    th, u = _linear_steps((np.asarray(dtheta0, float).copy(),
+                           np.asarray(dtheta_dot0, float).copy()),
+                          steps, dt, "Klein-Gordon field", power,
+                          _apply_real_pair, rhs, record, record_every)
     return KGResult(dtheta=th, dtheta_dot=u, t=steps * dt)
 
 
-def _kg_mode_propagator(metric: MetricField, dt, A, Bx, By, Cxx, Cxy, Cyy):
-    """RK4 steps of `kg_evolve` on uniform coefficients, mode by mode.
+def _kg_symbol(grid, dt, A, Bx, By, Cxx, Cxy, Cyy) -> tuple:
+    """The generators dt·M_k of `kg_evolve` on uniform coefficients, as the
+    four entry arrays of one 2×2 matrix per mode.
 
     The centred `np.roll` difference has the symbol S = i·sin(k·dx)/dx, so
     (δθ_k, u_k) obeys d/dt (δθ, u) = [[0, 1], [C_k/(−A), 2B_k/(−A)]] (δθ, u)
-    with B_k = BⁱSᵢ and C_k = C^{ij}SᵢSⱼ, and each RK4 step multiplies it
-    by one 2×2 amplification matrix.  Returns `advance((θ, u), first, last)`,
-    which applies steps first+1 … last as that matrix's power.
+    with B_k = BⁱSᵢ and C_k = C^{ij}SᵢSⱼ.
     """
-    grid = metric.grid
     sx = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(grid.nx))[:, None] / grid.dx
     sy = 1j * np.sin(2.0 * np.pi * np.fft.fftfreq(grid.ny))[None, :] / grid.dy
-    z = (0.0, dt,
-         (dt / -A) * (Cxx * sx * sx + 2.0 * Cxy * sx * sy + Cyy * sy * sy),
-         (2.0 * dt / -A) * (Bx * sx + By * sy))
-    powers = {}     # a sampled run repeats one stride
-
-    def advance(y, first, last):
-        th, u = y
-        n = last - first
-        if n not in powers:
-            powers[n] = rk4_power(z, n)
-        p00, p01, p10, p11 = powers[n]
-        thk, uk = np.fft.fft2(th), np.fft.fft2(u)
-        # owned real copies: a real view would keep the complex result alive
-        th = np.fft.ifft2(p00 * thk + p01 * uk).real.copy()
-        u = np.fft.ifft2(p10 * thk + p11 * uk).real.copy()
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(u))):
-            raise NumericalError(f"Klein-Gordon field non-finite at step {last}")
-        return th, u
-
-    return advance
+    return (0.0, dt,
+            (dt / -A) * (Cxx * sx * sx + 2.0 * Cxy * sx * sy + Cyy * sy * sy),
+            (2.0 * dt / -A) * (Bx * sx + By * sy))
 
 
 @dataclass
@@ -323,8 +305,8 @@ def crosscheck_kg_vs_nlse(
     )
 
     t_s = t_final / n_samples
-    n_kg = max(1, int(np.ceil(t_s / dt_kg)))
-    n_nl = max(1, int(np.ceil(t_s / dt_nl)))
+    n_kg = _step_count(t_s, dt_kg)
+    n_nl = _step_count(t_s, dt_nl)
     kg_th = []      # δθ at sample times 1 … n_samples
     res = kg_evolve(dtheta0, u0, metric, t_s / n_kg, n_samples * n_kg,
                     record=lambda step, th, u: kg_th.append(th.copy()),

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field as _field
 import numpy as np
 
 from .elimination import KernelParams, kerr_coupling
-from .errors import NumericalError, StepSizeError
-from .fluid import (ComplexField2D, FluidParams, _check_counts, evolve, rk4,
-                    rk4_power)
+from .errors import StepSizeError
+from .fluid import (ComplexField2D, FluidParams, _check_counts, _linear_steps,
+                    _step_count, evolve, rk4_power)
 
 __all__ = [
     "LatticeParams",
@@ -132,8 +132,8 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
     """Advance the mean-field lattice by `steps` RK4 steps of size `dt`.
 
     Refuses dt·max(|ω_c| + 4|J|, ω_m) > 0.1 unless forced and a negative
-    `steps` with `ValueError`; aborts with the step index if the state
-    leaves the finite range.
+    `steps` with `ValueError`; a state that leaves the finite range is
+    reported as `fluid._linear_steps` says.
 
     With g′ = 0 the optical and mechanical modes decouple and the lattice
     is linear and translation-invariant: every Bloch wave of `a` is an
@@ -153,25 +153,28 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
     cb = 1j * p.omega_m + p.gamma_eff
     gp, J = p.g_prime, p.J
 
-    if gp == 0.0 and steps > 0:
+    power = apply = rhs = None
+    if gp == 0.0:
         ki = 2.0 * np.pi * np.arange(p.Nx)[:, None] / p.Nx
         kj = 2.0 * np.pi * np.arange(p.Ny)[None, :] / p.Ny
-        lam_a = -1j * lattice_dispersion(ki, kj, p.omega_c, J) - p.kappa_eff
-        # decayed modes underflow to zero, which is the right answer
-        with np.errstate(under="ignore"):
-            a = np.fft.ifft2(rk4_power(dt * lam_a, steps) * np.fft.fft2(s.a))
-            b = rk4_power(-dt * cb, steps) * s.b
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise NumericalError(
-                f"lattice state non-finite after {steps} steps")
-        return LatticeState(a, b, s.t + steps * dt, dict(s.meta))
+        za = dt * (-1j * lattice_dispersion(ki, kj, p.omega_c, J) - p.kappa_eff)
+        zb = -dt * cb
 
-    def rhs(a, b):
-        da = -ca * a + 1j * gp * (2.0 * b.real) * a - 1j * J * _neighbor_sum(a)
-        db = -cb * b + 1j * gp * (a.real**2 + a.imag**2)
-        return da, db
+        def power(n):
+            return rk4_power(za, n), rk4_power(zb, n)
 
-    a, b = rk4(rhs, (s.a.copy(), s.b.copy()), dt, 0, steps, "lattice state")
+        def apply(pw, y):
+            # decayed modes underflow to zero, which is the right answer
+            with np.errstate(under="ignore"):
+                return np.fft.ifft2(pw[0] * np.fft.fft2(y[0])), pw[1] * y[1]
+    else:
+        def rhs(a, b):
+            da = -ca * a + 1j * gp * (2.0 * b.real) * a - 1j * J * _neighbor_sum(a)
+            db = -cb * b + 1j * gp * (a.real**2 + a.imag**2)
+            return da, db
+
+    a, b = _linear_steps((s.a.copy(), s.b.copy()), steps, dt, "lattice state",
+                         power, apply, rhs)
     return LatticeState(a, b, s.t + steps * dt, dict(s.meta))
 
 
@@ -244,7 +247,7 @@ def continuum_error(
     rate = max(abs(p.omega_c) + 4.0 * abs(p.J), abs(p.omega_m), 1e-12)
     if dt_lattice is None:
         dt_lattice = 0.05 / rate
-    n_lat = max(1, int(np.ceil(t_final / dt_lattice)))
+    n_lat = _step_count(t_final, dt_lattice)
     lat = step_lattice(lattice, p, t_final / n_lat, steps=n_lat, force=force)
 
     fp = FluidParams(m=m_dyn, G_kerr=G_eff, V=v_tilde)
@@ -258,7 +261,7 @@ def continuum_error(
                 abs(v_tilde) + abs(G_eff) * float(np.max(np.abs(nlse_field.data)) ** 2),
                 1e-12,
             )
-        n_con = max(1, int(np.ceil(t_final / dt_nlse)))
+        n_con = _step_count(t_final, dt_nlse)
     con = evolve(nlse_field, fp, t_final / n_con, n_con, force=True)
     # undo the bookkept uniform-offset phase so both carry the full phase
     con_data = con.data * np.exp(-1j * con.meta.get("phase_offset", 0.0))

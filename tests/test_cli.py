@@ -1033,6 +1033,16 @@ def _edited_runs(draw):
 # each of these ran backwards in time
 @example(("lattice", [(("lattice", "t_final"), -1)]))
 @example(("kg-mode", [(("kg", "t_final"), -1)]))
+# a step count t/dt that overflows (an OverflowError at int()) or, with
+# no floor of one step, vanishes (a ZeroDivisionError at t/0)
+@example(("kernel", [(("kernel", "dt"), 1e-320)]))
+@example(("lattice", [(("lattice", "dt"), 1e-320)]))
+@example(("kg-mode", [(("kg", "dt"), 1e-320)]))
+@example(("kg-mode", [(("grid", "dx"), 1e-320), (("grid", "dy"), 1e-320)]))
+@example(("kernel", [(("kernel", "t_final"), 1e-300),
+                     (("kernel", "dt"), 1e300)]))
+# c² = n𝒢/m overflows: `write_field` refused the non-finite field
+@example(("metric", [(("metric", "source"), "nlse"), (("nlse", "m"), 1e-320)]))
 # a sweep through the gates of the chain, and one through a rule
 @example(("pipeline", [], (("kernel", "g"), -1, 0.5, 3)))
 @example(("kernel", [], (("kernel", "gamma"), 2, -1, 3)))

@@ -978,6 +978,45 @@ def test_rk4_loops_name_the_first_non_finite_step(stage):
     assert all(np.all(np.isfinite(a)) for a in before)
 
 
+@pytest.mark.parametrize("run, every", [("linearized_step", 0),
+                                        ("linearized_step", 7),
+                                        ("step_lattice", 0)])
+def test_closed_forms_name_the_last_step_of_the_stretch_that_blew_up(
+        run, every, monkeypatch):
+    # a uniform background has no step-size refusal, and the uncoupled
+    # lattice is forced past its bound: both take their closed form, whose
+    # report names the last step of the stretch that left the finite range
+    monkeypatch.setattr(fluid, "rk4", lambda *a: pytest.fail("RK4 loop"))
+    rng = np.random.default_rng(3)
+    psi0 = uniform_background(Grid(16, 16, 0.5, 0.5))
+    phi = ComplexField2D(psi0.grid, 1e-3 * rng.standard_normal((16, 16)))
+    lp = LatticeParams(Nx=8, Ny=8, h=1.0, omega_c=0.0, omega_m=1.0,
+                       gamma=0.1, kappa=0.0, g_prime=0.0, J=-0.25)
+    records = []
+
+    def record(step, f):
+        assert np.all(np.isfinite(f.data))
+        records.append(step)
+
+    what, call = {
+        "linearized_step": ("fluctuation field", lambda: linearized_step(
+            phi, psi0, FluidParams(m=1.0, G_kerr=1.0), 5.0, steps=100_000,
+            record=record, record_every=every)),
+        "step_lattice": ("lattice state", lambda: step_lattice(
+            LatticeState.bloch(lp, 1, 0), lp, 5.0, 100_000, force=True)),
+    }[run]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError,
+                          match=f"^{what} non-finite after \\d+ steps$") as err:
+        call()
+    step = int(str(err.value).split()[-2])
+    if every:
+        assert records == list(range(every, step, every))
+        assert step == records[-1] + every
+    else:
+        assert records == [] and step == 100_000
+
+
 def test_spectral_stages_reach_numpy_fft(monkeypatch):
     # the benchmark tracer counts FFTs by wrapping numpy.fft.fft2/ifft2; a
     # module that bound them at import would bypass both it and this test

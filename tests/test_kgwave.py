@@ -11,7 +11,7 @@ from photonfluid.errors import NumericalError, PhysicsGateError, StepSizeError
 from photonfluid.fluid import (ComplexField2D, FluidParams, Grid, ground_state,
                                linearized_step, spectral_d, uniform_background)
 from photonfluid.geometry import HydroFields, build_metric, hydro_linear_step
-from photonfluid import kgwave
+from photonfluid import fluid, kgwave
 from photonfluid.kgwave import (
     center_of_energy,
     crosscheck_kg_vs_nlse,
@@ -198,7 +198,7 @@ def test_dalembertian_vanishes_on_the_general_stepper_rhs(monkeypatch):
         rates.append(rhs(*y)[1])
         return y
 
-    monkeypatch.setattr(kgwave, "rk4", one_rhs_call)
+    monkeypatch.setattr(fluid, "rk4", one_rhs_call)
     kg_evolve(th, u, met, 0.5 * sonic_cfl_dt(met), 1)
     (a,) = rates
     residual = dalembertian(th, met, u, a)
