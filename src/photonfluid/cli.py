@@ -496,6 +496,18 @@ def run_metric(cfg: RunConfig, art: Artifacts) -> dict:
     return summary
 
 
+def _mode_seed(grid: Grid, sec) -> tuple[float, np.ndarray]:
+    """The `[kg]` mode seed: k = 2π·mode_mx/(nx·dx) and the phase
+    amplitude·cos(k x) on every row.  A k that overflows (a tiny dx, say)
+    is a config error."""
+    k = 2 * np.pi * sec["mode_mx"] / (grid.nx * grid.dx)
+    if not np.isfinite(k):
+        raise ConfigError(f"kg seed wavenumber 2π·mode_mx/(nx·dx) = {k!r} "
+                          "is not finite")
+    return k, sec["amplitude"] * np.cos(k * grid.x[:, None]) \
+        * np.ones((1, grid.ny))
+
+
 def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     fields = _hydro_fields(cfg)
     metric = build_metric(fields)
@@ -507,8 +519,7 @@ def run_kg(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
     grid = metric.grid
     x = grid.x[:, None]
     if sec["seed"] == "mode":
-        k = 2 * np.pi * sec["mode_mx"] / (grid.nx * grid.dx)
-        th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, grid.ny))
+        _, th0 = _mode_seed(grid, sec)
     else:
         th0 = sec["amplitude"] * np.exp(
             -((x - sec["x_center"]) ** 2) / (2 * sec["sigma"] ** 2)
@@ -590,10 +601,7 @@ def run_pipeline(cfg: RunConfig, art: Artifacts) -> dict:
             raise PhysicsGateError(f"metric {why}: kg stage skipped")
 
         sec = cfg["kg"]
-        grid = psi.grid
-        k = 2 * np.pi * sec["mode_mx"] / (grid.nx * grid.dx)
-        x = grid.x[:, None]
-        th0 = sec["amplitude"] * np.cos(k * x) * np.ones((1, grid.ny))
+        k, th0 = _mode_seed(psi.grid, sec)
         rep = crosscheck_kg_vs_nlse(psi, p, th0,
                                     t_final=2 * np.pi / (derived["c_ex"] * k),
                                     kxi_limit=sec["kxi_limit"])

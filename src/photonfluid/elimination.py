@@ -110,8 +110,8 @@ def memory_kernel_inf(k: KernelParams) -> float:
     return k.omega_m / (k.gamma**2 / 4.0 + k.omega_m**2)
 
 
-def kerr_coupling(k: KernelParams, hbar: float = 1.0) -> float:
-    """Effective photon-photon coupling 𝒢 = −2ħ g² 𝒯(∞).
+def kerr_coupling(k: KernelParams) -> float:
+    """Effective photon-photon coupling 𝒢 = −2g² 𝒯(∞) (ħ = 1).
 
     Strictly non-positive for ω_m > 0 (γ = 0 is accepted as the undamped
     limit of the closed form).  ω_m ≤ 0 means the spring has softened
@@ -121,7 +121,7 @@ def kerr_coupling(k: KernelParams, hbar: float = 1.0) -> float:
         raise PhysicsGateError(
             f"omega_m = {k.omega_m:.3g} <= 0: unstable mechanics, no Kerr limit"
         )
-    return -2.0 * hbar * k.g**2 * memory_kernel_inf(k)
+    return -2.0 * k.g**2 * memory_kernel_inf(k)
 
 
 @dataclass

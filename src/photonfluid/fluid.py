@@ -289,9 +289,8 @@ class ComplexField2D:
         return ComplexField2D(self.grid, self.data.copy(), dict(self.meta))
 
     @classmethod
-    def filled(cls, grid: Grid, value=0.0, meta=None):
-        return cls(grid, np.full(grid.shape, value, dtype=np.complex128),
-                   meta or {})
+    def filled(cls, grid: Grid, value=0.0):
+        return cls(grid, np.full(grid.shape, value, dtype=np.complex128))
 
 
 @dataclass
@@ -630,18 +629,17 @@ class CollapseError(ConvergenceError):
         )
 
 
-def ground_state(
-    p: FluidParams,
-    n_total: float,
-    grid: Grid,
-    dtau: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-) -> ComplexField2D:
+# imaginary-time steps `ground_state` takes before it gives up
+_GS_MAX_ITER = 200_000
+
+
+def ground_state(p: FluidParams, n_total: float, grid: Grid) -> ComplexField2D:
     """Imaginary-time ground state with ∫|Ψ₀|² = n_total.
 
-    Descends the energy with norm restoration each step until the relative
-    energy change per step drops below `tol`.  Negative-mass parameters are
+    Descends the energy with norm restoration each step, at the fixed
+    dτ = 0.25/max(k²ₘₐₓ/2m, |𝒢|n_total/area + max|V| + 1), until the
+    relative energy change per step drops below 1e-10 (read every 10
+    steps, over at most 200 000 steps).  Negative-mass parameters are
     handled through the conjugation map (m, V, 𝒢) → (−m, −V, −𝒢), under
     which Ψ* solves the original equation.  Attractive collapse (density
     piling up until the local healing length falls below the grid) raises
@@ -650,7 +648,7 @@ def ground_state(
     if p.m < 0:
         Vneg = -np.asarray(p.V) if isinstance(p.V, np.ndarray) else -p.V
         conj = FluidParams(m=-p.m, G_kerr=-p.G_kerr, V=Vneg)
-        gs = ground_state(conj, n_total, grid, dtau, tol, max_iter)
+        gs = ground_state(conj, n_total, grid)
         gs.data = np.conj(gs.data)
         return gs
 
@@ -668,10 +666,9 @@ def ground_state(
                           grid.cell_area)
 
     kx2, ky2 = grid.k_squared_axes()
-    if dtau is None:
-        k2max = float(np.max(kx2)) + float(np.max(ky2))
-        dtau = 0.25 / max(k2max / (2 * p.m), abs(p.G_kerr) * n_total
-                          / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
+    k2max = float(np.max(kx2)) + float(np.max(ky2))
+    dtau = 0.25 / max(k2max / (2 * p.m), abs(p.G_kerr) * n_total
+                      / (nx * dx * ny * dy) + float(np.max(np.abs(V))) + 1.0)
     # real, so its own conjugate: the kinetic step's conj(kin)/N as a kx
     # column e^{−dτ kx²/2m}/N and a ky row e^{−dτ ky²/2m}
     kin_x = np.exp(-dtau * kx2 / (2.0 * p.m)) / psi.data.size
@@ -682,7 +679,7 @@ def ground_state(
     peak0 = float(np.max(np.abs(psi.data) ** 2))
     attractive = p.G_kerr < 0
     f = psi.data
-    for it in range(1, max_iter + 1):
+    for it in range(1, _GS_MAX_ITER + 1):
         f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
         _kinetic_step(f, kin_x, kin_y)
         f *= np.exp(-0.5 * dtau * (Vc + p.G_kerr * (f.real**2 + f.imag**2)))
@@ -694,18 +691,19 @@ def ground_state(
             heal = 1.0 / np.sqrt(2.0 * p.m * abs(p.G_kerr) * peak)
             if peak > 25.0 * peak0 and heal < 2.0 * max(dx, dy):
                 raise CollapseError(peak, heal)
-        if it % 10 == 0 or it == max_iter:
+        if it % 10 == 0 or it == _GS_MAX_ITER:
             psi.data = np.ascontiguousarray(f)
             e = gp_energy(psi, p)
             if not np.isfinite(e):
                 raise ConvergenceError("imaginary time diverged (non-finite energy)")
-            if abs(e - e_prev) < tol * max(abs(e), 1e-30) * 10:
+            if abs(e - e_prev) < 1e-10 * max(abs(e), 1e-30) * 10:
                 # per-step change is ~1/10 of the 10-step change
                 psi.data = np.ascontiguousarray(f)
                 return psi
             e_prev = e
     raise ConvergenceError(
-        f"imaginary time did not converge in {max_iter} steps (last E={e_prev:.6e})"
+        f"imaginary time did not converge in {_GS_MAX_ITER} steps "
+        f"(last E={e_prev:.6e})"
     )
 
 
@@ -770,14 +768,14 @@ def linearized_step(
     p: FluidParams,
     dt: float,
     steps: int = 1,
-    floor_rel: float = 1e-10,
     record=None,
     record_every: int = 0,
 ) -> ComplexField2D:
     """Advance the relative fluctuation φ on a stationary background Ψ₀.
 
     RK4 in time, spectral derivatives in space.  The background enters
-    through n = |Ψ₀|² and ∇Ψ₀/Ψ₀, so Ψ₀ must stay clear of zeros; fields
+    through n = |Ψ₀|² and ∇Ψ₀/Ψ₀, so Ψ₀ must stay clear of zeros (a
+    min|Ψ₀| below 1e-10·max|Ψ₀| is refused with `ValueError`); fields
     with nodes or vortex cores belong to the masked-region machinery of
     the geometry layer, not here.
 
@@ -796,7 +794,7 @@ def linearized_step(
     """
     _check_counts(steps, record_every)
     amp = np.abs(psi0.data)
-    if float(np.min(amp)) < floor_rel * float(np.max(amp)):
+    if float(np.min(amp)) < 1e-10 * float(np.max(amp)):
         raise ValueError(
             "background amplitude has (near-)zeros; use the geometry module's "
             "masked-region handling for fields with nodes or vortex cores"
@@ -908,9 +906,6 @@ def measure_dispersion(
     p: FluidParams,
     k_list,
     periods: float = 16.0,
-    samples_per_period: int = 24,
-    amplitude: float = 1e-4,
-    dt: float | None = None,
 ) -> list[MeasuredMode]:
     """Measure ω(k) by seeding each mode and peak-fitting its spectrum.
 
@@ -919,17 +914,18 @@ def measure_dispersion(
     peak (parabolically interpolated) gives ω.  Exponential growth is
     detected first and reported as a positive imaginary frequency
     (modulational instability of attractive backgrounds).  Each k is one
-    `linearized_step` call that records the projection every stride.
+    `linearized_step` call, seeded with a cosine of amplitude 1e-4 and
+    stepped at dt = 1/λ (λ the operator's spectral-radius bound), that
+    records the projection every stride, about 24 times per period.
     """
     n = float(np.mean(np.abs(psi0.data) ** 2))
     x = psi0.grid.x
     area = psi0.data.size
-    if dt is None:
-        # spectral-radius bound of the linearized operator; RK4 is stable to
-        # |λ|dt ≈ 2.8 and the seeded mode itself sits far below the bound
-        lam = float(np.max(psi0.grid.k_squared())) / (2 * abs(p.m)) \
-            + 2.0 * abs(n * p.G_kerr)
-        dt = 1.0 / lam
+    # spectral-radius bound of the linearized operator; RK4 is stable to
+    # |λ|dt ≈ 2.8 and the seeded mode itself sits far below the bound
+    lam = float(np.max(psi0.grid.k_squared())) / (2 * abs(p.m)) \
+        + 2.0 * abs(n * p.G_kerr)
+    dt = 1.0 / lam
     results = []
     for k in k_list:
         w_pred = bogoliubov_dispersion(k, n, p)
@@ -940,12 +936,12 @@ def measure_dispersion(
             # cap total growth so roundoff leakage into faster-growing
             # modes cannot overtake the seeded one
             T = min(T, 8.0 / growth)
-        sample_dt = (2.0 * np.pi / w_scale) / samples_per_period
+        sample_dt = (2.0 * np.pi / w_scale) / 24
         stride = max(1, int(round(sample_dt / dt))) or 1
         n_samples = max(16, int(np.ceil(T / (stride * dt))))
 
         phi = ComplexField2D.filled(psi0.grid, 0.0)
-        phi.data = amplitude * np.repeat(np.cos(k * x)[:, None], psi0.grid.ny, axis=1)
+        phi.data = 1e-4 * np.repeat(np.cos(k * x)[:, None], psi0.grid.ny, axis=1)
         carrier = np.exp(-1j * k * x)[:, None]
 
         series = np.empty(n_samples, dtype=complex)

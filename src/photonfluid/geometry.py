@@ -36,7 +36,7 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,16 +82,16 @@ class MadelungResult:
         return iter((self.n, self.theta))
 
 
-def madelung(psi: ComplexField2D, floor_rel: float = 1e-8) -> MadelungResult:
+def madelung(psi: ComplexField2D) -> MadelungResult:
     """Split Ψ₀ = √n e^{iθ} with least-squares phase unwrapping.
 
-    Points where |Ψ₀| falls below `floor_rel`·max|Ψ₀| are masked.  Phase
+    Points where |Ψ₀| falls below 1e-8·max|Ψ₀| are masked.  Phase
     residues (vortices) do not fail the call: they are returned as a list
     of plaquette charges and the surrounding points are masked, since no
     single-valued θ exists around a core.
     """
     amp = np.abs(psi.data)
-    mask = amp > floor_rel * float(np.max(amp))
+    mask = amp > 1e-8 * float(np.max(amp))
     n = np.square(amp, out=amp)
     theta, res = unwrap_least_squares(np.angle(psi.data))
     vortices = [(int(i), int(j), int(res[i, j]))
@@ -112,10 +112,9 @@ def healing_length(m, c2):
 @dataclass
 class HydroFields:
     """Hydrodynamic background on a `Grid` (any side lengths): density n,
-    phase θ (optional for imposed flows), flow velocity (vx, vy), squared
-    excitation speed c2; `mask` marks trusted points, and `None` (the
-    default) trusts every point.  The healing length `xi` is derived from
-    c2 on access."""
+    flow velocity (vx, vy), squared excitation speed c2; `mask` marks
+    trusted points, and `None` (the default) trusts every point.  The
+    healing length `xi` is derived from c2 on access."""
 
     grid: Grid
     m: float
@@ -124,9 +123,7 @@ class HydroFields:
     vx: np.ndarray
     vy: np.ndarray
     c2: np.ndarray
-    theta: np.ndarray | None = None
     mask: np.ndarray | None = None
-    meta: dict = _field(default_factory=dict)
 
     @property
     def xi(self) -> np.ndarray:
@@ -143,8 +140,7 @@ class HydroFields:
         gx, gy = np.gradient(md.theta, psi.grid.dx, psi.grid.dy)
         fields = cls.from_profiles(psi.grid, p.m, p.G_kerr, n=md.n,
                                    vx=gx / p.m, vy=gy / p.m)
-        fields.theta, fields.mask = md.theta, md.mask
-        fields.meta = {"vortices": md.vortices}
+        fields.mask = md.mask
         return fields
 
     @classmethod
@@ -356,7 +352,7 @@ class MetricField:
         return np.sqrt(root, out=root)
 
 
-def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
+def build_metric(fields: HydroFields) -> MetricField:
     """Classify the signature and compute the conformal factor of the
     acoustic metric; the volume weight and the tensors follow from it on
     access (see `MetricField`).
@@ -366,8 +362,8 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
     with the sign of m; the inverse is the closed form
     g⁰⁰ = −1/(Ωc²), g⁰ᵢ = −vᵢ/(Ωc²), gⁱʲ = (δᵢⱼ − vᵢvⱼ/c²)/Ω.
     c² < 0 points are marked Euclidean and carry NaN tensors (the speed is
-    imaginary there; no Lorentzian structure is invented).  c² = 0 or
-    vanishing density marks a point Degenerate.
+    imaginary there; no Lorentzian structure is invented).  c² = 0 or a
+    density n ≤ 1e-300 marks a point Degenerate.
 
     The signature and Ω depend on n, c² and the mask only, so they are
     formed on the shape those have before broadcasting.  When n and c²
@@ -387,7 +383,7 @@ def build_metric(fields: HydroFields, n_floor: float = 1e-300) -> MetricField:
     signature = np.full(shape, DEGENERATE, dtype=np.uint8)
     signature[c20 > 0] = LORENTZIAN
     signature[c20 < 0] = EUCLIDEAN
-    signature[n0 <= n_floor] = DEGENERATE
+    signature[n0 <= 1e-300] = DEGENERATE
     if mask:
         signature[~mask[0]] = DEGENERATE
     lz = signature == LORENTZIAN

@@ -264,7 +264,6 @@ def crosscheck_kg_vs_nlse(
     p: FluidParams,
     dtheta0: np.ndarray,
     t_final: float,
-    n_samples: int = 32,
     kxi_limit: float = 0.3,
 ) -> CrosscheckReport:
     """Propagate one seed through both descriptions and compare phases.
@@ -278,7 +277,7 @@ def crosscheck_kg_vs_nlse(
     description lives in.
 
     Each side is one sampled stepper call: `kg_evolve` records a copy of
-    δθ at each of the `n_samples` sample times (u is not kept), and
+    δθ at each of 32 evenly spaced sample times (u is not kept), and
     `linearized_step` is compared with that copy as it records.  So the
     set-up of each side (coefficients, uniformity tests, matrix powers) is
     paid once per run, and every sample equals the one a call per sample
@@ -304,6 +303,7 @@ def crosscheck_kg_vs_nlse(
         2.0 * abs(p.G_kerr) * float(np.max(np.abs(psi0.data)) ** 2),
     )
 
+    n_samples = 32
     t_s = t_final / n_samples
     n_kg = _step_count(t_s, dt_kg)
     n_nl = _step_count(t_s, dt_nl)

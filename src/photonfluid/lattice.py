@@ -31,7 +31,7 @@ matched sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class LatticeState:
     a: np.ndarray                 # optical mean field, shape (Nx, Ny)
     b: np.ndarray                 # mechanical mean field, shape (Nx, Ny)
     t: float = 0.0
-    meta: dict = _field(default_factory=dict)
 
     @classmethod
     def zeros(cls, p: LatticeParams):
@@ -102,9 +101,6 @@ class LatticeState:
         kj = 2.0 * np.pi * mj / p.Ny
         a = amplitude * np.exp(1j * (ki * ii + kj * jj))
         return cls(a.astype(complex), np.zeros((p.Nx, p.Ny), complex))
-
-    def copy(self):
-        return LatticeState(self.a.copy(), self.b.copy(), self.t, dict(self.meta))
 
 
 def lattice_dispersion(ki, kj, omega_c, J):
@@ -175,7 +171,7 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
 
     a, b = _linear_steps((s.a.copy(), s.b.copy()), steps, dt, "lattice state",
                          power, apply, rhs)
-    return LatticeState(a, b, s.t + steps * dt, dict(s.meta))
+    return LatticeState(a, b, s.t + steps * dt)
 
 
 def continuum_params(J: float, h: float, omega_c: float):
@@ -190,16 +186,16 @@ def continuum_params(J: float, h: float, omega_c: float):
     return 1.0 / (2.0 * J * h * h), omega_c + 4.0 * J
 
 
-def fit_mass_from_dispersion(J: float, h: float, omega_c: float = 0.0,
-                             kh_max: float = 0.1, npts: int = 9) -> float:
+def fit_mass_from_dispersion(J: float, h: float, kh_max: float = 0.1) -> float:
     """Recover the continuum mass from a quadratic fit of ω(k) near k = 0.
 
-    Fits ω(k) ≈ ω₀ + b k² on axis-aligned wavenumbers with |k|h ≤ kh_max,
-    reads the hopping rate off the curvature (b = −J_fit h²) and returns
+    Fits ω(k) ≈ ω₀ + b k² at 9 axis-aligned wavenumbers with |k|h ≤ kh_max
+    (at ω_c = 0, since the offset does not enter the curvature), reads the
+    hopping rate off the curvature (b = −J_fit h²) and returns
     ħ/(2 J_fit h²).  Agrees with `continuum_params` to O((kh_max)²).
     """
-    kh = np.linspace(kh_max / npts, kh_max, npts)
-    w = lattice_dispersion(kh, 0.0, omega_c, J)
+    kh = np.linspace(kh_max / 9, kh_max, 9)
+    w = lattice_dispersion(kh, 0.0, 0.0, J)
     k = kh / h
     coef = np.polyfit(k * k, w, 1)      # ω ≈ coef[1] + coef[0]·k²
     J_fit = -coef[0] / h**2
@@ -212,7 +208,6 @@ def continuum_error(
     p: LatticeParams,
     t_final: float,
     dt_lattice: float | None = None,
-    dt_nlse: float | None = None,
     force: bool = False,
 ) -> float:
     """Relative L2 deviation between lattice and continuum evolution.
@@ -255,12 +250,11 @@ def continuum_error(
         # linear + uniform offset: the split step is exact, one step suffices
         n_con = 1
     else:
-        if dt_nlse is None:
-            dt_nlse = 0.05 / max(
-                float(np.max(grid.k_squared())) / (2 * abs(m_dyn)),
-                abs(v_tilde) + abs(G_eff) * float(np.max(np.abs(nlse_field.data)) ** 2),
-                1e-12,
-            )
+        dt_nlse = 0.05 / max(
+            float(np.max(grid.k_squared())) / (2 * abs(m_dyn)),
+            abs(v_tilde) + abs(G_eff) * float(np.max(np.abs(nlse_field.data)) ** 2),
+            1e-12,
+        )
         n_con = _step_count(t_final, dt_nlse)
     con = evolve(nlse_field, fp, t_final / n_con, n_con, force=True)
     # undo the bookkept uniform-offset phase so both carry the full phase

@@ -64,8 +64,7 @@ class OptomechParams:
     G0           single-photon optomechanical coupling of the ancillary mode
     eps          drive rate of the ancillary mode
     Delta        bare laser detuning (ω_L − ω_c)
-    T_bath       bath temperature in kelvin (SI mode), or
-    n_th         thermal occupancy given directly (dimensionless mode)
+    n_th         thermal occupancy of the mechanical bath
     """
 
     omega_i: float
@@ -75,7 +74,6 @@ class OptomechParams:
     G0: float = 0.0
     eps: float = 0.0
     Delta: float = 0.0
-    T_bath: float | None = None
     n_th: float | None = None
 
     def __post_init__(self):
@@ -110,7 +108,7 @@ class SteadyState:
         return iter((self.alpha, self.beta, self.Delta_bar))
 
 
-def steady_state(p: OptomechParams, residual_tol: float = 1e-9) -> SteadyState:
+def steady_state(p: OptomechParams) -> SteadyState:
     """Solve the classical steady state of the driven ancillary mode.
 
     The fixed point of
@@ -151,7 +149,7 @@ def steady_state(p: OptomechParams, residual_tol: float = 1e-9) -> SteadyState:
         alpha = -1j * p.eps / (half_k - 1j * Delta_bar)
         beta = -p.G0 * I / (w - 1j * g)
         resid = abs(I - p.eps**2 / (half_k**2 + Delta_bar**2))
-        if resid > residual_tol * max(I, 1.0):
+        if resid > 1e-9 * max(I, 1.0):
             raise ConvergenceError(
                 f"steady state: branch residual {resid:.3e} exceeds tolerance"
             )
@@ -293,8 +291,6 @@ def stability_check(p: OptomechParams, G: complex, Delta_bar: float) -> Stabilit
 class RdrReport:
     """Full characterization of an RDR operating point."""
 
-    alpha: complex
-    beta: complex
     Delta_bar: float
     G: complex
     gamma_opt: float
@@ -305,7 +301,6 @@ class RdrReport:
     n_f: float
     stable: bool
     ratio_gamma_kappa: float
-    eigenvalues: np.ndarray | None = None
 
 
 def rdr_report(
@@ -313,45 +308,33 @@ def rdr_report(
     omega: float | None = None,
     G: complex | None = None,
     Delta_bar: float | None = None,
-    n_min: float | None = None,
 ) -> RdrReport:
     """Assemble the RDR figure-of-merit report.
 
     When (G, Delta_bar) are not supplied they are derived from the driven
     steady state via G = G₀α.  The probe frequency defaults to ω_i.  The
-    thermal occupancy comes from `p.n_th`, or from `p.T_bath` via the Bose
-    law when ω_i is in rad/s.
+    thermal occupancy is `p.n_th` (the `rdr` stage converts a temperature
+    itself); n̄_min is the resolved-sideband floor.
     """
     if G is None or Delta_bar is None:
         ss = steady_state(p)
-        alpha, beta, Det = ss.alpha, ss.beta, ss.Delta_bar
-        G = p.G0 * alpha if G is None else G
-        Delta_bar = Det if Delta_bar is None else Delta_bar
-    else:
-        alpha, beta = 0j, 0j
+        G = p.G0 * ss.alpha if G is None else G
+        Delta_bar = ss.Delta_bar if Delta_bar is None else Delta_bar
 
     if omega is None:
         omega = p.omega_i
-    if p.n_th is not None:
-        n_th = p.n_th
-    elif p.T_bath is not None:
-        n_th = thermal_occupancy(p.omega_i, p.T_bath)
-    else:
-        raise ValueError("either n_th or T_bath is required for occupancies")
-    if n_min is None:
-        n_min = n_min_resolved_sideband(p.kappa_prime, p.omega_i)
+    if p.n_th is None:
+        raise ValueError("n_th is required for occupancies")
+    n_min = n_min_resolved_sideband(p.kappa_prime, p.omega_i)
 
     g_opt = gamma_opt(omega, G, Delta_bar, p.kappa_prime, p.omega_i)
     w_opt = omega_opt(omega, G, Delta_bar, p.kappa_prime, p.omega_i)
     gamma_total = g_opt + p.gamma_i
     omega_m = w_opt + p.omega_i
-    nf = final_phonon_number(g_opt, p.gamma_i, n_min, n_th)
-    st = stability_check(p, G, Delta_bar)
+    nf = final_phonon_number(g_opt, p.gamma_i, n_min, p.n_th)
     ratio = gamma_total / p.kappa if p.kappa > 0 else float("inf")
 
     return RdrReport(
-        alpha=alpha,
-        beta=beta,
         Delta_bar=Delta_bar,
         G=G,
         gamma_opt=g_opt,
@@ -360,7 +343,6 @@ def rdr_report(
         omega_m=omega_m,
         n_min=n_min,
         n_f=nf,
-        stable=st.stable,
+        stable=stability_check(p, G, Delta_bar).stable,
         ratio_gamma_kappa=ratio,
-        eigenvalues=st.eigenvalues,
     )

@@ -1039,6 +1039,8 @@ def _edited_runs(draw):
 @example(("lattice", [(("lattice", "dt"), 1e-320)]))
 @example(("kg-mode", [(("kg", "dt"), 1e-320)]))
 @example(("kg-mode", [(("grid", "dx"), 1e-320), (("grid", "dy"), 1e-320)]))
+# the mode seed's wavenumber 2π·mode_mx/(nx·dx) overflows to inf
+@example(("pipeline", [(("grid", "dx"), 1e-320), (("grid", "dy"), 1e-320)]))
 @example(("kernel", [(("kernel", "t_final"), 1e-300),
                      (("kernel", "dt"), 1e300)]))
 # c² = n𝒢/m overflows: `write_field` refused the non-finite field
@@ -1130,14 +1132,16 @@ class _Recorder(Mapping):
         return len(self.values)
 
 
-# value branches the tiny runs leave out: an SI rdr run (it reads T), the
-# nlse source on either background, the uniform and sink sources and the
-# microcavity
+# value branches the tiny runs leave out: an SI rdr run (it reads T), a
+# driven rdr run that takes (G, Δ̄) from the steady state, the nlse source
+# on either background, the uniform and sink sources and the microcavity
 _GROUND = {"background": "ground_state", "trap_omega": 1.0, "n_total": 1.0}
 _SINK = {"source": "radial_sink", "c_ex": 0.5}
 _BRANCHES = [
     ("rdr", {"run": {"units": "SI"},
              "rdr": {**_TINY_RDR, "n_th": "none", "T": 300.0}}),
+    ("rdr", {"rdr": {"gamma_i": 1e-5, "kappa_prime": 0.2, "G0": 1e-3,
+                     "eps": 10.0, "Delta": -1.0, "n_th": 10.0}}),
     ("nlse", {"grid": _TINY_GRID, "nlse": _GROUND}),
     ("metric", {"grid": _TINY_GRID}),
     ("metric", {"grid": _TINY_GRID, "nlse": _GROUND}),

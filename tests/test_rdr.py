@@ -374,3 +374,10 @@ def test_rdr_report_figures_of_merit():
     assert rep.n_f == pytest.approx(49, rel=5e-2)
     assert rep.ratio_gamma_kappa == pytest.approx(rep.gamma_total / 1e-3)
     assert rep.stable is False or rep.stable is True
+
+
+def test_rdr_report_takes_the_driven_operating_point_from_the_steady_state():
+    p = params(G0=1e-3, eps=10.0, Delta=-1.0)
+    ss = steady_state(p)
+    assert rdr_report(p) == rdr_report(p, G=p.G0 * ss.alpha,
+                                       Delta_bar=ss.Delta_bar)
