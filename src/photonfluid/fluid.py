@@ -52,11 +52,15 @@ The module also holds the numerical kernels every linear stage of the
 package shares: `spectral_d` is the spectral derivative of a real field
 along one of `Grid.k()`'s wavenumber grids; `rk4` is the one classical RK4
 integrator (with a per-step finiteness check) and `rk4_power` its closed
-form for constant-coefficient systems.  `_linear_steps` is the one driver
-of the four linear steppers (`linearized_step`, `hydro_linear_step`,
-`kg_evolve`, `step_lattice`): each hands it either its right-hand side or
-its symbol, and its docstring holds their stretch, record, power-cache and
-blow-up contract.
+form for constant-coefficient systems.  `rk4` steps one stacked state
+array in place and allocates nothing per step: a right-hand side
+`rhs(y, out)` writes its derivative into `out` (each a tuple of component
+arrays), and the stages are summed in three buffers of the state's shape
+(acc, the current stage and the stage input) allocated once per call.
+`_linear_steps` is the one driver of the four linear steppers
+(`linearized_step`, `hydro_linear_step`, `kg_evolve`, `step_lattice`):
+each hands it either its right-hand side or its symbol, and its docstring
+holds their stretch, record, power-cache and blow-up contract.
 """
 
 from __future__ import annotations
@@ -159,32 +163,47 @@ def spectral_d(f: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(1j * k * np.fft.fft2(f)).real.copy()
 
 
-def rk4(rhs, y: tuple, dt: float, first: int, last: int, what: str) -> tuple:
-    """Classical RK4 steps first+1 … last of dy/dt = rhs(*y).
+def rk4(rhs, y: np.ndarray, dt: float, first: int, last: int,
+        what: str) -> np.ndarray:
+    """Classical RK4 steps first+1 … last of dy/dt = rhs, in place on `y`.
 
-    `y` is a tuple of arrays and `rhs` returns their time derivatives as a
-    tuple in the same order.  Every step checks each component for
-    finiteness and raises `NumericalError` naming `what` and the step, so a
-    blow-up stops the run where it happens.
+    `y` is the state as one array, its components stacked along the first
+    axis.  `rhs(y, out)` receives a state and an output buffer, each as a
+    tuple of its component arrays, and writes the time derivative at that
+    state into the components of `out` without changing the state.  Every
+    step checks the state for finiteness and raises `NumericalError`
+    naming `what` and the step, so a blow-up stops the run where it
+    happens.
 
     The stages are summed as they come, acc = k1, then acc + 2k2, then
-    acc + 2k3, and y + (dt/6)(acc + k4): the operation order of
-    k1 + 2k2 + 2k3 + k4, with each kᵢ dropped once it is used, so a step
-    holds the state, acc, one stage and its input point.
+    acc + 2k3, and y + (dt/6)(acc + k4), each stage input being
+    y + (0.5·dt)·k or y + dt·k: the operation order of k1 + 2k2 + 2k3 + k4.
+    Besides `y` a call holds three buffers of its shape, allocated once:
+    acc, the current stage and the stage input (which also takes 2k
+    before it is added to acc), plus one boolean mask for the finiteness
+    check.  Returns `y`.
     """
+    acc, k, s = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+    finite = np.empty(y.shape, bool)
+    # component views are formed once, and the step scalars are 0-d
+    # arrays, which a ufunc converts faster than Python numbers (same values)
+    ys, accs, ks, ss = tuple(y), tuple(acc), tuple(k), tuple(s)
+    half, two, full, sixth = map(np.array, (0.5 * dt, 2.0, dt, dt / 6.0))
     for step in range(first + 1, last + 1):
-        acc = rhs(*y)
-        k = rhs(*[a + 0.5 * dt * q for a, q in zip(y, acc)])
-        acc = [p + 2 * q for p, q in zip(acc, k)]
-        k = [a + 0.5 * dt * q for a, q in zip(y, k)]
-        k = rhs(*k)
-        acc = [p + 2 * q for p, q in zip(acc, k)]
-        k = [a + dt * q for a, q in zip(y, k)]
-        k = rhs(*k)
-        y = [a + (dt / 6.0) * (p + s) for a, p, s in zip(y, acc, k)]
-        if not all(np.isfinite(a).all() for a in y):
+        rhs(ys, accs)
+        np.add(y, np.multiply(half, acc, out=s), out=s)
+        rhs(ss, ks)
+        np.add(acc, np.multiply(two, k, out=s), out=acc)
+        np.add(y, np.multiply(half, k, out=s), out=s)
+        rhs(ss, ks)
+        np.add(acc, np.multiply(two, k, out=s), out=acc)
+        np.add(y, np.multiply(full, k, out=s), out=s)
+        rhs(ss, ks)
+        np.add(acc, k, out=acc)
+        np.add(y, np.multiply(sixth, acc, out=acc), out=y)
+        if not np.isfinite(y, out=finite).all():
             raise NumericalError(f"{what} non-finite at step {step}")
-    return tuple(y)
+    return y
 
 
 def _check_counts(steps: int, record_every: int = 0) -> None:
@@ -206,30 +225,37 @@ def _step_count(t: float, dt: float) -> int:
     return max(1, int(np.ceil(ratio)))
 
 
-def _linear_steps(y: tuple, steps: int, dt: float, what: str, power=None,
-                  apply=None, rhs=None, record=None,
-                  record_every: int = 0) -> tuple:
-    """Steps 1 … `steps` of size `dt` of a linear description's state
-    tuple `y`: the one stepping core of `linearized_step`,
+def _linear_steps(y: np.ndarray, steps: int, dt: float, what: str,
+                  power=None, apply=None, rhs=None, record=None,
+                  record_every: int = 0):
+    """Steps 1 … `steps` of size `dt` of a linear description's state `y`:
+    the one stepping core of `linearized_step`,
     `geometry.hydro_linear_step`, `kgwave.kg_evolve` and
     `lattice.step_lattice`.
 
-    A description is passed either as its general right-hand side `rhs`,
-    whose steps are taken by `rk4` (which names the first step that leaves
-    the finite range, "<what> non-finite at step <s>"), or as its
+    `y` is the state as one array that the caller owns and hands over,
+    its components (δn and δθ, say) stacked along the first axis.  A
+    description is passed either as its general right-hand side
+    `rhs(y, out)`, which writes dy/dt into `out` (both tuples of component
+    arrays) and whose steps `rk4` takes in place on `y` in three buffers
+    of its shape allocated once per call (naming the first step that
+    leaves the finite range, "<what> non-finite at step <s>"), or as its
     constant-coefficient symbol: `power(n)` is the n-step RK4 propagator
-    (a `rk4_power` of the generators) and `apply(P, y)` advances the state
-    by such a propagator.  A power is formed once per distinct stretch
-    length and never for an empty run, and a stretch that leaves the
-    finite range raises `NumericalError("<what> non-finite after <last>
-    steps")`, naming the last step of that stretch.
+    (a `rk4_power` of the generators) and `apply(P, y)` returns the state
+    advanced by such a propagator as a tuple of new component arrays.  A
+    power is formed once per distinct stretch length and never for an
+    empty run, and a stretch that leaves the finite range raises
+    `NumericalError("<what> non-finite after <last> steps")`, naming the
+    last step of that stretch.
 
     The steps go in stretches that end at each positive multiple of
     `record_every` when `record` is given, each followed by
-    `record(step, *y)` with the live state; step 0 and a partial last
-    stretch are not recorded.  So a stepper's set-up runs once per call,
-    and a sampled run equals one call per stretch bit for bit.  Returns
-    the state tuple, `y` itself when `steps` is 0.
+    `record(step, *y)` with the live components (views of the stacked
+    state on the general path); step 0 and a partial last stretch are not
+    recorded.  So a stepper's set-up runs once per call, and a sampled run
+    equals one call per stretch bit for bit.  Returns the state, whose
+    components unpack along the first axis; it is `y` itself when `steps`
+    is 0 or the general path ran.
     """
     if rhs is None:
         power = cache(power)    # a sampled run repeats one stride
@@ -783,7 +809,9 @@ def linearized_step(
     operator is diagonal in k up to the pairing of a_k with a*_{−k}, so
     each pair is advanced by the 2×2 RK4 amplification matrix raised to
     the number of steps (`rk4_power`); this equals stepping up to
-    roundoff.
+    roundoff.  On any other background `rk4` steps the field, and each
+    stage takes one `fft2` of φ and one batched `ifft2` of its three
+    derivatives (−k²φ̂, ikₓφ̂, ik_yφ̂).
 
     `record(step, field)` is invoked every `record_every` steps with the
     state after that step; a negative `steps` or `record_every` is refused
@@ -828,19 +856,32 @@ def linearized_step(
             a = np.fft.fft2(y[0])
             return (np.fft.ifft2(pw[0] * a + pw[1] * np.conj(a[neg])),)
     else:
-        def rhs(phi):
+        mk2, ikx, iky, inG = -k2, 1j * kx, 1j * ky, 1j * nG
+        i1, inv2m, invm = map(np.array, (1j, inv2m, invm))
+        spec = np.empty((3,) + grid.shape, complex)
+
+        def rhs(y, out):
+            # (−k², ikₓ, ik_y)·fft2 φ, taken back by one batched ifft2
+            (phi,), (rate,) = y, out
             phik = np.fft.fft2(phi)
-            lap = np.fft.ifft2(-k2 * phik)
-            dxphi = np.fft.ifft2(1j * kx * phik)
-            dyphi = np.fft.ifft2(1j * ky * phik)
-            return (1j * (inv2m * lap + invm * (gx * dxphi + gy * dyphi))
-                    - 1j * nG * (phi + np.conj(phi)),)
+            np.multiply(mk2, phik, out=spec[0])
+            np.multiply(ikx, phik, out=spec[1])
+            np.multiply(iky, phik, out=spec[2])
+            lap, dx, dy = np.fft.ifft2(spec)
+            # 1j(inv2m·lap + invm(gx·dx + gy·dy)) − 1j·nG(φ + φ*)
+            np.multiply(gx, dx, out=dx)
+            np.add(dx, np.multiply(gy, dy, out=dy), out=dx)
+            np.multiply(invm, dx, out=dx)
+            np.add(np.multiply(inv2m, lap, out=lap), dx, out=lap)
+            np.multiply(i1, lap, out=rate)
+            np.add(phi, np.conjugate(phi, out=dy), out=dy)
+            np.subtract(rate, np.multiply(inG, dy, out=dy), out=rate)
 
     def emit(step, f):
         record(step, ComplexField2D(dphi.grid, f, dict(dphi.meta)))
 
-    (f,) = _linear_steps((dphi.copy().data,), steps, dt, "fluctuation field",
-                         power, apply, rhs,
+    (f,) = _linear_steps(dphi.data[None].copy(), steps, dt,
+                         "fluctuation field", power, apply, rhs,
                          None if record is None else emit, record_every)
     return ComplexField2D(dphi.grid, f, dict(dphi.meta))
 

@@ -241,22 +241,24 @@ def hydro_linear_step(
             return rk4_power(z, s)
     else:
         qp = 0.25 / (m * n) if quantum_pressure else None
+        n_m = n / m
 
-        def rhs(a, th):
+        def rhs(y, out):
+            (a, th), (da, dth) = y, out
             thx, thy = spectral_d(th, kx), spectral_d(th, ky)
-            da = -(spectral_d(vx * a + (n / m) * thx, kx)
-                   + spectral_d(vy * a + (n / m) * thy, ky))
-            dth = -(vx * thx + vy * thy) - mc2_over_n * a
+            np.negative(spectral_d(vx * a + n_m * thx, kx)
+                        + spectral_d(vy * a + n_m * thy, ky), out=da)
+            np.negative(vx * thx + vy * thy, out=dth)
+            dth -= mc2_over_n * a
             if qp is not None:
                 r = a / n
-                dth = dth + qp * (spectral_d(n * spectral_d(r, kx), kx)
-                                  + spectral_d(n * spectral_d(r, ky), ky))
-            return da, dth
+                dth += qp * (spectral_d(n * spectral_d(r, kx), kx)
+                             + spectral_d(n * spectral_d(r, ky), ky))
 
-    return _linear_steps((np.asarray(dn, float).copy(),
-                          np.asarray(dtheta, float).copy()),
-                         steps, dt, "hydro fluctuation", power,
-                         _apply_real_pair, rhs)
+    dn, dtheta = _linear_steps(np.array((dn, dtheta), float), steps, dt,
+                               "hydro fluctuation", power, _apply_real_pair,
+                               rhs)
+    return dn, dtheta
 
 
 def estimate_density_fluctuation(
@@ -362,8 +364,11 @@ def build_metric(fields: HydroFields) -> MetricField:
     with the sign of m; the inverse is the closed form
     g⁰⁰ = −1/(Ωc²), g⁰ᵢ = −vᵢ/(Ωc²), gⁱʲ = (δᵢⱼ − vᵢvⱼ/c²)/Ω.
     c² < 0 points are marked Euclidean and carry NaN tensors (the speed is
-    imaginary there; no Lorentzian structure is invented).  c² = 0 or a
-    density n ≤ 1e-300 marks a point Degenerate.
+    imaginary there; no Lorentzian structure is invented).  c² = 0, a
+    density n ≤ 1e-300 or an Ω that underflows to zero or a subnormal
+    (|Ω| < `np.finfo(float).tiny`, as at 1e-300 < n ≲ 1e-154·|m|c, where
+    the inverse would hold ±inf and NaN) marks a point Degenerate, with
+    Ω = NaN.
 
     The signature and Ω depend on n, c² and the mask only, so they are
     formed on the shape those have before broadcasting.  When n and c²
@@ -390,12 +395,19 @@ def build_metric(fields: HydroFields) -> MetricField:
 
     # Ω = (n/(m c))·|n/(m c)|, formed in one buffer before it is broadcast
     # (a broadcast view is read-only); NaN off Lorentzian points
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         conformal = np.where(lz, c20, np.nan)
         np.sqrt(conformal, out=conformal)
         conformal *= m
         np.divide(n0, conformal, out=conformal)
         conformal *= np.abs(conformal)
+    # an Ω that underflowed to zero or a subnormal has no finite inverse
+    tiny = np.finfo(float).tiny
+    lost = conformal < tiny
+    lost &= conformal > -tiny
+    if lost.any():
+        signature[lost] = DEGENERATE
+        conformal[lost] = np.nan
 
     if shape != fields.grid.shape:
         signature = np.broadcast_to(signature, fields.grid.shape)

@@ -213,13 +213,14 @@ def kg_evolve(
         inv_negA = 1.0 / (-coeffs[0])
         grid = metric.grid
 
-        def rhs(th, u):
-            return u, inv_negA * _flux(th, u, coeffs, grid)
+        def rhs(y, out):
+            (th, u), (dth, du) = y, out
+            np.copyto(dth, u)
+            np.multiply(inv_negA, _flux(th, u, coeffs, grid), out=du)
 
-    th, u = _linear_steps((np.asarray(dtheta0, float).copy(),
-                           np.asarray(dtheta_dot0, float).copy()),
-                          steps, dt, "Klein-Gordon field", power,
-                          _apply_real_pair, rhs, record, record_every)
+    th, u = _linear_steps(np.array((dtheta0, dtheta_dot0), float), steps, dt,
+                          "Klein-Gordon field", power, _apply_real_pair, rhs,
+                          record, record_every)
     return KGResult(dtheta=th, dtheta_dot=u, t=steps * dt)
 
 

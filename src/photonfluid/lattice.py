@@ -108,19 +108,36 @@ def lattice_dispersion(ki, kj, omega_c, J):
     return omega_c + 2.0 * J * (np.cos(ki) + np.cos(kj))
 
 
-def _neighbor_sum(a: np.ndarray) -> np.ndarray:
-    """Periodic sum of the four nearest neighbours, added in the order
-    a[i−1] + a[i+1] + a[:, j−1] + a[:, j+1] by slices instead of rolled
-    copies."""
-    out = np.empty_like(a)
-    out[1:], out[0] = a[:-1], a[-1]
-    out[:-1] += a[1:]
-    out[-1] += a[0]
-    out[:, 1:] += a[:, :-1]
-    out[:, 0] += a[:, -1]
-    out[:, :-1] += a[:, 1:]
-    out[:, -1] += a[:, 0]
-    return out
+def _neighbor_index(shape) -> np.ndarray:
+    """Flat indices of the four periodic neighbours of every site of an
+    array of `shape`, stacked as i−1, i+1, j−1, j+1 on a leading axis."""
+    flat = np.arange(shape[0] * shape[1]).reshape(shape)
+    return np.stack((np.roll(flat, 1, 0), np.roll(flat, -1, 0),
+                     np.roll(flat, 1, 1), np.roll(flat, -1, 1)))
+
+
+def _neighbor_sum(a: np.ndarray, index: np.ndarray | None = None,
+                  gathered: np.ndarray | None = None) -> np.ndarray:
+    """Periodic sum of the four nearest neighbours of a 2-D array, added
+    in the order a[i−1] + a[i+1] + a[:, j−1] + a[:, j+1].
+
+    One `take` over `index` (`_neighbor_index(a.shape)`) gathers the
+    four neighbour values of every site into `gathered`, of shape
+    (4,) + a.shape, and three adds sum them into its first slice, which
+    is returned.  Whichever of the two is not given is allocated, so a
+    stepper that passes both allocates nothing; `gathered` must not
+    overlap `a`.
+    """
+    if index is None:
+        index = _neighbor_index(a.shape)
+    # the default mode="raise" copies through a buffer; the indices are in
+    # range, so "clip" changes nothing but that
+    g = a.take(index, out=gathered, mode="clip")
+    total = g[0]
+    np.add(total, g[1], out=total)
+    np.add(total, g[2], out=total)
+    np.add(total, g[3], out=total)
+    return total
 
 
 def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
@@ -137,7 +154,10 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
     decays site by site with λ = −(iω_m + γ).  One RK4 step multiplies an
     eigenmode by the stability function R(z) = 1 + z + z²/2 + z³/6 + z⁴/24
     at z = dt·λ, so the state is advanced by R(dt·λ)^steps between one
-    `fft2` and one `ifft2`, which equals stepping up to roundoff.
+    `fft2` and one `ifft2`, which equals stepping up to roundoff.  With
+    g′ ≠ 0 `fluid.rk4` steps (a, b) as one stacked array, and the
+    right-hand side forms its on-site terms and neighbour sum in scratch
+    allocated once per call.
     """
     _check_counts(steps)
     rate = max(abs(p.omega_c) + 4.0 * abs(p.J), abs(p.omega_m))
@@ -149,6 +169,7 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
     cb = 1j * p.omega_m + p.gamma_eff
     gp, J = p.g_prime, p.J
 
+    y = np.array((s.a, s.b), complex)
     power = apply = rhs = None
     if gp == 0.0:
         ki = 2.0 * np.pi * np.arange(p.Nx)[:, None] / p.Nx
@@ -164,13 +185,29 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
             with np.errstate(under="ignore"):
                 return np.fft.ifft2(pw[0] * np.fft.fft2(y[0])), pw[1] * y[1]
     else:
-        def rhs(a, b):
-            da = -ca * a + 1j * gp * (2.0 * b.real) * a - 1j * J * _neighbor_sum(a)
-            db = -cb * b + 1j * gp * (a.real**2 + a.imag**2)
-            return da, db
+        # scratch reused by every stage of every step: one complex and two
+        # real site arrays, the neighbour index and its gather buffer
+        c = np.empty_like(y[0])
+        r, q = np.empty((2,) + c.shape)
+        index = _neighbor_index(c.shape)
+        gathered = np.empty(index.shape, complex)
+        mca, mcb, igp, iJ, two = map(np.array, (-ca, -cb, 1j * gp, 1j * J,
+                                              2.0))
 
-    a, b = _linear_steps((s.a.copy(), s.b.copy()), steps, dt, "lattice state",
-                         power, apply, rhs)
+        def rhs(y, out):
+            # da = −ca·a + i g′(2 Re b)·a − iJ·Σ_nn a,
+            # db = −cb·b + i g′(Re² a + Im² a), in that operation order
+            (a, b), (da, db) = y, out
+            np.multiply(mca, a, out=da)
+            np.multiply(igp, np.multiply(two, b.real, out=r), out=c)
+            np.add(da, np.multiply(c, a, out=c), out=da)
+            np.multiply(iJ, _neighbor_sum(a, index, gathered), out=c)
+            np.subtract(da, c, out=da)
+            np.add(np.square(a.real, out=r), np.square(a.imag, out=q), out=r)
+            np.add(np.multiply(mcb, b, out=db), np.multiply(igp, r, out=c),
+                   out=db)
+
+    a, b = _linear_steps(y, steps, dt, "lattice state", power, apply, rhs)
     return LatticeState(a, b, s.t + steps * dt)
 
 

@@ -512,7 +512,8 @@ def test_kg_stage_peak_memory(tmp_path):
     # now that spectral results own their real buffers instead of keeping
     # the complex transform alive; 28.5 since RK4 sums its stages as they
     # come and drops each once it is used (32.5 before, both measured
-    # alone in a fresh process); the second run is counted, after the
+    # alone in a fresh process); 27.7 since it steps in three buffers
+    # allocated once per call; the second run is counted, after the
     # first has made the lazy imports
     cfg = write_cfg(tmp_path, """
 [run]

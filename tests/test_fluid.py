@@ -852,6 +852,80 @@ def test_linearized_record_every_zero_never_records():
     assert np.array_equal(out.data, linearized_step(phi, psi0, p, dt, 6).data)
 
 
+def _allocating_rk4(rhs, y, dt, steps):
+    """The allocating RK4 loop that `fluid.rk4` replaced, kept as its bitwise
+    oracle: `rhs(*y)` returns a fresh derivative tuple, and the stages are
+    summed as acc = k1, acc + 2k2, acc + 2k3, y + (dt/6)(acc + k4), each
+    stage input being y + (0.5·dt)·k or y + dt·k."""
+    for _ in range(steps):
+        acc = rhs(*y)
+        k = rhs(*[a + 0.5 * dt * q for a, q in zip(y, acc)])
+        acc = [p + 2 * q for p, q in zip(acc, k)]
+        k = rhs(*[a + 0.5 * dt * q for a, q in zip(y, k)])
+        acc = [p + 2 * q for p, q in zip(acc, k)]
+        k = rhs(*[a + dt * q for a, q in zip(y, k)])
+        y = [a + (dt / 6.0) * (p + s) for a, p, s in zip(y, acc, k)]
+    return y
+
+
+@pytest.mark.parametrize("J", [0.25, -0.25])
+@pytest.mark.parametrize("kappa", [0.0, 0.05])
+@pytest.mark.parametrize("damping", ["literal", "half"])
+@pytest.mark.parametrize("steps", [0, 1, 57])
+def test_coupled_lattice_equals_allocating_rk4_bit_for_bit(J, kappa, damping,
+                                                           steps):
+    # g' != 0 has no closed form: the in-place stepper must reproduce the
+    # allocating right-hand side and loop exactly, neighbours summed in the
+    # order of the rolled stencil
+    p = LatticeParams(Nx=32, Ny=8, h=1.0, omega_c=0.3, omega_m=1.0, gamma=0.2,
+                      kappa=kappa, g_prime=0.15, J=J, damping_convention=damping)
+    rng = np.random.default_rng(steps + 41)
+    a0, b0 = (rng.standard_normal((2, 32, 8))
+              + 1j * rng.standard_normal((2, 32, 8)))
+    ca = 1j * p.omega_c + p.kappa_eff
+    cb = 1j * p.omega_m + p.gamma_eff
+
+    def rhs(a, b):
+        hop = (np.roll(a, 1, 0) + np.roll(a, -1, 0)
+               + np.roll(a, 1, 1) + np.roll(a, -1, 1))
+        da = -ca * a + 1j * p.g_prime * (2.0 * b.real) * a - 1j * p.J * hop
+        db = -cb * b + 1j * p.g_prime * (a.real**2 + a.imag**2)
+        return da, db
+
+    s = LatticeState(a0.copy(), b0.copy())
+    out = step_lattice(s, p, 0.02, steps)
+    ref_a, ref_b = _allocating_rk4(rhs, (a0, b0), 0.02, steps)
+    assert np.array_equal(out.a, ref_a) and np.array_equal(out.b, ref_b)
+    assert np.array_equal(s.a, a0) and np.array_equal(s.b, b0)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 23])
+def test_general_linearized_step_equals_allocating_rk4_bit_for_bit(steps):
+    # a density-modulated background takes the RK4 loop, whose batched
+    # inverse transforms must give the three per-derivative ones bit for bit
+    phi, psi0, p, dt = _linearized_case(modulated=True)
+    kx, ky = psi0.grid.k()
+    k2 = psi0.grid.k_squared()
+    f0k = np.fft.fft2(psi0.data)
+    gx = np.fft.ifft2(1j * kx * f0k) / psi0.data
+    gy = np.fft.ifft2(1j * ky * f0k) / psi0.data
+    nG = np.abs(psi0.data) ** 2 * p.G_kerr
+    inv2m, invm = 1.0 / (2.0 * p.m), 1.0 / p.m
+
+    def rhs(f):
+        fk = np.fft.fft2(f)
+        lap = np.fft.ifft2(-k2 * fk)
+        dx, dy = np.fft.ifft2(1j * kx * fk), np.fft.ifft2(1j * ky * fk)
+        return (1j * (inv2m * lap + invm * (gx * dx + gy * dy))
+                - 1j * nG * (f + np.conj(f)),)
+
+    seed = phi.data.copy()
+    out = linearized_step(phi, psi0, p, dt, steps=steps)
+    (ref,) = _allocating_rk4(rhs, (seed,), dt, steps)
+    assert np.array_equal(out.data, ref)
+    assert np.array_equal(phi.data, seed)
+
+
 @pytest.mark.parametrize("stepper, count", [
     *[(name, "steps") for name in ("evolve", "linearized_step", "kg_evolve",
                                    "hydro_linear_step", "step_lattice")],

@@ -440,11 +440,21 @@ def test_signature_classification_follows_interaction_sign():
     assert np.all(np.isnan(euc.g))
     deg = build_metric(HydroFields.uniform(Grid(8, 8, 1, 1), m=1.0, G=0.0))
     assert np.all(deg.signature == DEGENERATE)
-    # the density floor: n ≤ 1e-300 is degenerate even where c² > 0
-    for n, want in ((1e-300, DEGENERATE), (2e-300, LORENTZIAN)):
+    # the density floor: n ≤ 1e-300 is degenerate even where c² > 0, and
+    # so is a point whose Ω = n² (m = c = 1) underflows to a subnormal;
+    # just above that, Ω is a normal float and the inverse metric finite
+    for n, want in ((-1.0, DEGENERATE), (0.0, DEGENERATE),
+                    (1e-300, DEGENERATE), (1e-154, DEGENERATE),
+                    (2e-154, LORENTZIAN)):
         f = HydroFields.from_profiles(Grid(8, 8, 1, 1), 1.0, 1.0, n=n,
                                       vx=0.0, vy=0.0, c2=1.0)
-        assert np.all(build_metric(f).signature == want)
+        with np.errstate(all="raise"):
+            met = build_metric(f)
+        assert np.all(met.signature == want)
+        if want == LORENTZIAN:
+            assert np.all(np.isfinite(met.g_inv))
+        else:
+            assert np.all(np.isnan(met.conformal))
 
 
 def test_line_element_special_observers():
