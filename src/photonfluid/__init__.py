@@ -18,7 +18,7 @@ from .fluid import (ComplexField2D, FluidParams, Grid, bogoliubov_dispersion,
                     evolve, gp_energy, ground_state, linearized_step,
                     measure_dispersion, uniform_background)
 from .geometry import (HydroFields, MetricField, build_metric, find_horizon,
-                       hydro_linear_step, line_element, madelung,
+                       hydro_linear_step, madelung,
                        estimate_density_fluctuation)
 from .kgwave import crosscheck_kg_vs_nlse, dalembertian, kg_energy, kg_evolve
 from .lattice import (LatticeParams, LatticeState, continuum_error,

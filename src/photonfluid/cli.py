@@ -55,6 +55,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -291,16 +292,11 @@ def run_lattice(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
         LatticeParams,
         Nx=sec["nx"], Ny=sec["ny"], h=sec["h"], omega_c=sec["omega_c"],
         omega_m=sec["omega_m"], gamma=sec["gamma"], kappa=sec["kappa"],
-        g_prime=sec["g_prime"], J=sec["J"], damping_convention=sec["damping"],
+        g_prime=sec["g_prime"], J=sec["J"],
     )
-    if sec["init"] == "bloch":
-        state = LatticeState.bloch(p, sec["mode_i"], sec["mode_j"],
-                                   sec["amplitude"])
-    else:
-        state = LatticeState.zeros(p)
-        state.a[:] = sec["amplitude"]
-    rate = max(abs(p.omega_c) + 4 * abs(p.J), abs(p.omega_m), 1e-12)
-    dt = sec["dt"] or 0.05 / rate
+    state = LatticeState.bloch(p, sec["mode_i"], sec["mode_j"],
+                               sec["amplitude"])
+    dt = sec["dt"] or 0.05 / max(p.rate, 1e-12)
     steps = _from_config(_step_count, sec["t_final"], dt)
     state = step_lattice(state, p, sec["t_final"] / steps, steps=steps,
                          force=force)
@@ -317,8 +313,7 @@ def run_lattice(cfg: RunConfig, art: Artifacts, force: bool = False) -> dict:
         lat0 = LatticeState(psi.data.copy(), np.zeros_like(psi.data))
         # bias the on-site frequency so the k=0 edge sits at zero: a pure
         # Bloch state then only sees its own (small) eigenfrequency
-        p0 = LatticeParams(p.Nx, p.Ny, p.h, -4.0 * p.J, p.omega_m, p.gamma,
-                           0.0, 0.0, p.J, p.damping_convention)
+        p0 = replace(p, omega_c=-4.0 * p.J, kappa=0.0, g_prime=0.0)
         w_k = abs(lattice_dispersion(kh, 0.0, -4.0 * p.J, p.J))
         t_one = 2 * np.pi / (abs(p.J) * kh * kh)
         dt = 0.2 / max(w_k, abs(p.omega_m))

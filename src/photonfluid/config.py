@@ -101,11 +101,9 @@ SCHEMA = {
         "J": Key(-0.25, float, rule="nonzero"),
         "dt": Key(None, "maybe", rule="positive"),
         "t_final": Key(10.0, float, rule="positive"),
-        "init": Key("bloch", str, ("bloch", "uniform")),
         "mode_i": Key(1, int),
         "mode_j": Key(0, int),
         "amplitude": Key(1.0, float),
-        "damping": Key("literal", str, ("literal", "half")),
     },
     "grid": {
         "nx": Key(128, int),

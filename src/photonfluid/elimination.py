@@ -80,7 +80,10 @@ def microcavity_params(geom: MicrocavityGeometry):
     Confinement along the cavity axis gives the in-plane photons an
     effective mass m = ħqπ/(c l₀); the mirror curvature acts as a
     harmonic trap with Ω = c√(2/(l₀R)); the per-photon frequency pull of
-    a mirror displacement is g₀ = qπc/l₀².
+    a mirror displacement is g₀ = qπc/l₀².  These are the parameters of
+    the paper's first model, the planar microcavity photon fluid:
+    `test_microcavity_reference_arithmetic` checks m ≈ 3.87·10⁻³⁶ kg at
+    q = 7, l₀ = 2 µm and Ω ≈ 4.24·10¹¹ rad/s at q = 1, l₀ = 1 µm, R = 1 m.
     """
     m = HBAR * geom.q * np.pi / (C * geom.l0)
     Omega = C * np.sqrt(2.0 / (geom.l0 * geom.R))

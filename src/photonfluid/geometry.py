@@ -31,7 +31,7 @@ are formed at once, every edge point is formed once after the last band,
 and only the chaining of segments into polylines runs in Python.  The
 horizon function itself is formed a band at a time and never as a grid.
 Vertices that round to the same multiple of 1e-9 (in grid units) are one
-vertex.
+vertex, and a segment of zero length in those keys is dropped.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "hydro_linear_step",
     "estimate_density_fluctuation",
     "build_metric",
-    "line_element",
     "find_horizon",
     "marching_squares",
 ]
@@ -118,7 +117,6 @@ class HydroFields:
 
     grid: Grid
     m: float
-    G: float
     n: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
@@ -159,14 +157,16 @@ class HydroFields:
         raises `NumericalError`."""
         profiles = {"n": np.asarray(n, float), "vx": np.asarray(vx, float),
                     "vy": np.asarray(vy, float)}
-        profiles["c2"] = profiles["n"] * G / m if c2 is None \
-            else np.asarray(c2, float)
+        # an overflowing c² is refused as not finite below
+        with np.errstate(over="ignore"):
+            profiles["c2"] = profiles["n"] * G / m if c2 is None \
+                else np.asarray(c2, float)
         for name, a in profiles.items():
             if not np.isfinite(a).all():
                 raise NumericalError(f"background profile {name} is not finite")
             if a.shape != grid.shape:
                 profiles[name] = np.broadcast_to(a, grid.shape)
-        return cls(grid=grid, m=m, G=G, **profiles)
+        return cls(grid=grid, m=m, **profiles)
 
 
 def hydro_linear_step(
@@ -211,7 +211,7 @@ def hydro_linear_step(
     kx, ky = grid.k()
     n, vx, vy, m = fields.n, fields.vx, fields.vy, fields.m
     # cₘₐₓ|k|√(1 + (|k|ξₘᵢₙ)²/4) = |k|√(cₘₐₓ² + k²/4m²), finite at c = 0
-    k2 = float(np.max(kx * kx) + np.max(ky * ky))
+    k2 = grid.k2_max
     qp2 = k2 / (4.0 * m * m) if quantum_pressure else 0.0
     rate = np.sqrt(k2) * (float(np.max(np.hypot(vx, vy)))
                           + np.sqrt(float(np.max(np.abs(fields.c2))) + qp2))
@@ -266,7 +266,11 @@ def estimate_density_fluctuation(
 ) -> np.ndarray:
     """Hydrodynamic estimate δn ≃ −(n/mc²)( v₀·∇δθ + ∂_tδθ ).
 
-    Valid at scales ≫ ξ; requires c² > 0 everywhere.
+    Valid at scales ≫ ξ; requires c² > 0 everywhere.  This is the step
+    from the linearized fluid equations to the Klein-Gordon equation on
+    the acoustic metric: without quantum pressure δn follows δθ
+    algebraically.  `test_density_estimate_against_hydro_solver` checks
+    it against `hydro_linear_step` to O((kξ)²).
     """
     if np.any(fields.c2 <= 0):
         raise PhysicsGateError("c_ex² <= 0 somewhere: no hydrodynamic regime")
@@ -426,17 +430,6 @@ def _unbroadcast(a: np.ndarray) -> np.ndarray:
                    for stride in a.strides)]
 
 
-def line_element(metric: MetricField, ix: int, iy: int, dt: float, dr) -> float:
-    """ds² = Ω[−c²dt² + (dr − v₀dt)·(dr − v₀dt)] at grid point (ix, iy)."""
-    if metric.signature[ix, iy] != LORENTZIAN:
-        raise PhysicsGateError("line element requested at a non-Lorentzian point")
-    drx, dry = float(dr[0]), float(dr[1])
-    ox = drx - metric.vx[ix, iy] * dt
-    oy = dry - metric.vy[ix, iy] * dt
-    return float(metric.conformal[ix, iy]
-                 * (-metric.c2[ix, iy] * dt * dt + ox * ox + oy * oy))
-
-
 # ---------------------------------------------------------------------------
 # marching squares
 
@@ -500,8 +493,10 @@ def marching_squares(F, x: np.ndarray, y: np.ndarray, level: float = 0.0):
     last band their segments, one per cell and two per saddle, and every
     edge point x₀ + t(x₁ − x₀), t = f₀/(f₀ − f₁), are formed at once over
     arrays.  Vertices that round to the same multiple of 1e-9 (in the
-    units of x and y) are one vertex; only the chaining of segments at
-    shared vertices into polylines runs in Python.
+    units of x and y) are one vertex, and a segment whose two ends are one
+    vertex is dropped, so a level through grid vertices still gives one
+    polyline per contour; only the chaining of segments at shared vertices
+    into polylines runs in Python.
 
     `x` and `y` must be 1-D with the lengths of F's axes, else
     `ValueError`.  A band of F − `level` that is not finite (a NaN or an
@@ -557,6 +552,10 @@ def marching_squares(F, x: np.ndarray, y: np.ndarray, level: float = 0.0):
     if not np.isfinite(keys).all():
         raise NumericalError("marching squares: a contour vertex is not "
                              "finite or too large for its 1e-9 key")
+    # a level through a grid vertex gives the cells around it segments that
+    # start and end at that vertex; chained, they would branch the contour
+    live = np.repeat((keys[0::2] != keys[1::2]).any(axis=1), 2)
+    points, keys = points[live], keys[live]
     paths = _chain(list(zip(*keys.T.tolist())), len(points) // 2)
     return [points[p] for p in paths]
 
@@ -653,13 +652,15 @@ class _HorizonFunction:
         self.shape = fields.grid.shape
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        band = np.square(self.vx[rows])
-        vy = self.vy[rows]
-        block = max(1, _BLOCK_FLOATS // band.shape[1])
-        buf = np.empty((min(block, len(band)), band.shape[1]))
-        for i in range(0, len(band), block):
-            part = band[i:i + block]
-            part += np.square(vy[i:i + block], out=buf[:len(part)])
+        # an overflowing square is refused as not finite by the caller
+        with np.errstate(over="ignore"):
+            band = np.square(self.vx[rows])
+            vy = self.vy[rows]
+            block = max(1, _BLOCK_FLOATS // band.shape[1])
+            buf = np.empty((min(block, len(band)), band.shape[1]))
+            for i in range(0, len(band), block):
+                part = band[i:i + block]
+                part += np.square(vy[i:i + block], out=buf[:len(part)])
         band -= self.c2[rows]
         return band
 

@@ -300,7 +300,7 @@ def crosscheck_kg_vs_nlse(
 
     dt_kg = 0.5 * sonic_cfl_dt(metric)
     dt_nl = 0.08 / max(
-        float(np.max(psi0.grid.k_squared())) / (2 * abs(p.m)),
+        psi0.grid.k2_max / (2 * abs(p.m)),
         2.0 * abs(p.G_kerr) * float(np.max(np.abs(psi0.data)) ** 2),
     )
 

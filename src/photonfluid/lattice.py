@@ -13,11 +13,10 @@ and a Bloch wave picks up the tight-binding dispersion
 
     ω(k) = ω_c + 2J (cos k_i + cos k_j),    k in radians per site.
 
-Damping convention: the equations above use the literal full rates on the
-amplitudes, which is the default.  Selecting `damping_convention="half"`
-halves both κ and γ to match the half-linewidth convention used for the
-ancillary-cavity stage; under the literal convention a damping γ plays the
-role of a half-linewidth 2γ in the memory-kernel formulas.
+κ and γ are the amplitude decay rates of these equations, the one damping
+convention of this module: a half-linewidth reading of the rates is the
+same lattice at κ/2 and γ/2.  The steady mirror response to a static
+photon number is then the elimination's kernel at energy damping 2γ.
 
 For slowly varying fields (|k|h ≪ 1) the lattice is a photon fluid with
 the parameter map m = ħ/(2Jh²), Ṽ = ħ(ω_c + 4J).  Note that the curvature
@@ -38,7 +37,7 @@ import numpy as np
 from .elimination import KernelParams, kerr_coupling
 from .errors import StepSizeError
 from .fluid import (ComplexField2D, FluidParams, _check_counts, _linear_steps,
-                    _step_count, evolve, rk4_power)
+                    _step_count, evolve, rk4_power, split_step_cfl)
 
 __all__ = [
     "LatticeParams",
@@ -62,23 +61,18 @@ class LatticeParams:
     kappa: float
     g_prime: float
     J: float
-    damping_convention: str = "literal"   # "literal" | "half"
 
     def __post_init__(self):
         if self.Nx < 4 or self.Ny < 4:
             raise ValueError("lattice needs Nx, Ny >= 4")
         if self.h <= 0:
             raise ValueError("cell spacing must be positive")
-        if self.damping_convention not in ("literal", "half"):
-            raise ValueError("damping_convention must be 'literal' or 'half'")
 
     @property
-    def kappa_eff(self) -> float:
-        return self.kappa if self.damping_convention == "literal" else self.kappa / 2.0
-
-    @property
-    def gamma_eff(self) -> float:
-        return self.gamma if self.damping_convention == "literal" else self.gamma / 2.0
+    def rate(self) -> float:
+        """max(|ω_c| + 4|J|, |ω_m|): the fastest undamped frequency of the
+        lattice, which sets its RK4 step."""
+        return max(abs(self.omega_c) + 4.0 * abs(self.J), abs(self.omega_m))
 
 
 @dataclass
@@ -144,9 +138,10 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
                  steps: int = 1, force: bool = False) -> LatticeState:
     """Advance the mean-field lattice by `steps` RK4 steps of size `dt`.
 
-    Refuses dt·max(|ω_c| + 4|J|, ω_m) > 0.1 unless forced and a negative
-    `steps` with `ValueError`; a state that leaves the finite range is
-    reported as `fluid._linear_steps` says.
+    Refuses dt·`p.rate` > 0.1 with `StepSizeError` unless forced, and
+    with `ValueError` a negative `steps` or a state whose `a` or `b` is not
+    of shape (Nx, Ny), all before any stepping; a state that leaves the
+    finite range is reported as `fluid._linear_steps` says.
 
     With g′ = 0 the optical and mechanical modes decouple and the lattice
     is linear and translation-invariant: every Bloch wave of `a` is an
@@ -160,13 +155,15 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
     allocated once per call.
     """
     _check_counts(steps)
-    rate = max(abs(p.omega_c) + 4.0 * abs(p.J), abs(p.omega_m))
-    if dt * rate > 0.1 and not force:
+    if s.a.shape != (p.Nx, p.Ny) or s.b.shape != (p.Nx, p.Ny):
+        raise ValueError(f"lattice state of shapes {s.a.shape} and "
+                         f"{s.b.shape}, want (Nx, Ny) = {(p.Nx, p.Ny)}")
+    if dt * p.rate > 0.1 and not force:
         raise StepSizeError(
-            f"dt too large for lattice rates: dt*rate = {dt * rate:.3g} > 0.1"
+            f"dt too large for lattice rates: dt*rate = {dt * p.rate:.3g} > 0.1"
         )
-    ca = 1j * p.omega_c + p.kappa_eff
-    cb = 1j * p.omega_m + p.gamma_eff
+    ca = 1j * p.omega_c + p.kappa
+    cb = 1j * p.omega_m + p.gamma
     gp, J = p.g_prime, p.J
 
     y = np.array((s.a, s.b), complex)
@@ -174,7 +171,7 @@ def step_lattice(s: LatticeState, p: LatticeParams, dt: float,
     if gp == 0.0:
         ki = 2.0 * np.pi * np.arange(p.Nx)[:, None] / p.Nx
         kj = 2.0 * np.pi * np.arange(p.Ny)[None, :] / p.Ny
-        za = dt * (-1j * lattice_dispersion(ki, kj, p.omega_c, J) - p.kappa_eff)
+        za = dt * (-1j * lattice_dispersion(ki, kj, p.omega_c, J) - p.kappa)
         zb = -dt * cb
 
         def power(n):
@@ -258,27 +255,30 @@ def continuum_error(
 
     The continuum side uses the dynamically matched mass −ħ/(2Jh²), the
     uniform offset Ṽ = ω_c + 4J, and, for g′ ≠ 0, the eliminated contact
-    coupling `kerr_coupling` with the kernel written in this module's
-    damping convention, −2g′²ω_m/(γ_eff² + ω_m²); with g′ ≠ 0 and ω_m ≤ 0
-    it refuses with `PhysicsGateError` before any stepping.
+    coupling `kerr_coupling` at energy damping 2γ, −2g′²ω_m/(γ² + ω_m²);
+    with g′ ≠ 0 and ω_m ≤ 0 it refuses with `PhysicsGateError` before any
+    stepping.  The NLSE step is 0.05 over the rate of `split_step_cfl` and
+    the default lattice step 0.05/`p.rate`, each rate floored at 1e-12.
+    A field grid other than Nx×Ny at spacing h is refused with
+    `ValueError`, and a lattice state of another shape as `step_lattice`
+    refuses it.
     """
     grid = nlse_field.grid
-    if (lattice.a.shape != (p.Nx, p.Ny) or grid.shape != (p.Nx, p.Ny)
-            or not np.isclose(grid.dx, p.h) or not np.isclose(grid.dy, p.h)):
+    if (grid.shape != (p.Nx, p.Ny) or not np.isclose(grid.dx, p.h)
+            or not np.isclose(grid.dy, p.h)):
         raise ValueError("incompatible grids between lattice and continuum field")
     # refuses J = 0 before any stepping; ω(k) curves as −Jh²k², so the
     # dynamically matched mass is the map's mass with the sign flipped
     m_map, v_tilde = continuum_params(p.J, p.h, p.omega_c)
     m_dyn = -m_map
 
-    # the steady mirror response with amplitude decay γ_eff is the
-    # elimination's kernel at energy damping 2γ_eff
+    # the steady mirror response with amplitude decay γ is the
+    # elimination's kernel at energy damping 2γ
     G_eff = 0.0 if p.g_prime == 0.0 else kerr_coupling(
-        KernelParams(p.omega_m, 2.0 * p.gamma_eff, p.g_prime))
+        KernelParams(p.omega_m, 2.0 * p.gamma, p.g_prime))
 
-    rate = max(abs(p.omega_c) + 4.0 * abs(p.J), abs(p.omega_m), 1e-12)
     if dt_lattice is None:
-        dt_lattice = 0.05 / rate
+        dt_lattice = 0.05 / max(p.rate, 1e-12)
     n_lat = _step_count(t_final, dt_lattice)
     lat = step_lattice(lattice, p, t_final / n_lat, steps=n_lat, force=force)
 
@@ -287,11 +287,7 @@ def continuum_error(
         # linear + uniform offset: the split step is exact, one step suffices
         n_con = 1
     else:
-        dt_nlse = 0.05 / max(
-            float(np.max(grid.k_squared())) / (2 * abs(m_dyn)),
-            abs(v_tilde) + abs(G_eff) * float(np.max(np.abs(nlse_field.data)) ** 2),
-            1e-12,
-        )
+        dt_nlse = 0.05 / max(split_step_cfl(nlse_field, fp, 1.0), 1e-12)
         n_con = _step_count(t_final, dt_nlse)
     con = evolve(nlse_field, fp, t_final / n_con, n_con, force=True)
     # undo the bookkept uniform-offset phase so both carry the full phase

@@ -165,7 +165,13 @@ def optical_susceptibility(omega, Delta_bar, kappa_prime):
 
 
 def self_energy(omega, G, Delta_bar, kappa_prime):
-    """Radiation-pressure self-energy Σ[ω] = −i|G|²(χ[ω] − χ*[−ω])."""
+    """Radiation-pressure self-energy Σ[ω] = −i|G|²(χ[ω] − χ*[−ω]).
+
+    The induced damping and the optical spring of the mechanical mode are
+    its two parts, γ_opt = −(2ω_i/ω) Im Σ and ω_opt = (ω_i/ω) Re Σ;
+    `test_shift_formulas_match_self_energy` checks `gamma_opt` and
+    `omega_opt` against it.
+    """
     chi_p = optical_susceptibility(omega, Delta_bar, kappa_prime)
     chi_m = optical_susceptibility(-np.asarray(omega), Delta_bar, kappa_prime)
     return -1j * abs(G) ** 2 * (chi_p - np.conj(chi_m))

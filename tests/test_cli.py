@@ -905,7 +905,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
 
 
 # the settable values each stage accepted and never read: 6 of the
-# pipeline's [kernel], 13 of its [lattice], 6 of its [nlse], the [nlse]
+# pipeline's [kernel], 11 of its [lattice], 6 of its [nlse], the [nlse]
 # stepping of metric and kg, kg's kxi_limit, and the pipeline's rdr.T (it
 # needs the units = SI that only the rdr stage takes)
 _UNREAD = (

@@ -57,6 +57,7 @@ def test_field_validation():
 
 @pytest.mark.parametrize("nx, ny, dx, dy", [
     (8, 4, 0.5, 0.25), (7, 5, 0.1, 0.3), (64, 16, 1 / 3, 0.7),
+    (127, 128, 2.5, 1e-3), (2, 31, 0.1, 0.1),
 ])
 def test_grid_defines_coordinates_and_wavenumbers(nx, ny, dx, dy):
     # bit for bit the centred coordinates and FFT-order wavenumbers every
@@ -72,6 +73,8 @@ def test_grid_defines_coordinates_and_wavenumbers(nx, ny, dx, dy):
     assert np.array_equal(kx, 2 * np.pi * np.fft.fftfreq(nx, dx)[:, None])
     assert np.array_equal(ky, 2 * np.pi * np.fft.fftfreq(ny, dy)[None, :])
     assert np.array_equal(g.k_squared(), kx**2 + ky**2)
+    # the largest k² from the two axes is the field-sized maximum's double
+    assert g.k2_max == float(np.max(g.k_squared()))
     for bad in ((nx, ny, 0.0, dy), (nx, ny, dx, -dy), (nx, ny, np.nan, dy)):
         with pytest.raises(ValueError):
             Grid(*bad)
@@ -870,20 +873,22 @@ def _allocating_rk4(rhs, y, dt, steps):
 
 @pytest.mark.parametrize("J", [0.25, -0.25])
 @pytest.mark.parametrize("kappa", [0.0, 0.05])
-@pytest.mark.parametrize("damping", ["literal", "half"])
+@pytest.mark.parametrize("rates", ["literal", "half"])
 @pytest.mark.parametrize("steps", [0, 1, 57])
-def test_coupled_lattice_equals_allocating_rk4_bit_for_bit(J, kappa, damping,
+def test_coupled_lattice_equals_allocating_rk4_bit_for_bit(J, kappa, rates,
                                                            steps):
     # g' != 0 has no closed form: the in-place stepper must reproduce the
     # allocating right-hand side and loop exactly, neighbours summed in the
-    # order of the rolled stencil
-    p = LatticeParams(Nx=32, Ny=8, h=1.0, omega_c=0.3, omega_m=1.0, gamma=0.2,
-                      kappa=kappa, g_prime=0.15, J=J, damping_convention=damping)
+    # order of the rolled stencil; a "half" case passes κ/2 and γ/2
+    scale = 0.5 if rates == "half" else 1.0
+    p = LatticeParams(Nx=32, Ny=8, h=1.0, omega_c=0.3, omega_m=1.0,
+                      gamma=0.2 * scale, kappa=kappa * scale, g_prime=0.15,
+                      J=J)
     rng = np.random.default_rng(steps + 41)
     a0, b0 = (rng.standard_normal((2, 32, 8))
               + 1j * rng.standard_normal((2, 32, 8)))
-    ca = 1j * p.omega_c + p.kappa_eff
-    cb = 1j * p.omega_m + p.gamma_eff
+    ca = 1j * p.omega_c + p.kappa
+    cb = 1j * p.omega_m + p.gamma
 
     def rhs(a, b):
         hop = (np.roll(a, 1, 0) + np.roll(a, -1, 0)

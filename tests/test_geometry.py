@@ -28,7 +28,6 @@ from photonfluid.geometry import (
     find_horizon,
     healing_length,
     hydro_linear_step,
-    line_element,
     madelung,
     marching_squares,
 )
@@ -374,7 +373,7 @@ def test_build_metric_matches_the_full_grid_arithmetic(profile):
                                   c2=c2)
     if profile == "masked":
         f.mask = rng.uniform(size=grid.shape) > 0.2
-    owned = HydroFields(grid=grid, m=f.m, G=f.G, n=np.array(f.n),
+    owned = HydroFields(grid=grid, m=f.m, n=np.array(f.n),
                         vx=f.vx, vy=f.vy, c2=np.array(f.c2), mask=f.mask)
     got, want = build_metric(f), build_metric(owned)
     viewed = profile in ("constant", "column")
@@ -458,22 +457,29 @@ def test_signature_classification_follows_interaction_sign():
 
 
 def test_line_element_special_observers():
+    # ds² = dxᵘ g_μν dxᵛ at one grid point, dx = (dt, dx, dy)
     f = HydroFields.uniform(Grid(8, 8, 1.0, 1.0), m=1.0, G=1.0, density=1.0,
                             vx=0.3, vy=-0.1)
     met = build_metric(f)
+    g = met.g[3, 3]
     Om = met.conformal[3, 3]
     dt = 0.7
+
+    def line_element(dt, dr):
+        d = np.array((dt, *dr))
+        return float(d @ g @ d)
+
     # comoving displacement: ds^2 = -Omega c^2 dt^2
-    ds2 = line_element(met, 3, 3, dt, (0.3 * dt, -0.1 * dt))
+    ds2 = line_element(dt, (0.3 * dt, -0.1 * dt))
     assert ds2 == pytest.approx(-Om * met.c2[3, 3] * dt**2)
     # spatial slice: conformally flat
-    ds2 = line_element(met, 3, 3, 0.0, (0.2, 0.4))
+    ds2 = line_element(0.0, (0.2, 0.4))
     assert ds2 == pytest.approx(Om * (0.2**2 + 0.4**2))
     # null ray along x: dx/dt = vx +- c
     c = np.sqrt(met.c2[3, 3])
     for sgn in (+1, -1):
         dx = (0.3 + sgn * c) * dt
-        assert line_element(met, 3, 3, dt, (dx, -0.1 * dt)) == pytest.approx(
+        assert line_element(dt, (dx, -0.1 * dt)) == pytest.approx(
             0.0, abs=1e-12)
 
 
@@ -648,7 +654,8 @@ def _key(p, tol=1e-9):
 
 def _per_cell_segments(F, x, y):
     """Reference segments: scan every cell, i outer and j inner, and form
-    each case index from its four corner signs."""
+    each case index from its four corner signs; a segment whose two ends
+    have one key is left out."""
     edges = {0: ((0, 0), (1, 0)), 1: ((1, 0), (1, 1)),
              2: ((0, 1), (1, 1)), 3: ((0, 0), (0, 1))}
 
@@ -678,7 +685,9 @@ def _per_cell_segments(F, x, y):
                 pairs = _CASES[idx]
             for e_in, e_out in pairs:
                 p0, p1 = edge_point(i, j, e_in), edge_point(i, j, e_out)
-                segments.setdefault(_key(p0), []).append((p0, p1))
+                # a segment from a zero corner to itself is no segment
+                if _key(p0) != _key(p1):
+                    segments.setdefault(_key(p0), []).append((p0, p1))
     return segments
 
 
@@ -747,6 +756,21 @@ def test_marching_squares_matches_per_cell_oracle():
     F += np.square(vy)
     F -= 0.25
     assert_matches_oracle(F, grid.x, grid.y)
+
+
+@pytest.mark.parametrize("d, r2, vertices", [(0.1, 0.08, 4), (0.25, 1.25, 8)])
+def test_a_level_through_grid_vertices_gives_one_closed_loop(d, r2, vertices):
+    # x² + y² = r² passes through grid vertices: at four, where F rounds to
+    # 1.4e-17, on the finer grid and at eight, where F is exactly 0, on the
+    # coarser one; each was traced as several loops
+    grid = Grid(64, 64, d, d)
+    X, Y = grid.xy()
+    F = X**2 + Y**2 - r2
+    assert np.count_nonzero(np.abs(F) < 1e-12) == vertices
+    (loop,) = marching_squares(F, grid.x, grid.y)
+    assert np.array_equal(np.rint(loop[0] / 1e-9), np.rint(loop[-1] / 1e-9))
+    assert len(loop) >= 17
+    assert np.allclose(np.hypot(*loop.T), np.sqrt(r2), rtol=0.05)
 
 
 def test_marching_squares_refuses_coordinates_of_the_wrong_length():

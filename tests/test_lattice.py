@@ -66,6 +66,17 @@ def test_step_size_refusal():
         step_lattice(s, p, 0.1, 1)
 
 
+@pytest.mark.parametrize("g_prime", [0.0, 0.05])
+def test_step_lattice_refuses_a_state_of_the_wrong_shape(g_prime):
+    # an 8×8 state under Nx = 16 ran silently on the g′ ≠ 0 path and hit a
+    # broadcast error on g′ = 0; either component is checked
+    p = make_params(Nx=16, Ny=8, g_prime=g_prime)
+    good, bad = np.zeros((16, 8), complex), np.zeros((8, 8), complex)
+    for a, b in ((bad, bad), (bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=r"\(Nx, Ny\) = \(16, 8\)"):
+            step_lattice(LatticeState(a, b), p, 0.01, 1)
+
+
 def test_norm_conservation_without_loss_or_coupling():
     p = make_params(J=0.25)
     rng = np.random.default_rng(0)
@@ -110,8 +121,8 @@ def test_phonon_subsystem_is_strictly_on_site(seed):
 
 def _rk4_oracle(a, b, p, dt, steps):
     """Step-by-step RK4 of the uncoupled (g' = 0) lattice equations."""
-    ca = 1j * p.omega_c + p.kappa_eff
-    cb = 1j * p.omega_m + p.gamma_eff
+    ca = 1j * p.omega_c + p.kappa
+    cb = 1j * p.omega_m + p.gamma
 
     def rhs(a, b):
         hop = (np.roll(a, 1, 0) + np.roll(a, -1, 0)
@@ -128,22 +139,24 @@ def _rk4_oracle(a, b, p, dt, steps):
     return a, b
 
 
-@pytest.mark.parametrize("J, kappa, damping", [
+@pytest.mark.parametrize("J, kappa, rates", [
     (-0.25, 0.0, "literal"),
     (0.4, 0.05, "literal"),
     (0.4, 0.05, "half"),
     (0.0, 0.05, "half"),
 ])
 @pytest.mark.parametrize("steps", [0, 1, 300])
-def test_uncoupled_lattice_propagator_matches_rk4_steps(J, kappa, damping, steps):
+def test_uncoupled_lattice_propagator_matches_rk4_steps(J, kappa, rates, steps):
     # full-spectrum complex a on a non-square grid: every Bloch wave, the
-    # zone-edge rows included, carries an independent amplitude
-    p = make_params(Nx=32, Ny=8, omega_c=0.3, omega_m=1.0, gamma=0.2,
-                    kappa=kappa, J=J, damping_convention=damping)
+    # zone-edge rows included, carries an independent amplitude; a "half"
+    # case passes κ/2 and γ/2, so J = 0 and κ > 0 are both covered
+    scale = 0.5 if rates == "half" else 1.0
+    p = make_params(Nx=32, Ny=8, omega_c=0.3, omega_m=1.0, gamma=0.2 * scale,
+                    kappa=kappa * scale, J=J)
     rng = np.random.default_rng(steps + 11)
     a0 = rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))
     b0 = rng.standard_normal((32, 8)) + 1j * rng.standard_normal((32, 8))
-    dt = 0.08 / max(abs(p.omega_c) + 4 * abs(J), p.omega_m)
+    dt = 0.08 / p.rate
     out = step_lattice(LatticeState(a0.copy(), b0.copy(), t=0.5), p, dt, steps)
     ref_a, ref_b = _rk4_oracle(a0, b0, p, dt, steps)
     assert np.linalg.norm(out.a - ref_a) <= 1e-11 * np.linalg.norm(ref_a)
@@ -154,8 +167,8 @@ def test_uncoupled_lattice_propagator_matches_rk4_steps(J, kappa, damping, steps
 @pytest.mark.parametrize("shape", [(4, 4), (64, 16), (4, 128), (128, 4),
                                    (33, 7)])
 def test_neighbor_sum_matches_rolled_stencil(shape):
-    # the slice-built sum adds the four neighbours in the order of the
-    # rolled stencil, so it must agree with it bit for bit, wrap rows included
+    # the gathered sum adds the four neighbours in the order of the rolled
+    # stencil, so it must agree with it bit for bit, wrap rows included
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ref = (np.roll(a, 1, 0) + np.roll(a, -1, 0)
@@ -218,8 +231,8 @@ def test_continuum_error_refuses_zero_hopping():
 
 
 def test_continuum_error_takes_the_eliminated_coupling(monkeypatch):
-    # g′ ≠ 0: the continuum 𝒢 is `kerr_coupling` at energy damping 2γ_eff,
-    # −2g′²ω_m/(γ_eff² + ω_m²); unstable mechanics (ω_m ≤ 0) is refused
+    # g′ ≠ 0: the continuum 𝒢 is `kerr_coupling` at energy damping 2γ,
+    # −2g′²ω_m/(γ² + ω_m²); unstable mechanics (ω_m ≤ 0) is refused
     # before the lattice is stepped
     from photonfluid import lattice
 
@@ -232,13 +245,12 @@ def test_continuum_error_takes_the_eliminated_coupling(monkeypatch):
     monkeypatch.setattr(lattice, "kerr_coupling", coupling)
     a = np.ones((8, 8), complex)
     fld = ComplexField2D(Grid(8, 8, 1.0, 1.0), a.copy())
-    for convention, gamma_eff in (("literal", 0.4), ("half", 0.2)):
-        p = make_params(Nx=8, Ny=8, omega_c=1.0, gamma=0.4, g_prime=0.05,
-                        damping_convention=convention)
+    for gamma in (0.4, 0.2):
+        p = make_params(Nx=8, Ny=8, omega_c=1.0, gamma=gamma, g_prime=0.05)
         continuum_error(LatticeState(a.copy(), np.zeros_like(a)), fld, p, 0.5)
-        assert seen[-1] == KernelParams(1.0, 2 * gamma_eff, 0.05)
+        assert seen[-1] == KernelParams(1.0, 2 * gamma, 0.05)
         assert kerr_coupling(seen[-1]) == pytest.approx(
-            -2 * 0.05**2 * 1.0 / (gamma_eff**2 + 1.0), rel=1e-14)
+            -2 * 0.05**2 * 1.0 / (gamma**2 + 1.0), rel=1e-14)
 
     def no_stepping(*args, **kwargs):
         raise AssertionError("the lattice was stepped")
